@@ -1,82 +1,34 @@
-(* The benchmark harness: regenerates every table and figure of the paper's
-   evaluation, times each regeneration, and measures the simulation
-   engine's raw event throughput.
+(* The events/sec harness: the engine's raw dispatch throughput plus the
+   wall clock and events/sec of every registered experiment's checker
+   run.
 
    Usage:
-     dune exec bench/main.exe              # regenerate everything
-     dune exec bench/main.exe -- fig5      # one experiment
-     dune exec bench/main.exe -- --quick   # smaller sweeps
-     dune exec bench/main.exe -- --csv DIR # also write fig4/5/6 as CSV
-     dune exec bench/main.exe -- --time
-         # wall-clock per experiment, min over 3 complete runs
-     dune exec bench/main.exe -- --bench [--out FILE]
-         # engine events/sec microbenchmarks plus wall clock and
-         # events/sec for every registered figure/scenario; --out writes
-         # the results as JSON (the committed BENCH_*.json files — see
-         # README "Benchmarks")
+     dune exec bench/main.exe -- --bench [--quick] [--out FILE]
+         # --quick shrinks the engine microbenchmarks; --out writes the
+         # results as JSON (the committed BENCH_*.json files — see README
+         # "Benchmarks")
 
-   Simulated results are deterministic: re-running prints identical
-   numbers.  Wall-clock timings of course are not; they are reported as
-   the minimum over three in-process runs to damp scheduler noise. *)
+   Experiments are regenerated with `clic-sim run`; end-to-end timings
+   per workload come from benchsuite/. *)
 
-let fmt = Format.std_formatter
 let null_fmt = Format.make_formatter (fun _ _ _ -> ()) (fun () -> ())
 
-(* One timed closure per registered table/figure: each run executes the
-   experiment's full simulation (output suppressed).  The long sweeps
-   (fig4-6, tab1, fig1) run in quick mode under timing so the harness
-   stays snappy. *)
-let experiment_runs =
-  List.map
-    (fun id ->
-      let fn =
-        match id with
-        | "fig4" ->
-            fun () -> ignore (Report.Figures.fig4 ~quick:true null_fmt)
-        | "fig5" ->
-            fun () -> ignore (Report.Figures.fig5 ~quick:true null_fmt)
-        | "fig6" ->
-            fun () -> ignore (Report.Figures.fig6 ~quick:true null_fmt)
-        | "tab1" ->
-            fun () -> ignore (Report.Figures.tab1 ~quick:true null_fmt)
-        | "fig1" ->
-            fun () -> ignore (Report.Figures.fig1 ~quick:true null_fmt)
-        | other -> fun () -> Report.Figures.run other null_fmt
-      in
-      (id, fn))
-    Report.Figures.all_ids
-
-(* Wall-clock per experiment.  A single deterministic simulation per
-   iteration makes direct min-of-N sampling the honest measurement; the
-   previous harness labelled one unrepeated sample a "bechamel" result,
-   which overstated what was measured. *)
-let run_time ?(runs = 3) () =
-  List.iter
-    (fun (name, fn) ->
-      let best = ref infinity in
-      for _ = 1 to runs do
-        let t0 = Unix.gettimeofday () in
-        fn ();
-        let w = Unix.gettimeofday () -. t0 in
-        if w < !best then best := w
-      done;
-      Format.printf "time %-10s %8.3f s/run  (min of %d)@." name !best runs)
-    experiment_runs
-
-(* Every figure/scenario as an events/sec benchmark: the engine keeps a
-   process-wide fired-event counter precisely so a scenario that builds
-   its simulators internally can still report throughput. *)
+(* Every experiment as an events/sec benchmark at the checker's size: the
+   engine keeps a process-wide fired-event counter precisely so a
+   scenario that builds its simulators internally can still report
+   throughput. *)
 let scenario_results ~runs =
   List.map
-    (fun (id, fn) ->
+    (fun (sc : Check.Scenario.t) ->
       let f () =
         let e0 = Engine.Sim.global_events_executed () in
-        fn ();
+        sc.run null_fmt;
         Engine.Sim.global_events_executed () - e0
       in
       let events, wall_s = Bench_engine.time_min ~runs f in
-      { Bench_engine.bench_id = "scenario/" ^ id; events; wall_s; nodes = 0 })
-    experiment_runs
+      let bench_id = "scenario/" ^ sc.name in
+      { Bench_engine.bench_id; events; wall_s; nodes = 0 })
+    Check.Scenario.all
 
 let json_of_results results =
   let b = Buffer.create 4096 in
@@ -101,79 +53,30 @@ let print_result r =
     (Bench_engine.events_per_sec r)
     r.Bench_engine.wall_s r.Bench_engine.events
 
-let flag_value name args =
-  let rec go = function
-    | f :: v :: _ when f = name -> Some v
-    | _ :: rest -> go rest
-    | [] -> None
-  in
-  go args
-
-let write_csv dir name series =
-  let path = Filename.concat dir (name ^ ".csv") in
-  let oc = open_out path in
-  output_string oc (Report.Render.series_csv ~x_label:"size_bytes" series);
-  close_out oc;
-  Format.printf "wrote %s@." path
+let rec flag_value name = function
+  | f :: v :: _ when f = name -> Some v
+  | _ :: rest -> flag_value name rest
+  | [] -> None
 
 let () =
   let args = Array.to_list Sys.argv |> List.tl in
-  let quick = List.mem "--quick" args in
-  if List.mem "--bench" args then begin
-    (* min-of-3 even in quick mode: CI compares these numbers against the
-       committed baseline, so damping scheduler noise matters more than
-       the two extra sub-second runs. *)
-    let runs = 3 in
-    let results = Bench_engine.run ~runs ~quick () @ scenario_results ~runs in
-    List.iter print_result results;
-    (match flag_value "--out" args with
-    | None -> ()
-    | Some path ->
-        let oc = open_out path in
-        output_string oc (json_of_results results);
-        close_out oc;
-        Printf.printf "wrote %s\n" path);
-    exit 0
+  if not (List.mem "--bench" args) then begin
+    prerr_endline "usage: main.exe --bench [--quick] [--out FILE]";
+    exit 2
   end;
-  if List.mem "--time" args || List.mem "--bechamel" args then begin
-    run_time ();
-    exit 0
-  end;
-  let csv = flag_value "--csv" args in
-  let ids =
-    let rec strip = function
-      | "--csv" :: _ :: rest -> strip rest
-      | "--out" :: _ :: rest -> strip rest
-      | a :: rest when String.length a > 2 && String.sub a 0 2 = "--" ->
-          strip rest
-      | a :: rest -> a :: strip rest
-      | [] -> []
-    in
-    strip args
+  (* min-of-3 even in quick mode: CI compares these numbers against the
+     committed baseline, so damping scheduler noise matters more than the
+     two extra sub-second runs. *)
+  let runs = 3 in
+  let results =
+    Bench_engine.run ~runs ~quick:(List.mem "--quick" args) ()
+    @ scenario_results ~runs
   in
-  (match
-     List.filter (fun id -> not (List.mem id Report.Figures.all_ids)) ids
-   with
-  | [] -> ()
-  | unknown ->
-      List.iter
-        (fun id -> Printf.eprintf "unknown experiment id %S\n" id)
-        unknown;
-      Printf.eprintf "known ids: %s\n"
-        (String.concat " " Report.Figures.all_ids);
-      exit 1);
-  let to_run = if ids = [] then Report.Figures.all_ids else ids in
-  let maybe_csv name series =
-    match csv with Some dir -> write_csv dir name series | None -> ()
-  in
-  List.iter
-    (fun id ->
-      match id with
-      | "fig4" -> maybe_csv "fig4" (Report.Figures.fig4 ~quick fmt)
-      | "fig5" -> maybe_csv "fig5" (Report.Figures.fig5 ~quick fmt)
-      | "fig6" -> maybe_csv "fig6" (Report.Figures.fig6 ~quick fmt)
-      | "tab1" -> ignore (Report.Figures.tab1 ~quick fmt)
-      | "fig1" -> ignore (Report.Figures.fig1 ~quick fmt)
-      | other -> Report.Figures.run other fmt)
-    to_run;
-  Format.fprintf fmt "@."
+  List.iter print_result results;
+  match flag_value "--out" args with
+  | None -> ()
+  | Some path ->
+      let oc = open_out path in
+      output_string oc (json_of_results results);
+      close_out oc;
+      Printf.printf "wrote %s\n" path

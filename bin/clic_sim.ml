@@ -4,14 +4,12 @@
      latency    ping-pong latency of any stack
      bandwidth  NetPIPE-style bandwidth of any stack at one message size
      stream     one-way saturation stream with CPU/interrupt statistics
-     chaos      reliability soak under fault injection (sweep or custom)
-     incast     N->1 collapse through the switch, tail-drop vs 802.3x PAUSE
-     fabric     cross-rack incast + spine failure on a leaf/spine fabric
-     slo        open-loop SLOs under gray failure + degradation contract
-     figure     regenerate a paper figure/table by id
-     check      run the analysis passes over the paper experiments
-     timeline   export a scenario's Perfetto/Chrome trace timeline
-     metrics    export a scenario's time-series metrics (CSV/JSON)
+     chaos      one custom fault profile under a saturation stream
+     run        render experiments and enforce their exit-status contracts
+     check      run the analysis passes over the experiments
+     soak       randomized fault schedules under the analysis passes
+     timeline   export an experiment's Perfetto/Chrome trace timeline
+     metrics    export an experiment's time-series metrics (CSV/JSON)
      list       list experiment ids *)
 
 open Cmdliner
@@ -86,112 +84,95 @@ let run_stream verbose stack mtu zero_copy size reps =
 
 (* One custom fault profile from the command line: uniform or bursty loss,
    duplication and delay jitter composed onto every link. *)
-let run_chaos verbose quick loss burst dup jitter_us mtu size messages =
+let run_chaos verbose loss burst dup jitter_us mtu size messages =
   ignore (verbose : bool);
   if loss < 0. || loss > 1. || dup < 0. || dup > 1. then begin
     prerr_endline "clic-sim: --loss and --dup must lie in [0,1]";
     exit 2
   end;
   let open Engine in
-  if loss <= 0. && dup <= 0. && jitter_us <= 0. then
-    ignore (Report.Figures.chaos ~quick Format.std_formatter)
-  else begin
-    let root = Rng.create ~seed:20030422 in
-    let mk_fault () =
-      let rng = Rng.split root in
-      let stages =
-        List.concat
-          [
-            (if loss > 0. then
-               if burst > 1 then begin
-                 (* Gilbert–Elliott with mean burst length [burst] frames
-                    and average loss [loss]: bad state drops half its
-                    frames, dwell times set the stationary bad fraction. *)
-                 let loss_bad = 0.5 in
-                 let frac_bad = min 0.9 (loss /. loss_bad) in
-                 let p_bad_to_good = 1. /. float_of_int burst in
-                 let p_good_to_bad =
-                   frac_bad *. p_bad_to_good /. (1. -. frac_bad)
-                 in
-                 [
-                   Hw.Fault.gilbert_elliott ~rng:(Rng.split rng)
-                     ~p_good_to_bad ~p_bad_to_good ~loss_bad ();
-                 ]
-               end
-               else [ Hw.Fault.drop ~rng:(Rng.split rng) ~prob:loss ]
-             else []);
-            (if dup > 0. then
-               [ Hw.Fault.duplicate ~rng:(Rng.split rng) ~prob:dup ]
-             else []);
-            (if jitter_us > 0. then
+  let root = Rng.create ~seed:20030422 in
+  let mk_fault () =
+    let rng = Rng.split root in
+    let stages =
+      List.concat
+        [
+          (if loss > 0. then
+             if burst > 1 then begin
+               (* Gilbert–Elliott with mean burst length [burst] frames
+                  and average loss [loss]: bad state drops half its
+                  frames, dwell times set the stationary bad fraction. *)
+               let loss_bad = 0.5 in
+               let frac_bad = min 0.9 (loss /. loss_bad) in
+               let p_bad_to_good = 1. /. float_of_int burst in
+               let p_good_to_bad =
+                 frac_bad *. p_bad_to_good /. (1. -. frac_bad)
+               in
                [
-                 Hw.Fault.jitter ~rng:(Rng.split rng)
-                   ~max_delay:(Time.us jitter_us);
+                 Hw.Fault.gilbert_elliott ~rng:(Rng.split rng)
+                   ~p_good_to_bad ~p_bad_to_good ~loss_bad ();
                ]
-             else []);
-          ]
-      in
-      match stages with [ f ] -> f | fs -> Hw.Fault.compose fs
+             end
+             else [ Hw.Fault.drop ~rng:(Rng.split rng) ~prob:loss ]
+           else []);
+          (if dup > 0. then
+             [ Hw.Fault.duplicate ~rng:(Rng.split rng) ~prob:dup ]
+           else []);
+          (if jitter_us > 0. then
+             [
+               Hw.Fault.jitter ~rng:(Rng.split rng)
+                 ~max_delay:(Time.us jitter_us);
+             ]
+           else []);
+        ]
     in
-    let config =
-      { Node.default_config with mtu; link_fault = Some mk_fault }
-    in
-    let c = Net.create ~config ~n:2 () in
-    let pair = Measure.clic_pair c ~a:0 ~b:1 () in
-    let r = Measure.stream c pair ~a:0 ~b:1 ~size ~messages in
-    let sum f =
-      f (Clic.Api.kernel (Net.node c 0).Node.clic)
-      + f (Clic.Api.kernel (Net.node c 1).Node.clic)
-    in
-    Printf.printf
-      "chaos stream of %d x %dB at MTU %d (loss %.2f%%, burst %d, dup \
-       %.2f%%, jitter %.0fus):\n\
-      \  %.1f Mbit/s goodput in %.1f ms\n\
-      \  %d retransmissions (%d timer, %d fast), %d duplicates dropped\n"
-      messages size mtu (100. *. loss) burst (100. *. dup) jitter_us
-      r.Measure.st_bandwidth_mbps
-      (Time.to_us r.Measure.elapsed /. 1000.)
-      (sum Clic.Clic_module.retransmissions)
-      (sum Clic.Clic_module.timeouts)
-      (sum Clic.Clic_module.fast_retransmits)
-      (sum (fun km ->
-           match Clic.Clic_module.channel_to km ~peer:0 with
-           | Some ch -> Clic.Channel.duplicates_dropped ch
-           | None -> (
-               match Clic.Clic_module.channel_to km ~peer:1 with
-               | Some ch -> Clic.Channel.duplicates_dropped ch
-               | None -> 0)));
-    (match
-       Clic.Clic_module.channel_to (Clic.Api.kernel (Net.node c 0).Node.clic)
-         ~peer:1
-     with
-    | Some ch ->
-        let s = Clic.Channel.rto_stats ch in
-        if Stats.Summary.count s > 0 then
-          Printf.printf
-            "  sender RTO: %.0f us mean, %.0f us max over %d armings%s\n"
-            (Stats.Summary.mean s) (Stats.Summary.max s)
-            (Stats.Summary.count s)
-            (match Clic.Channel.srtt ch with
-            | Some srtt ->
-                Printf.sprintf " (srtt %.0f us)" (Time.to_us srtt)
-            | None -> "")
-    | None -> ())
-  end
-
-let run_figure verbose id quick =
-  ignore (verbose : bool);
-  if quick && List.mem id [ "fig4"; "fig5"; "fig6"; "tab1"; "fig1" ] then begin
-    let fmt = Format.std_formatter in
-    match id with
-    | "fig4" -> ignore (Report.Figures.fig4 ~quick fmt)
-    | "fig5" -> ignore (Report.Figures.fig5 ~quick fmt)
-    | "fig6" -> ignore (Report.Figures.fig6 ~quick fmt)
-    | "tab1" -> ignore (Report.Figures.tab1 ~quick fmt)
-    | "fig1" -> ignore (Report.Figures.fig1 ~quick fmt)
-    | _ -> ()
-  end
-  else Report.Figures.run id Format.std_formatter
+    match stages with [ f ] -> f | fs -> Hw.Fault.compose fs
+  in
+  let link_fault =
+    if loss > 0. || dup > 0. || jitter_us > 0. then Some mk_fault else None
+  in
+  let config = { Node.default_config with mtu; link_fault } in
+  let c = Net.create ~config ~n:2 () in
+  let pair = Measure.clic_pair c ~a:0 ~b:1 () in
+  let r = Measure.stream c pair ~a:0 ~b:1 ~size ~messages in
+  let sum f =
+    f (Clic.Api.kernel (Net.node c 0).Node.clic)
+    + f (Clic.Api.kernel (Net.node c 1).Node.clic)
+  in
+  Printf.printf
+    "chaos stream of %d x %dB at MTU %d (loss %.2f%%, burst %d, dup \
+     %.2f%%, jitter %.0fus):\n\
+    \  %.1f Mbit/s goodput in %.1f ms\n\
+    \  %d retransmissions (%d timer, %d fast), %d duplicates dropped\n"
+    messages size mtu (100. *. loss) burst (100. *. dup) jitter_us
+    r.Measure.st_bandwidth_mbps
+    (Time.to_us r.Measure.elapsed /. 1000.)
+    (sum Clic.Clic_module.retransmissions)
+    (sum Clic.Clic_module.timeouts)
+    (sum Clic.Clic_module.fast_retransmits)
+    (sum (fun km ->
+         match Clic.Clic_module.channel_to km ~peer:0 with
+         | Some ch -> Clic.Channel.duplicates_dropped ch
+         | None -> (
+             match Clic.Clic_module.channel_to km ~peer:1 with
+             | Some ch -> Clic.Channel.duplicates_dropped ch
+             | None -> 0)));
+  (match
+     Clic.Clic_module.channel_to (Clic.Api.kernel (Net.node c 0).Node.clic)
+       ~peer:1
+   with
+  | Some ch ->
+      let s = Clic.Channel.rto_stats ch in
+      if Stats.Summary.count s > 0 then
+        Printf.printf
+          "  sender RTO: %.0f us mean, %.0f us max over %d armings%s\n"
+          (Stats.Summary.mean s) (Stats.Summary.max s)
+          (Stats.Summary.count s)
+          (match Clic.Channel.srtt ch with
+          | Some srtt ->
+              Printf.sprintf " (srtt %.0f us)" (Time.to_us srtt)
+          | None -> "")
+  | None -> ())
 
 let latency_cmd =
   Cmd.v (Cmd.info "latency" ~doc:"Ping-pong 0-byte latency")
@@ -210,9 +191,6 @@ let stream_cmd =
       $ size_arg $ reps_arg)
 
 let chaos_cmd =
-  let quick =
-    Arg.(value & flag & info [ "quick" ] ~doc:"Reduced sweep sizes.")
-  in
   let loss =
     Arg.(value & opt float 0.
          & info [ "loss" ] ~docv:"PROB"
@@ -241,300 +219,67 @@ let chaos_cmd =
   Cmd.v
     (Cmd.info "chaos"
        ~doc:
-         "Reliability soak under fault injection: with no fault flags, \
-          sweep loss rate x burstiness (plus duplication, jitter and link \
-          flaps); with flags, run one custom profile.")
+         "One custom fault profile (loss, bursts, duplication, jitter) \
+          under a CLIC saturation stream.  The standing loss x burstiness \
+          sweep is `clic-sim run chaos'.")
     Term.(
-      const run_chaos $ verbose_arg $ quick $ loss $ burst $ dup $ jitter
-      $ mtu_arg $ size_arg $ messages)
+      const run_chaos $ verbose_arg $ loss $ burst $ dup $ jitter $ mtu_arg
+      $ size_arg $ messages)
 
-(* N->1 incast through the shared-buffer switch, tail-drop vs 802.3x
-   PAUSE, plus an MPI gather under the same congestion.  Exits non-zero
-   if any message is lost or if the PAUSE fabric drops a single frame, so
-   CI can gate on the collapse-survival contract. *)
-let run_incast verbose quick senders size messages =
+(* ------------------------------------------------------------------ *)
+(* Experiments: every id is declared once, in Check.Scenario.all *)
+
+let find_scenario name =
+  match Check.Scenario.find name with
+  | Some sc -> sc
+  | None ->
+      Printf.eprintf "clic-sim: unknown experiment %S (know: %s)\n" name
+        (String.concat ", " Check.Scenario.names);
+      exit 2
+
+(* Render each experiment to stdout and its contract violations to
+   stderr; exit 1 on any violation, so CI can gate on the contracts. *)
+let run_experiments verbose id quick =
   ignore (verbose : bool);
-  if senders < 1 then begin
-    prerr_endline "clic-sim: --senders must be >= 1";
-    exit 2
-  end;
-  let rows, gather =
-    Report.Figures.incast ~quick ~senders ~size ?messages
-      Format.std_formatter
+  let experiments =
+    match id with None -> Check.Scenario.all | Some id -> [ find_scenario id ]
   in
-  let bad = ref [] in
-  List.iter
-    (fun r ->
-      let open Report.Figures in
-      if r.in_delivered <> r.in_sent then
-        bad :=
-          Printf.sprintf "%s: %d of %d messages lost" r.in_name
-            (r.in_sent - r.in_delivered) r.in_sent
-          :: !bad;
-      if
-        String.length r.in_name >= 6
-        && String.sub r.in_name 0 6 = "802.3x"
-        && r.in_ingress_drops + r.in_egress_drops > 0
-      then
-        bad :=
-          Printf.sprintf "%s: PAUSE fabric dropped %d frame(s)" r.in_name
-            (r.in_ingress_drops + r.in_egress_drops)
-          :: !bad)
-    rows;
-  List.iter
-    (fun (name, _us, _retx, drops, _ptx, _pus) ->
-      if String.length name >= 6 && String.sub name 0 6 = "802.3x" && drops > 0
-      then
-        bad :=
-          Printf.sprintf "gather %s: PAUSE fabric dropped %d frame(s)" name
-            drops
-          :: !bad)
-    gather;
-  if !bad <> [] then begin
-    List.iter (fun m -> Printf.eprintf "clic-sim incast: %s\n" m) !bad;
-    exit 1
-  end
+  let violations =
+    List.concat_map
+      (fun (sc : Check.Scenario.t) ->
+        let vs = sc.report ~quick Format.std_formatter in
+        Format.pp_print_flush Format.std_formatter ();
+        List.iter
+          (fun v ->
+            Format.eprintf "clic-sim %s: %a@." sc.name Check.Violation.pp v)
+          vs;
+        vs)
+      experiments
+  in
+  if violations <> [] then exit 1
 
-let incast_cmd =
+let run_cmd =
+  let id =
+    Arg.(value & pos 0 (some string) None & info [] ~docv:"ID"
+         ~doc:"Experiment id (see `clic-sim list'); default is every one.")
+  in
   let quick =
-    Arg.(value & flag & info [ "quick" ] ~doc:"Reduced message counts.")
-  in
-  let senders =
-    Arg.(value & opt int 4
-         & info [ "senders" ] ~docv:"N"
-             ~doc:"Concurrent senders stampeding node 0.")
-  in
-  let size =
-    Arg.(value & opt int 8192
-         & info [ "n"; "size" ] ~docv:"BYTES" ~doc:"Message size in bytes.")
-  in
-  let messages =
-    Arg.(value & opt (some int) None
-         & info [ "messages" ] ~docv:"N"
-             ~doc:"Messages per sender; default 40 (12 with --quick).")
+    Arg.(value & flag
+         & info [ "quick" ] ~doc:"Reduced sweep sizes and message counts.")
   in
   Cmd.v
-    (Cmd.info "incast"
+    (Cmd.info "run"
        ~doc:
-         "N->1 incast collapse through the shared-buffer switch: tail-drop \
-          baseline vs 802.3x PAUSE flow control, plus an MPI gather under \
-          the same congestion.  Fails if any message is lost or if the \
-          PAUSE-protected fabric drops a frame.")
-    Term.(
-      const run_incast $ verbose_arg $ quick $ senders $ size $ messages)
-
-(* The congestion-regime robustness matrix: {tail-drop, PAUSE, ECN/DCTCP}
-   x {incast, cross-rack} x {go-back-N, SACK}, plus the same-seed bursty
-   loss comparison of the two retransmit schemes.  The exit-status
-   contract is the point: every cell delivers everything; the ECN cells
-   stay switch-lossless with zero PAUSE frames while actually marking CE;
-   and under identical burst weather SACK must retransmit strictly fewer
-   bytes than go-back-N, with the savings accounted for. *)
-let run_congestion verbose quick =
-  ignore (verbose : bool);
-  let cells, bursty =
-    Report.Figures.congestion_matrix ~quick Format.std_formatter
-  in
-  let bad = ref [] in
-  let complain fmt = Printf.ksprintf (fun m -> bad := m :: !bad) fmt in
-  List.iter
-    (fun c ->
-      let open Report.Figures in
-      let cell =
-        Printf.sprintf "%s/%s/%s" c.cg_regime c.cg_topo c.cg_scheme
-      in
-      if c.cg_delivered <> c.cg_sent then
-        complain "%s: %d of %d messages lost" cell
-          (c.cg_sent - c.cg_delivered) c.cg_sent;
-      if c.cg_regime = "ecn" then begin
-        if c.cg_switch_drops > 0 then
-          complain "%s: ECN fabric dropped %d frame(s)" cell
-            c.cg_switch_drops;
-        if c.cg_pause_tx > 0 then
-          complain "%s: ECN fabric emitted %d PAUSE frame(s)" cell
-            c.cg_pause_tx;
-        if c.cg_ecn_marks = 0 then
-          complain "%s: ECN fabric never CE-marked a frame" cell;
-        if c.cg_ce_echoes = 0 then
-          complain "%s: DCTCP senders never saw a CE echo" cell
-      end;
-      if c.cg_regime = "pause" && c.cg_switch_drops > 0 then
-        complain "%s: PAUSE fabric dropped %d frame(s)" cell
-          c.cg_switch_drops)
-    cells;
-  (match
-     ( List.find_opt (fun r -> r.Report.Figures.bu_scheme = "gbn") bursty,
-       List.find_opt (fun r -> r.Report.Figures.bu_scheme = "sack") bursty )
-   with
-  | Some gbn, Some sack ->
-      let open Report.Figures in
-      if sack.bu_retx_bytes >= gbn.bu_retx_bytes then
-        complain
-          "bursty: SACK retransmitted %d bytes, not fewer than go-back-N's \
-           %d"
-          sack.bu_retx_bytes gbn.bu_retx_bytes;
-      if sack.bu_sacked = 0 then
-        complain "bursty: SACK run never recorded a SACKed segment";
-      if sack.bu_retx_bytes_saved = 0 then
-        complain "bursty: SACK run saved no retransmit bytes"
-  | _ -> complain "bursty: missing a retransmit-scheme row");
-  if !bad <> [] then begin
-    List.iter (fun m -> Printf.eprintf "clic-sim congestion: %s\n" m) !bad;
-    exit 1
-  end
-
-let congestion_cmd =
-  let quick =
-    Arg.(value & flag & info [ "quick" ] ~doc:"Reduced message counts.")
-  in
-  Cmd.v
-    (Cmd.info "congestion"
-       ~doc:
-         "Congestion-regime robustness matrix: tail-drop vs 802.3x PAUSE \
-          vs ECN/DCTCP, on an incast star and a cross-rack leaf/spine, \
-          under go-back-N and SACK retransmission, plus a same-seed bursty \
-          loss run comparing the schemes' retransmit bills.  Fails unless \
-          every cell delivers everything, the ECN fabric is lossless and \
-          PAUSE-free while marking CE, and SACK beats go-back-N's \
-          retransmit bytes under identical loss weather.")
-    Term.(const run_congestion $ verbose_arg $ quick)
-
-(* Cross-rack congestion on a leaf/spine fabric: the oversubscribed-uplink
-   collapse must be visible under tail-drop, invisible under 802.3x PAUSE
-   (with the congestion tree provably formed hop by hop), and a fabric
-   losing a spine mid-workload must still deliver everything.  Non-zero
-   exit on any breach, so CI can gate on the contract. *)
-let run_fabric verbose quick =
-  ignore (verbose : bool);
-  let rows, reroute = Report.Figures.fabric ~quick Format.std_formatter in
-  let bad = ref [] in
-  let fail fmt = Printf.ksprintf (fun m -> bad := m :: !bad) fmt in
-  List.iter
-    (fun r ->
-      let open Report.Figures in
-      let is_pause =
-        String.length r.fb_name >= 6 && String.sub r.fb_name 0 6 = "802.3x"
-      in
-      if r.fb_delivered <> r.fb_sent then
-        fail "%s: %d of %d messages lost" r.fb_name
-          (r.fb_sent - r.fb_delivered) r.fb_sent;
-      if is_pause then begin
-        if r.fb_drops > 0 then
-          fail "%s: PAUSE fabric dropped %d frame(s)" r.fb_name r.fb_drops;
-        if r.fb_spine_pause = 0 then
-          fail "%s: spine generated no XOFF (no congestion tree)" r.fb_name;
-        if r.fb_tor_pause = 0 then
-          fail "%s: ToRs generated no XOFF (tree did not reach the sources)"
-            r.fb_name;
-        if r.fb_paused_us <= 0. then
-          fail "%s: sender NICs never paused" r.fb_name
-      end
-      else if r.fb_drops = 0 then
-        fail "%s: no switch drops — the oversubscribed uplink did not collapse"
-          r.fb_name)
-    rows;
-  let open Report.Figures in
-  if reroute.rr_delivered <> reroute.rr_sent then
-    fail "reroute: %d of %d messages lost after spine failure"
-      (reroute.rr_sent - reroute.rr_delivered)
-      reroute.rr_sent;
-  if reroute.rr_spine1_tx = 0 then
-    fail "reroute: surviving spine carried no traffic";
-  if !bad <> [] then begin
-    List.iter (fun m -> Printf.eprintf "clic-sim fabric: %s\n" m) !bad;
-    exit 1
-  end
-
-let fabric_cmd =
-  let quick =
-    Arg.(value & flag & info [ "quick" ] ~doc:"Reduced message counts.")
-  in
-  Cmd.v
-    (Cmd.info "fabric"
-       ~doc:
-         "Cross-rack incast through an oversubscribed leaf/spine fabric \
-          (tail-drop collapse vs 802.3x congestion-tree spreading) plus \
-          spine-failure rerouting under ECMP.  Fails unless the collapse, \
-          the hop-by-hop PAUSE tree, losslessness under PAUSE and \
-          delivery across the failure all hold.")
-    Term.(const run_fabric $ verbose_arg $ quick)
-
-(* The SLO gate: the CLIC-vs-TCP panel under gray failure, then the
-   degradation contract on the canonical open-loop run.  The exit-status
-   contract is the point: healthy CLIC meets its p999 bound, the
-   fail-slow window bleeds the tail no further than the bounded ratio,
-   the tail recovers within the deadline once the fault clears, and the
-   verdict is void unless every injected fail-slow mechanism actually
-   engaged. *)
-let run_slo verbose quick =
-  ignore (verbose : bool);
-  let rows = Report.Figures.slo ~quick Format.std_formatter in
-  let bad = ref [] in
-  let complain fmt = Printf.ksprintf (fun m -> bad := m :: !bad) fmt in
-  List.iter
-    (fun r ->
-      let open Report.Figures in
-      if r.sl_system = "clic" then begin
-        if r.sl_completed <> r.sl_requests then
-          complain "clic/%s: %d of %d requests unanswered" r.sl_condition
-            (r.sl_requests - r.sl_completed)
-            r.sl_requests;
-        if r.sl_stranded > 0 then
-          complain "clic/%s: %d request(s) stranded at drain" r.sl_condition
-            r.sl_stranded
-      end)
-    rows;
-  (match
-     ( List.find_opt
-         (fun r ->
-           r.Report.Figures.sl_system = "clic"
-           && r.Report.Figures.sl_condition = "healthy")
-         rows,
-       List.find_opt
-         (fun r ->
-           r.Report.Figures.sl_system = "clic"
-           && r.Report.Figures.sl_condition = "fail-slow")
-         rows )
-   with
-  | Some h, Some d ->
-      if d.Report.Figures.sl_p999_us <= h.Report.Figures.sl_p999_us then
-        complain
-          "panel: the fail-slow window left no mark on the p999 tail \
-           (%.1f us degraded vs %.1f us healthy)"
-          d.Report.Figures.sl_p999_us h.Report.Figures.sl_p999_us
-  | _ -> complain "panel: missing a clic row");
-  let verdict, _slo = Check.Slo.run_contract ~quick () in
-  Format.printf "@.%a" Check.Slo.pp_verdict verdict;
-  if not (Check.Slo.ok verdict) then
-    List.iter
-      (fun v -> complain "contract: %s" (Check.Violation.to_string v))
-      verdict.Check.Slo.v_violations;
-  if !bad <> [] then begin
-    List.iter (fun m -> Printf.eprintf "clic-sim slo: %s\n" m) !bad;
-    exit 1
-  end
-
-let slo_cmd =
-  let quick =
-    Arg.(value & flag & info [ "quick" ] ~doc:"Reduced request counts.")
-  in
-  Cmd.v
-    (Cmd.info "slo"
-       ~doc:
-         "Production SLOs under gray failure: CLIC vs TCP serving an \
-          identical open-loop request-response workload while links \
-          sag, NICs slow down and a switch port stalls — none of which \
-          announces itself.  Then the degradation contract: healthy \
-          p999 under its bound, bounded tail bleed while the fault is \
-          active, recovery within the deadline after it clears, and \
-          proof that every fail-slow mechanism actually engaged.")
-    Term.(const run_slo $ verbose_arg $ quick)
+         "Regenerate experiments (paper figures and tables, then the \
+          reliability, congestion and SLO panels) and enforce their \
+          exit-status contracts: exits 1 if any contract is broken, 2 on \
+          an unknown id.")
+    Term.(const run_experiments $ verbose_arg $ id $ quick)
 
 (* Run the sanitizer, invariant monitors and determinism detector over the
    selected scenarios; non-zero exit on any finding so CI can gate on it. *)
-let run_check verbose scenarios seeds list hashes =
-  if list then List.iter print_endline Check.Scenario.names
-  else if hashes then begin
+let run_check verbose scenarios seeds hashes =
+  if hashes then begin
     (* One baseline run per scenario, full logical trace hash: the output
        format is exactly what test/golden/scenario_hashes.txt pins, so an
        intentional behaviour change regenerates the file with
@@ -581,8 +326,8 @@ let check_cmd =
     Arg.(value & opt_all string []
          & info [ "scenario" ] ~docv:"NAME"
              ~doc:
-               "Scenario to check (repeatable); default is every paper \
-                experiment.  See $(b,--list).")
+               "Experiment to check (repeatable); default is every \
+                experiment.  See `clic-sim list'.")
   in
   let seeds =
     Arg.(value & opt int 3
@@ -590,9 +335,6 @@ let check_cmd =
              ~doc:
                "Number of seeded same-timestamp orderings to compare \
                 against the FIFO baseline.")
-  in
-  let list =
-    Arg.(value & flag & info [ "list" ] ~doc:"List checkable scenarios.")
   in
   let hashes =
     Arg.(value & flag
@@ -607,7 +349,7 @@ let check_cmd =
        ~doc:
          "Run the analysis passes (object-lifecycle sanitizer, protocol \
           invariant monitors, determinism detector) over paper experiments")
-    Term.(const run_check $ verbose_arg $ scenarios $ seeds $ list $ hashes)
+    Term.(const run_check $ verbose_arg $ scenarios $ seeds $ hashes)
 
 (* The chaos soak: randomized fault schedules (link weather, pool
    pressure, interrupt storms, crash/reboot) under the sanitizer passes,
@@ -687,14 +429,6 @@ let soak_cmd =
 (* ------------------------------------------------------------------ *)
 (* Observability: timeline and metrics exports over the probe stream *)
 
-let find_scenario name =
-  match Check.Scenario.find name with
-  | Some sc -> sc
-  | None ->
-      Printf.eprintf "clic-sim: unknown scenario %S (know: %s)\n" name
-        (String.concat ", " Check.Scenario.names);
-      exit 2
-
 let write_output ~out content =
   match out with
   | "-" -> print_string content
@@ -706,7 +440,7 @@ let write_output ~out content =
 
 let scenario_pos =
   Arg.(required & pos 0 (some string) None & info [] ~docv:"SCENARIO"
-       ~doc:"Scenario id (see `clic-sim check --list').")
+       ~doc:"Experiment id (see `clic-sim list').")
 
 let out_arg default =
   Arg.(value & opt string default
@@ -794,22 +528,11 @@ let metrics_cmd =
       const run_metrics $ verbose_arg $ scenario_pos $ out_arg "-" $ format
       $ bucket $ attribution)
 
-let figure_cmd =
-  let id =
-    Arg.(required & pos 0 (some string) None & info [] ~docv:"ID"
-         ~doc:"Experiment id (see `clic-sim list').")
-  in
-  let quick =
-    Arg.(value & flag & info [ "quick" ] ~doc:"Reduced sweep sizes.")
-  in
-  Cmd.v (Cmd.info "figure" ~doc:"Regenerate a paper figure or table")
-    Term.(const run_figure $ verbose_arg $ id $ quick)
-
 let list_cmd =
   Cmd.v (Cmd.info "list" ~doc:"List experiment ids")
     Term.(
       const (fun () ->
-          List.iter print_endline Report.Figures.all_ids)
+          List.iter print_endline Check.Scenario.names)
       $ const ())
 
 let setup_logs verbose =
@@ -826,6 +549,5 @@ let () =
   exit
     (Cmd.eval
        (Cmd.group info
-          [ latency_cmd; bandwidth_cmd; stream_cmd; chaos_cmd; incast_cmd;
-            congestion_cmd; fabric_cmd; slo_cmd; figure_cmd; check_cmd;
-            soak_cmd; timeline_cmd; metrics_cmd; list_cmd ]))
+          [ latency_cmd; bandwidth_cmd; stream_cmd; chaos_cmd; run_cmd;
+            check_cmd; soak_cmd; timeline_cmd; metrics_cmd; list_cmd ]))

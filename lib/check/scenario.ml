@@ -1,8 +1,12 @@
-(* The checkable scenarios: every paper experiment the repository renders,
-   wrapped behind a uniform (formatter -> unit) runner.  Bandwidth sweeps
-   use their quick size lists — the checker cares about behaviour, not
-   curve resolution — and everything else runs exactly as the figure
-   command does.
+(* The experiment registry: every experiment the repository renders,
+   declared once, with the exit-status contract it must meet.  [report]
+   renders the experiment at full or quick size and returns the contract
+   violations; [run] is the checker's trace-pinned run, by default the
+   quick-size report with its verdict discarded.  The checker cares about
+   behaviour, not curve resolution, so quick sizes are enough for it.
+
+   Contracts are pure functions over the typed rows a figure returns, so
+   tests can feed them doctored rows.
 
    [truncated] is set for ext4 only: that experiment deliberately cuts
    the run with [Net.run_for] while infinite TCP pump processes are still
@@ -11,58 +15,311 @@
    (so the determinism pass compares traces by common prefix instead of
    exact equality). *)
 
+module F = Report.Figures
+
 type t = {
   name : string;
   descr : string;
   truncated : bool;
+  report : quick:bool -> Format.formatter -> Violation.t list;
   run : Format.formatter -> unit;
 }
 
-let sc ?(truncated = false) name descr run = { name; descr; truncated; run }
+(* ------------------------------------------------------------------ *)
+(* Contracts *)
+
+(* [[]] when [holds], else the one violation of [rule]. *)
+let require ~pass holds rule detail =
+  if holds then [] else [ Violation.make ~pass ~rule ~time_ns:0 detail ]
+
+let lost ~pass name ~sent ~delivered =
+  require ~pass (delivered = sent) "lost-messages"
+    (Printf.sprintf "%s: %d of %d messages lost" name (sent - delivered) sent)
+
+(* One violation per [wanted] key no row carries. *)
+let missing ~pass ~what key_of name_of wanted rows =
+  List.concat_map
+    (fun k ->
+      require ~pass
+        (List.exists (fun r -> key_of r = k) rows)
+        "missing-row"
+        (Printf.sprintf "no %s row for %s" what (name_of k)))
+    wanted
+
+let regimes : F.flow_control list = [ `Tail_drop; `Pause ]
+
+(* Under the same N->1 stampede the tail-drop fabric must visibly
+   collapse (frames lost at both the bounded uplinks and the egress FIFOs,
+   repaired by retransmission) while the 802.3x fabric loses nothing at
+   the switch and really signals; both deliver everything, and the MPI
+   gather shows the same contrast on the loss side.  (The quick gather is
+   light enough that its PAUSE arm may finish without any XOFF, so only
+   the zero-loss half is required there.) *)
+let incast_contract rows gather =
+  let pass = "incast" in
+  let req = require ~pass in
+  let row (r : F.incast_row) =
+    let name = F.flow_control_name r.in_regime in
+    lost ~pass name ~sent:r.in_sent ~delivered:r.in_delivered
+    @
+    match r.in_regime with
+    | `Tail_drop ->
+        req (r.in_sent >= 40) "trivial-workload"
+          (Printf.sprintf "%s: only %d messages sent" name r.in_sent)
+        @ req (r.in_ingress_drops > 0) "no-collapse"
+            (name ^ ": no drops at the bounded uplinks")
+        @ req (r.in_egress_drops > 0) "no-collapse"
+            (name ^ ": no drops at the egress FIFOs")
+        @ req (r.in_retx > 0) "no-collapse"
+            (name ^ ": no retransmissions")
+    | `Pause ->
+        req
+          (r.in_ingress_drops + r.in_egress_drops = 0)
+          "pause-loss"
+          (Printf.sprintf "%s: PAUSE fabric dropped %d frame(s)" name
+             (r.in_ingress_drops + r.in_egress_drops))
+        @ req (r.in_pause_tx > 0) "pause-idle"
+            (name ^ ": switch generated no PAUSE frames")
+        @ req (r.in_tx_paused_us > 0.) "pause-idle"
+            (name ^ ": sender NICs never paused")
+        @ req (r.in_peak_buffer > 0) "pause-idle"
+            (name ^ ": shared buffer never used")
+  in
+  let gather_row (g : F.gather_row) =
+    let name = "gather " ^ F.flow_control_name g.ga_regime in
+    match g.ga_regime with
+    | `Tail_drop ->
+        req (g.ga_drops > 0) "no-collapse" (name ^ ": no switch drops")
+    | `Pause ->
+        req (g.ga_drops = 0) "pause-loss"
+          (Printf.sprintf "%s: PAUSE fabric dropped %d frame(s)" name
+             g.ga_drops)
+  in
+  missing ~pass ~what:"incast"
+    (fun (r : F.incast_row) -> r.in_regime)
+    F.flow_control_name regimes rows
+  @ missing ~pass ~what:"gather"
+      (fun (g : F.gather_row) -> g.ga_regime)
+      F.flow_control_name regimes gather
+  @ List.concat_map row rows
+  @ List.concat_map gather_row gather
+
+(* The cross-rack stampede through an oversubscribed spine must collapse
+   under tail-drop yet stay lossless under 802.3x, with the congestion
+   tree forming hop by hop (spine XOFFs ToRs, ToRs XOFF senders); when a
+   spine dies under ECMP load, the survivor must carry the rest. *)
+let fabric_contract rows (rr : F.reroute_row) =
+  let pass = "fabric" in
+  let req = require ~pass in
+  let row (r : F.fabric_row) =
+    let name = F.flow_control_name r.fb_regime in
+    lost ~pass name ~sent:r.fb_sent ~delivered:r.fb_delivered
+    @
+    match r.fb_regime with
+    | `Tail_drop ->
+        req (r.fb_sent >= 40) "trivial-workload"
+          (Printf.sprintf "%s: only %d messages sent" name r.fb_sent)
+        @ req (r.fb_drops > 0) "no-collapse"
+            (name ^ ": no switch drops, the oversubscribed uplink did not \
+                     collapse")
+        @ req (r.fb_retx > 0) "no-collapse" (name ^ ": no retransmissions")
+    | `Pause ->
+        req (r.fb_drops = 0) "pause-loss"
+          (Printf.sprintf "%s: PAUSE fabric dropped %d frame(s)" name
+             r.fb_drops)
+        @ req (r.fb_spine_pause > 0) "no-congestion-tree"
+            (name ^ ": spine generated no XOFF")
+        @ req (r.fb_tor_pause > 0) "no-congestion-tree"
+            (name ^ ": ToRs generated no XOFF")
+        @ req (r.fb_paused_us > 0.) "pause-idle"
+            (name ^ ": sender NICs never paused")
+        @ req (r.fb_peak_buf > 0) "pause-idle"
+            (name ^ ": shared buffers never used")
+  in
+  missing ~pass ~what:"fabric"
+    (fun (r : F.fabric_row) -> r.fb_regime)
+    F.flow_control_name regimes rows
+  @ List.concat_map row rows
+  @ lost ~pass "reroute" ~sent:rr.rr_sent ~delivered:rr.rr_delivered
+  @ req (rr.rr_spine0_tx > 0) "reroute-idle"
+      "reroute: no traffic crossed the doomed spine"
+  @ req
+      (rr.rr_spine1_tx > rr.rr_spine0_tx)
+      "reroute-idle"
+      (Printf.sprintf
+         "reroute: the surviving spine carried %d frames, not more than the \
+          dead spine's %d"
+         rr.rr_spine1_tx rr.rr_spine0_tx)
+
+(* Every cell of the regime matrix delivers everything; ECN cells stay
+   switch-lossless and PAUSE-free while really marking and echoing CE;
+   only ECN cells mark; the tail-drop baseline collapses somewhere; and
+   under identical bursty weather SACK retransmits strictly fewer bytes
+   than go-back-N, with the savings accounted. *)
+let congestion_contract cells bursty =
+  let pass = "congestion" in
+  let req = require ~pass in
+  let cell (c : F.congestion_cell) =
+    let name =
+      Printf.sprintf "%s/%s/%s" (F.regime_name c.cg_regime)
+        (F.topo_name c.cg_topo) (F.scheme_name c.cg_scheme)
+    in
+    let marks_none () =
+      req (c.cg_ecn_marks = 0) "stray-ce"
+        (Printf.sprintf "%s: %d CE mark(s) without ECN" name c.cg_ecn_marks)
+    in
+    let lossless what =
+      req (c.cg_switch_drops = 0) "switch-loss"
+        (Printf.sprintf "%s: %s fabric dropped %d frame(s)" name what
+           c.cg_switch_drops)
+    in
+    lost ~pass name ~sent:c.cg_sent ~delivered:c.cg_delivered
+    @
+    match c.cg_regime with
+    | `Ecn ->
+        lossless "ECN"
+        @ req (c.cg_pause_tx = 0) "ecn-pause"
+            (Printf.sprintf "%s: ECN fabric emitted %d PAUSE frame(s)" name
+               c.cg_pause_tx)
+        @ req (c.cg_ecn_marks > 0) "ecn-idle"
+            (name ^ ": ECN fabric never CE-marked a frame")
+        @ req (c.cg_ce_echoes > 0) "ecn-idle"
+            (name ^ ": DCTCP senders never saw a CE echo")
+    | `Pause -> lossless "PAUSE" @ marks_none ()
+    | `Tail_drop -> marks_none ()
+  in
+  let scheme s =
+    List.find_opt (fun (r : F.bursty_row) -> r.bu_scheme = s) bursty
+  in
+  let bursty_checks =
+    match (scheme `Go_back_n, scheme `Sack) with
+    | Some gbn, Some sack ->
+        req (gbn.bu_timeouts > 0) "bursty-idle"
+          "bursty: the weather forced no go-back-N timeouts"
+        @ req
+            (sack.bu_retx_bytes < gbn.bu_retx_bytes)
+            "sack-no-saving"
+            (Printf.sprintf
+               "bursty: SACK retransmitted %d bytes, not fewer than \
+                go-back-N's %d"
+               sack.bu_retx_bytes gbn.bu_retx_bytes)
+        @ req (sack.bu_sacked > 0) "sack-idle"
+            "bursty: SACK run never recorded a SACKed segment"
+        @ req (sack.bu_retx_bytes_saved > 0) "sack-idle"
+            "bursty: SACK run saved no retransmit bytes"
+        @ req (gbn.bu_sacked = 0) "gbn-sacked"
+            (Printf.sprintf "bursty: go-back-N run SACKed %d segment(s)"
+               gbn.bu_sacked)
+    | _ -> []
+  in
+  req (List.length cells = 12) "missing-row"
+    (Printf.sprintf "matrix has %d cells, not 12" (List.length cells))
+  @ List.concat_map cell cells
+  @ req
+      (List.exists
+         (fun (c : F.congestion_cell) ->
+           c.cg_regime = `Tail_drop && c.cg_switch_drops > 0)
+         cells)
+      "no-collapse" "tail-drop: no cell lost a frame at the switch"
+  @ missing ~pass ~what:"bursty"
+      (fun (r : F.bursty_row) -> r.bu_scheme)
+      F.scheme_name [ `Go_back_n; `Sack ] bursty
+  @ bursty_checks
+
+(* CLIC answers every request in every condition, the fail-slow window
+   visibly bleeds its p999 tail, and the canonical degradation verdict
+   holds. *)
+let slo_contract rows (verdict : Slo.verdict) =
+  let pass = "slo" in
+  let req = require ~pass in
+  let clic = List.filter (fun (r : F.slo_row) -> r.sl_system = `Clic) rows in
+  let row (r : F.slo_row) =
+    let name = "clic/" ^ F.condition_name r.sl_condition in
+    req (r.sl_completed = r.sl_requests) "unanswered"
+      (Printf.sprintf "%s: %d of %d requests unanswered" name
+         (r.sl_requests - r.sl_completed) r.sl_requests)
+    @ req (r.sl_stranded = 0) "stranded"
+        (Printf.sprintf "%s: %d request(s) stranded at drain" name
+           r.sl_stranded)
+  in
+  let condition c =
+    List.find_opt (fun (r : F.slo_row) -> r.sl_condition = c) clic
+  in
+  let bleed =
+    match (condition `Healthy, condition `Fail_slow) with
+    | Some h, Some d ->
+        req (d.sl_p999_us > h.sl_p999_us) "no-bleed"
+          (Printf.sprintf
+             "panel: the fail-slow window left no mark on the p999 tail \
+              (%.1f us degraded vs %.1f us healthy)"
+             d.sl_p999_us h.sl_p999_us)
+    | _ -> []
+  in
+  missing ~pass ~what:"clic"
+    (fun (r : F.slo_row) -> r.sl_condition)
+    F.condition_name [ `Healthy; `Fail_slow ] clic
+  @ List.concat_map row clic @ bleed @ verdict.v_violations
+
+(* ------------------------------------------------------------------ *)
+(* The registry *)
+
+let sc ?(truncated = false) ?run name descr report =
+  let run =
+    match run with
+    | Some run -> run
+    | None -> fun fmt -> ignore (report ~quick:true fmt)
+  in
+  { name; descr; truncated; report; run }
+
+(* Reports for experiments without a contract: one with a quick size, one
+   fixed-size. *)
+let sized f ~quick fmt : Violation.t list =
+  ignore (f ?quick:(Some quick) fmt);
+  []
+
+let fixed f ~quick:_ fmt : Violation.t list =
+  ignore (f fmt);
+  []
 
 let all : t list =
   [
-    sc "fig4" "CLIC bandwidth: MTU x 0/1-copy (quick sizes)" (fun fmt ->
-        ignore (Report.Figures.fig4 ~quick:true fmt));
-    sc "fig5" "CLIC vs TCP/IP bandwidth (quick sizes)" (fun fmt ->
-        ignore (Report.Figures.fig5 ~quick:true fmt));
-    sc "fig6" "CLIC, MPI-CLIC, MPI, PVM bandwidth (quick sizes)" (fun fmt ->
-        ignore (Report.Figures.fig6 ~quick:true fmt));
-    sc "fig7" "1400B packet stage timing" (fun fmt ->
-        ignore (Report.Figures.fig7 fmt));
-    sc "tab1" "headline scalars (quick sizes)" (fun fmt ->
-        ignore (Report.Figures.tab1 ~quick:true fmt));
-    sc "fig1" "user-to-NIC data path ablation (quick sizes)" (fun fmt ->
-        ignore (Report.Figures.fig1 ~quick:true fmt));
-    sc "sec2" "interrupt coalescing under saturated streams" (fun fmt ->
-        ignore (Report.Figures.sec2 fmt));
-    sc "sec3" "CLIC vs GAMMA vs VIA design points" (fun fmt ->
-        ignore (Report.Figures.sec3 fmt));
-    sc "ext1" "NIC-side fragmentation" (fun fmt ->
-        ignore (Report.Figures.ext1 fmt));
-    sc "ext2" "channel bonding" (fun fmt ->
-        ignore (Report.Figures.ext2 fmt));
-    sc "ext3" "64KB broadcast to 8 nodes" (fun fmt ->
-        ignore (Report.Figures.ext3 fmt));
+    sc "fig4" "CLIC bandwidth: MTU x 0/1-copy" (sized F.fig4);
+    sc "fig5" "CLIC vs TCP/IP bandwidth" (sized F.fig5);
+    sc "fig6" "CLIC, MPI-CLIC, MPI, PVM bandwidth" (sized F.fig6);
+    sc "fig7" "1400B packet stage timing" (fixed F.fig7);
+    sc "tab1" "headline scalars, paper vs measured" (sized F.tab1);
+    sc "fig1" "user-to-NIC data path ablation" (sized F.fig1);
+    sc "sec2" "interrupt coalescing under saturated streams" (fixed F.sec2);
+    sc "sec3" "CLIC vs GAMMA vs VIA design points" (fixed F.sec3);
+    sc "ext1" "NIC-side fragmentation" (fixed F.ext1);
+    sc "ext2" "channel bonding" (fixed F.ext2);
+    sc "ext3" "64KB broadcast to 8 nodes" (fixed (fun fmt -> F.ext3 fmt));
     sc "ext4" ~truncated:true
-      "latency under competing TCP bulk load (truncated run)" (fun fmt ->
-        ignore (Report.Figures.ext4 fmt));
-    sc "stress" "synthetic workloads, clean and 2% loss" (fun fmt ->
-        ignore (Report.Figures.stress fmt));
-    sc "chaos" "reliability under fault injection (quick)" (fun fmt ->
-        ignore (Report.Figures.chaos ~quick:true fmt));
-    sc "incast" "N->1 incast collapse, tail-drop vs 802.3x PAUSE (quick)"
-      (fun fmt -> ignore (Report.Figures.incast ~quick:true fmt));
-    sc "fabric"
-      "cross-rack incast + spine failure on a leaf/spine fabric (quick)"
-      (fun fmt -> ignore (Report.Figures.fabric ~quick:true fmt));
+      "latency under competing TCP bulk load (truncated run)" (fixed F.ext4);
+    sc "stress" "synthetic workloads, clean and 2% loss" (fixed F.stress);
+    sc "chaos" "reliability under fault injection" (sized F.chaos);
+    sc "incast" "N->1 incast collapse, tail-drop vs 802.3x PAUSE"
+      (fun ~quick fmt ->
+        let rows, gather = F.incast ~quick fmt in
+        incast_contract rows gather);
+    sc "fabric" "cross-rack incast + spine failure on a leaf/spine fabric"
+      (fun ~quick fmt ->
+        let rows, reroute = F.fabric ~quick fmt in
+        fabric_contract rows reroute);
     sc "congestion"
-      "congestion-regime matrix + same-seed GBN vs SACK bursty loss (quick)"
-      (fun fmt -> ignore (Report.Figures.congestion_matrix ~quick:true fmt));
-    sc "slo"
-      "one-way open-loop SLO traffic under gray failure (quick; the \
-       trace-pinned companion of `clic-sim slo`)"
-      (fun fmt -> ignore (Report.Figures.slo_trace ~quick:true fmt));
+      "congestion-regime matrix + same-seed GBN vs SACK bursty loss"
+      (fun ~quick fmt ->
+        let cells, bursty = F.congestion_matrix ~quick fmt in
+        congestion_contract cells bursty);
+    (* The echo panel cannot be trace-pinned, so the checker runs its
+       one-way companion instead. *)
+    sc "slo" "open-loop SLOs under gray failure + degradation contract"
+      ~run:(fun fmt -> ignore (F.slo_trace ~quick:true fmt))
+      (fun ~quick fmt ->
+        let rows = F.slo ~quick fmt in
+        let verdict, _ = Slo.run_contract ~quick () in
+        Format.fprintf fmt "@.%a" Slo.pp_verdict verdict;
+        slo_contract rows verdict);
   ]
 
 let names = List.map (fun s -> s.name) all

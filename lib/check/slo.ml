@@ -17,7 +17,7 @@
    [evaluate] is pure; [run_contract] builds the canonical 4-node
    cluster, runs the open-loop workload across a mid-run gray-failure
    window (link brownout + slow NICs + switch egress stalls), and judges
-   the result — the `clic-sim slo` exit contract. *)
+   the result — part of the `clic-sim run slo` exit contract. *)
 
 open Engine
 open Cluster
@@ -123,7 +123,8 @@ let evaluate c ~(slo : Workload.slo) ~fault_from ~fault_until =
   }
 
 (* ------------------------------------------------------------------ *)
-(* The canonical contract run: the fleet CI gate behind `clic-sim slo`. *)
+(* The canonical contract run: the fleet CI gate behind
+   `clic-sim run slo`. *)
 
 let fault_from = Time.ms 2.
 let fault_until = Time.ms 5.

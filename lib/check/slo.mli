@@ -27,7 +27,7 @@ val validate : contract -> unit
     below 1, or a non-positive recovery deadline. *)
 
 val default : contract
-(** The contract `clic-sim slo` enforces in CI. *)
+(** The contract `clic-sim run slo` enforces in CI. *)
 
 type verdict = {
   v_contract : contract;

@@ -977,8 +977,14 @@ let chaos ?(quick = false) fmt =
    PAUSE.  Not a paper figure — the congestion-robustness evidence for
    CLIC's switched-fabric deployment story. *)
 
+type flow_control = [ `Tail_drop | `Pause ]
+
+let flow_control_name = function
+  | `Tail_drop -> "tail-drop"
+  | `Pause -> "802.3x PAUSE"
+
 type incast_row = {
-  in_name : string;
+  in_regime : flow_control;
   in_sent : int;
   in_delivered : int;
   in_elapsed_ms : float;
@@ -988,6 +994,15 @@ type incast_row = {
   in_pause_tx : int;  (* PAUSE frames the switch generated *)
   in_tx_paused_us : float;  (* total sender-NIC time spent XOFFed *)
   in_peak_buffer : int;  (* peak shared-buffer occupancy, bytes *)
+}
+
+type gather_row = {
+  ga_regime : flow_control;
+  ga_completion_us : float;
+  ga_retx : int;
+  ga_drops : int;
+  ga_pause_tx : int;
+  ga_paused_us : float;
 }
 
 (* Both conditions share the fabric geometry (bounded 6-frame uplinks, the
@@ -1027,19 +1042,18 @@ let incast_counters c =
   done;
   (sw, !retx, !paused_ns)
 
-let incast ?(quick = false) ?(senders = 4) ?(size = 8192) ?messages fmt =
-  let messages =
-    match messages with Some m -> m | None -> if quick then 12 else 40
-  in
+let incast ?(quick = false) fmt =
+  let senders = 4 and size = 8192 in
+  let messages = if quick then 12 else 40 in
   let n = senders + 1 in
-  let run name ~pause =
-    let c = Net.create ~config:(incast_config ~pause) ~n () in
+  let run regime =
+    let c = Net.create ~config:(incast_config ~pause:(regime = `Pause)) ~n () in
     let s =
       Workload.hotspot c ~seed:7 ~target:0 ~messages_per_node:messages ~size ()
     in
     let sw, retx, paused_ns = incast_counters c in
     {
-      in_name = name;
+      in_regime = regime;
       in_sent = s.Workload.sent;
       in_delivered = s.Workload.delivered;
       in_elapsed_ms = Time.to_ms s.Workload.elapsed;
@@ -1051,9 +1065,7 @@ let incast ?(quick = false) ?(senders = 4) ?(size = 8192) ?messages fmt =
       in_peak_buffer = Hw.Switch.peak_buffer_occupied sw;
     }
   in
-  let rows =
-    [ run "tail-drop" ~pause:false; run "802.3x PAUSE" ~pause:true ]
-  in
+  let rows = [ run `Tail_drop; run `Pause ] in
   Render.section fmt
     (Printf.sprintf
        "Incast: %d senders x %d x %dKB onto node 0, tail-drop vs 802.3x \
@@ -1067,7 +1079,7 @@ let incast ?(quick = false) ?(senders = 4) ?(size = 8192) ?messages fmt =
       (List.map
          (fun r ->
            [
-             r.in_name;
+             flow_control_name r.in_regime;
              string_of_int r.in_sent;
              string_of_int r.in_delivered;
              Printf.sprintf "%.1f" r.in_elapsed_ms;
@@ -1083,8 +1095,8 @@ let incast ?(quick = false) ?(senders = 4) ?(size = 8192) ?messages fmt =
   (* MPI gather is the same collapse dressed as a collective: every rank
      sends its contribution to the root at once. *)
   let gather_bytes = if quick then 16384 else 65536 in
-  let gather name ~pause =
-    let c = Net.create ~config:(incast_config ~pause) ~n () in
+  let gather regime =
+    let c = Net.create ~config:(incast_config ~pause:(regime = `Pause)) ~n () in
     let sim = c.Net.sim in
     let reg = Mpi_layer.Mpi_clic.registry () in
     let finished = Ivar.create () in
@@ -1103,16 +1115,17 @@ let incast ?(quick = false) ?(senders = 4) ?(size = 8192) ?messages fmt =
     done;
     Net.run c;
     let sw, retx, paused_ns = incast_counters c in
-    ( name,
-      (match Ivar.peek finished with Some t -> Time.to_us t | None -> nan),
-      retx,
-      Hw.Switch.ingress_drops sw + Hw.Switch.egress_drops sw,
-      Hw.Switch.pause_frames_tx sw,
-      float_of_int paused_ns /. 1e3 )
+    {
+      ga_regime = regime;
+      ga_completion_us =
+        (match Ivar.peek finished with Some t -> Time.to_us t | None -> nan);
+      ga_retx = retx;
+      ga_drops = Hw.Switch.ingress_drops sw + Hw.Switch.egress_drops sw;
+      ga_pause_tx = Hw.Switch.pause_frames_tx sw;
+      ga_paused_us = float_of_int paused_ns /. 1e3;
+    }
   in
-  let gather_rows =
-    [ gather "tail-drop" ~pause:false; gather "802.3x PAUSE" ~pause:true ]
-  in
+  let gather_rows = [ gather `Tail_drop; gather `Pause ] in
   Render.section fmt
     (Printf.sprintf "MPI gather under congestion: %d ranks x %dKB to root 0"
        n (gather_bytes / 1024));
@@ -1122,14 +1135,14 @@ let incast ?(quick = false) ?(senders = 4) ?(size = 8192) ?messages fmt =
         "paused us" ]
     ~rows:
       (List.map
-         (fun (name, us, retx, drops, ptx, pus) ->
+         (fun g ->
            [
-             name;
-             Printf.sprintf "%.1f" us;
-             string_of_int retx;
-             string_of_int drops;
-             string_of_int ptx;
-             Printf.sprintf "%.0f" pus;
+             flow_control_name g.ga_regime;
+             Printf.sprintf "%.1f" g.ga_completion_us;
+             string_of_int g.ga_retx;
+             string_of_int g.ga_drops;
+             string_of_int g.ga_pause_tx;
+             Printf.sprintf "%.0f" g.ga_paused_us;
            ])
          gather_rows)
     ();
@@ -1151,7 +1164,7 @@ let incast ?(quick = false) ?(senders = 4) ?(size = 8192) ?messages fmt =
 (* ------------------------------------------------------------------ *)
 
 type fabric_row = {
-  fb_name : string;
+  fb_regime : flow_control;
   fb_sent : int;
   fb_delivered : int;
   fb_elapsed_ms : float;
@@ -1207,8 +1220,10 @@ let fabric ?(quick = false) fmt =
   let per_rack = 3 in
   let topo = Topology.leaf_spine ~racks:3 ~per_rack ~spines:1 () in
   let senders = List.init (2 * per_rack) (fun i -> per_rack + i) in
-  let run name ~pause =
-    let c = Net.create_topo ~config:(incast_config ~pause) ~topo () in
+  let run regime =
+    let c =
+      Net.create_topo ~config:(incast_config ~pause:(regime = `Pause)) ~topo ()
+    in
     let s =
       Workload.hotspot c ~seed:11 ~target:0 ~senders
         ~messages_per_node:messages ~size ()
@@ -1231,7 +1246,7 @@ let fabric ?(quick = false) fmt =
         0 c.Net.switches
     in
     {
-      fb_name = name;
+      fb_regime = regime;
       fb_sent = s.Workload.sent;
       fb_delivered = s.Workload.delivered;
       fb_elapsed_ms = Time.to_ms s.Workload.elapsed;
@@ -1243,9 +1258,7 @@ let fabric ?(quick = false) fmt =
       fb_peak_buf = peak;
     }
   in
-  let rows =
-    [ run "tail-drop" ~pause:false; run "802.3x PAUSE" ~pause:true ]
-  in
+  let rows = [ run `Tail_drop; run `Pause ] in
   Render.section fmt
     (Printf.sprintf
        "Cross-rack incast: %d remote senders x %d x %dKB onto node 0 \
@@ -1259,7 +1272,7 @@ let fabric ?(quick = false) fmt =
       (List.map
          (fun r ->
            [
-             r.fb_name;
+             flow_control_name r.fb_regime;
              string_of_int r.fb_sent;
              string_of_int r.fb_delivered;
              Printf.sprintf "%.1f" r.fb_elapsed_ms;
@@ -1336,10 +1349,14 @@ let fabric ?(quick = false) fmt =
    a paper figure — the evidence that CLIC's reliability layer composes
    with the three congestion-control answers a switched fabric offers. *)
 
+type regime = [ flow_control | `Ecn ]
+type topo = [ `Incast | `Cross_rack ]
+type scheme = [ `Go_back_n | `Sack ]
+
 type congestion_cell = {
-  cg_regime : string;
-  cg_topo : string;
-  cg_scheme : string;
+  cg_regime : regime;
+  cg_topo : topo;
+  cg_scheme : scheme;
   cg_sent : int;
   cg_delivered : int;
   cg_elapsed_ms : float;
@@ -1353,7 +1370,7 @@ type congestion_cell = {
 }
 
 type bursty_row = {
-  bu_scheme : string;
+  bu_scheme : scheme;
   bu_delivered : int;
   bu_elapsed_ms : float;
   bu_retx : int;
@@ -1419,6 +1436,8 @@ let regime_name = function
   | `Pause -> "pause"
   | `Ecn -> "ecn"
 
+let topo_name = function `Incast -> "incast" | `Cross_rack -> "cross-rack"
+
 let scheme_name = function `Go_back_n -> "gbn" | `Sack -> "sack"
 
 let cluster_clic_sum c f =
@@ -1451,9 +1470,9 @@ let congestion_cell ~quick ~regime ~topo ~scheme =
               ())
   in
   {
-    cg_regime = regime_name regime;
-    cg_topo = (match topo with `Incast -> "incast" | `Cross_rack -> "cross-rack");
-    cg_scheme = scheme_name scheme;
+    cg_regime = regime;
+    cg_topo = topo;
+    cg_scheme = scheme;
     cg_sent = s.Workload.sent;
     cg_delivered = s.Workload.delivered;
     cg_elapsed_ms = Time.to_ms s.Workload.elapsed;
@@ -1488,7 +1507,7 @@ let bursty_run ~quick ~scheme =
   let r = Measure.stream c pair ~a:0 ~b:1 ~size ~messages in
   let k = Clic.Api.kernel (Net.node c 0).Node.clic in
   {
-    bu_scheme = scheme_name scheme;
+    bu_scheme = scheme;
     bu_delivered = messages;
     bu_elapsed_ms = Time.to_us r.Measure.elapsed /. 1000.;
     bu_retx = Clic.Clic_module.retransmissions k;
@@ -1521,9 +1540,9 @@ let congestion_matrix ?(quick = false) fmt =
       (List.map
          (fun r ->
            [
-             r.cg_regime;
-             r.cg_topo;
-             r.cg_scheme;
+             regime_name r.cg_regime;
+             topo_name r.cg_topo;
+             scheme_name r.cg_scheme;
              string_of_int r.cg_sent;
              string_of_int r.cg_delivered;
              Printf.sprintf "%.1f" r.cg_elapsed_ms;
@@ -1555,7 +1574,7 @@ let congestion_matrix ?(quick = false) fmt =
       (List.map
          (fun r ->
            [
-             r.bu_scheme;
+             scheme_name r.bu_scheme;
              string_of_int r.bu_delivered;
              Printf.sprintf "%.1f" r.bu_elapsed_ms;
              string_of_int r.bu_retx;
@@ -1587,9 +1606,21 @@ let congestion_matrix ?(quick = false) fmt =
    and the same fail-slow window with random frame loss on top.  Nothing
    announces itself — the gray window is visible only in the tail. *)
 
+type system = [ `Clic | `Tcp ]
+type condition = [ `Healthy | `Fail_slow | `Fail_slow_loss ]
+
+let system_name = function `Clic -> "clic" | `Tcp -> "tcp"
+
+let condition_name = function
+  | `Healthy -> "healthy"
+  | `Fail_slow -> "fail-slow"
+  | `Fail_slow_loss -> "fail-slow+loss"
+
+let slo_conditions : condition list = [ `Healthy; `Fail_slow; `Fail_slow_loss ]
+
 type slo_row = {
-  sl_system : string;  (* "clic" | "tcp" *)
-  sl_condition : string;  (* "healthy" | "fail-slow" | "fail-slow+loss" *)
+  sl_system : system;
+  sl_condition : condition;
   sl_requests : int;
   sl_completed : int;
   sl_stranded : int;
@@ -1717,11 +1748,7 @@ let slo ?(quick = false) fmt =
   let deadline = Time.ms 1. in
   let port = 9300 in
   let seed = 30901 in
-  let conditions =
-    [ ("healthy", `Healthy); ("fail-slow", `Fail_slow);
-      ("fail-slow+loss", `Fail_slow_loss) ]
-  in
-  let clic_row (name, condition) =
+  let clic_row condition =
     let c = Net.create ~config:(slo_config ~quick ~condition) ~n:4 () in
     slo_inject ~quick ~condition c;
     let s, r =
@@ -1731,8 +1758,8 @@ let slo ?(quick = false) fmt =
     in
     ignore (s : Workload.stats);
     {
-      sl_system = "clic";
-      sl_condition = name;
+      sl_system = `Clic;
+      sl_condition = condition;
       sl_requests = r.Workload.slo_requests;
       sl_completed = r.Workload.slo_completed;
       sl_stranded = r.Workload.slo_stranded;
@@ -1743,7 +1770,7 @@ let slo ?(quick = false) fmt =
       sl_goodput_mbps = r.Workload.slo_goodput_mbps;
     }
   in
-  let tcp_row (name, condition) =
+  let tcp_row condition =
     let c = Net.create ~config:(slo_config ~quick ~condition) ~n:4 () in
     slo_inject ~quick ~condition c;
     let fired, completed, timeouts, arr, goodput =
@@ -1751,8 +1778,8 @@ let slo ?(quick = false) fmt =
         ~requests_per_node ~req_size ~resp_size ~deadline ~port
     in
     {
-      sl_system = "tcp";
-      sl_condition = name;
+      sl_system = `Tcp;
+      sl_condition = condition;
       sl_requests = fired;
       sl_completed = completed;
       sl_stranded = fired - completed;
@@ -1764,7 +1791,7 @@ let slo ?(quick = false) fmt =
     }
   in
   let rows =
-    List.map clic_row conditions @ List.map tcp_row conditions
+    List.map clic_row slo_conditions @ List.map tcp_row slo_conditions
   in
   Render.section fmt
     "Production SLOs: open-loop request-response under gray failure \
@@ -1776,8 +1803,8 @@ let slo ?(quick = false) fmt =
     ~rows:
       (List.map
          (fun r ->
-           [ r.sl_system;
-             r.sl_condition;
+           [ system_name r.sl_system;
+             condition_name r.sl_condition;
              Printf.sprintf "%d/%d" r.sl_completed r.sl_requests;
              string_of_int r.sl_timeouts;
              Printf.sprintf "%.1f" r.sl_p50_us;
@@ -1799,14 +1826,10 @@ let slo ?(quick = false) fmt =
    send order is its arrival schedule, so the logical trace survives the
    checker's seeded same-instant permutations — this is what scenario
    "slo" hashes.  (The echo panel's response ordering is timing-coupled
-   and cannot be pinned; it stays behind `clic-sim slo`.) *)
+   and cannot be pinned; it stays behind `clic-sim run slo`.) *)
 let slo_trace ?(quick = false) fmt =
   let requests_per_node = if quick then 40 else 120 in
-  let conditions =
-    [ ("healthy", `Healthy); ("fail-slow", `Fail_slow);
-      ("fail-slow+loss", `Fail_slow_loss) ]
-  in
-  let row (name, condition) =
+  let row condition =
     let c = Net.create ~config:(slo_config ~quick ~condition) ~n:4 () in
     slo_inject ~quick ~condition c;
     let s, r =
@@ -1816,17 +1839,17 @@ let slo_trace ?(quick = false) fmt =
         ()
     in
     ignore (s : Workload.stats);
-    (name, r)
+    (condition, r)
   in
-  let rows = List.map row conditions in
+  let rows = List.map row slo_conditions in
   Render.section fmt
     "SLO trace panel: one-way open-loop CLIC requests under gray failure";
   Render.table fmt
     ~header:[ "condition"; "done"; "timeouts"; "p50 (us)"; "p999 (us)" ]
     ~rows:
       (List.map
-         (fun (name, r) ->
-           [ name;
+         (fun (condition, r) ->
+           [ condition_name condition;
              Printf.sprintf "%d/%d" r.Workload.slo_completed
                r.Workload.slo_requests;
              string_of_int r.Workload.slo_timeouts;
@@ -1835,33 +1858,3 @@ let slo_trace ?(quick = false) fmt =
          rows)
     ();
   rows
-
-(* ------------------------------------------------------------------ *)
-
-let all_ids =
-  [ "fig4"; "fig5"; "fig6"; "fig7"; "tab1"; "fig1"; "sec2"; "sec3"; "ext1";
-    "ext2"; "ext3"; "ext4"; "stress"; "chaos"; "incast"; "fabric";
-    "congestion"; "slo"; "slo-trace" ]
-
-let run id fmt =
-  match id with
-  | "fig4" -> ignore (fig4 fmt)
-  | "fig5" -> ignore (fig5 fmt)
-  | "fig6" -> ignore (fig6 fmt)
-  | "fig7" -> ignore (fig7 fmt)
-  | "tab1" -> ignore (tab1 fmt)
-  | "fig1" -> ignore (fig1 fmt)
-  | "sec2" -> ignore (sec2 fmt)
-  | "sec3" -> ignore (sec3 fmt)
-  | "ext1" -> ignore (ext1 fmt)
-  | "ext2" -> ignore (ext2 fmt)
-  | "ext3" -> ignore (ext3 fmt)
-  | "ext4" -> ignore (ext4 fmt)
-  | "stress" -> ignore (stress fmt)
-  | "chaos" -> ignore (chaos fmt)
-  | "incast" -> ignore (incast fmt)
-  | "fabric" -> ignore (fabric fmt)
-  | "congestion" -> ignore (congestion_matrix fmt)
-  | "slo" -> ignore (slo fmt)
-  | "slo-trace" -> ignore (slo_trace fmt)
-  | other -> invalid_arg (Printf.sprintf "Figures.run: unknown id %S" other)

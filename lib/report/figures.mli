@@ -97,8 +97,14 @@ val chaos : ?quick:bool -> Format.formatter -> chaos_row list
     sweep exists to show the adaptive RTO, fast retransmit and teardown
     logic keep the transport live under abuse. *)
 
+type flow_control = [ `Tail_drop | `Pause ]
+(** The two answers the incast and fabric panels compare: capped egress
+    FIFOs that shed load, or 802.3x PAUSE end to end. *)
+
+val flow_control_name : flow_control -> string
+
 type incast_row = {
-  in_name : string;
+  in_regime : flow_control;
   in_sent : int;
   in_delivered : int;
   in_elapsed_ms : float;
@@ -110,6 +116,15 @@ type incast_row = {
   in_peak_buffer : int;  (** peak shared-buffer occupancy, bytes *)
 }
 
+type gather_row = {
+  ga_regime : flow_control;
+  ga_completion_us : float;
+  ga_retx : int;  (** total retransmissions, all nodes *)
+  ga_drops : int;  (** switch drops, ingress + egress *)
+  ga_pause_tx : int;  (** PAUSE frames the switch generated *)
+  ga_paused_us : float;  (** total sender-NIC time spent XOFFed *)
+}
+
 val incast_config : pause:bool -> Cluster.Node.config
 (** The incast fabric: bounded 6-frame uplinks, the default 256 KiB shared
     buffer, congestion-tuned CLIC.  [pause = false] is the tail-drop
@@ -117,19 +132,14 @@ val incast_config : pause:bool -> Cluster.Node.config
     enables 802.3x end to end, provisioned for zero switch loss. *)
 
 val incast :
-  ?quick:bool ->
-  ?senders:int ->
-  ?size:int ->
-  ?messages:int ->
-  Format.formatter ->
-  incast_row list * (string * float * int * int * int * float) list
-(** N→1 incast collapse, tail-drop vs 802.3x PAUSE, plus an MPI gather
-    under the same congestion: (switch, completion us, retx, switch drops,
-    pause tx, paused us) per condition.  Every message must be delivered
-    in every condition; with PAUSE the switch must lose nothing at all. *)
+  ?quick:bool -> Format.formatter -> incast_row list * gather_row list
+(** N→1 incast collapse (4 senders x 8 KB messages onto node 0),
+    tail-drop vs 802.3x PAUSE, plus an MPI gather under the same
+    congestion.  Every message must be delivered in every condition; with
+    PAUSE the switch must lose nothing at all. *)
 
 type fabric_row = {
-  fb_name : string;
+  fb_regime : flow_control;
   fb_sent : int;
   fb_delivered : int;
   fb_elapsed_ms : float;
@@ -160,10 +170,18 @@ val fabric :
     form hop by hop (spine XOFFs ToRs, ToRs XOFF senders) with zero
     switch loss. *)
 
+type regime = [ flow_control | `Ecn ]
+type topo = [ `Incast | `Cross_rack ]
+type scheme = [ `Go_back_n | `Sack ]
+
+val regime_name : regime -> string
+val topo_name : topo -> string
+val scheme_name : scheme -> string
+
 type congestion_cell = {
-  cg_regime : string;  (** "tail-drop" | "pause" | "ecn" *)
-  cg_topo : string;  (** "incast" | "cross-rack" *)
-  cg_scheme : string;  (** "gbn" | "sack" *)
+  cg_regime : regime;
+  cg_topo : topo;
+  cg_scheme : scheme;
   cg_sent : int;
   cg_delivered : int;
   cg_elapsed_ms : float;
@@ -177,7 +195,7 @@ type congestion_cell = {
 }
 
 type bursty_row = {
-  bu_scheme : string;
+  bu_scheme : scheme;
   bu_delivered : int;
   bu_elapsed_ms : float;
   bu_retx : int;
@@ -209,9 +227,15 @@ val congestion_matrix :
     frame while marking CE; under identical bursty weather the SACK run
     retransmits strictly fewer bytes than go-back-N. *)
 
+type system = [ `Clic | `Tcp ]
+type condition = [ `Healthy | `Fail_slow | `Fail_slow_loss ]
+
+val system_name : system -> string
+val condition_name : condition -> string
+
 type slo_row = {
-  sl_system : string;  (** "clic" | "tcp" *)
-  sl_condition : string;  (** "healthy" | "fail-slow" | "fail-slow+loss" *)
+  sl_system : system;
+  sl_condition : condition;
   sl_requests : int;
   sl_completed : int;
   sl_stranded : int;  (** requests never answered when the run drained *)
@@ -221,7 +245,6 @@ type slo_row = {
   sl_p999_us : float;
   sl_goodput_mbps : float;
 }
-
 
 val slo : ?quick:bool -> Format.formatter -> slo_row list
 (** CLIC vs TCP serving the same seeded open-loop request-response
@@ -233,14 +256,9 @@ val slo : ?quick:bool -> Format.formatter -> slo_row list
     latency tail — six rows of p50/p99/p999 and goodput. *)
 
 val slo_trace :
-  ?quick:bool -> Format.formatter -> (string * Cluster.Workload.slo) list
+  ?quick:bool -> Format.formatter -> (condition * Cluster.Workload.slo) list
 (** Trace-pinned companion to {!slo}: one-way open-loop CLIC traffic
     (no response leg) under the same three conditions.  Each node's send
     order is its arrival schedule, so the logical trace is invariant
     under seeded same-instant permutations — this is what the checker's
     "slo" scenario hashes. *)
-
-val all_ids : string list
-val run : string -> Format.formatter -> unit
-(** Run one experiment by id ("fig4" ... "slo-trace").
-    @raise Invalid_argument on unknown ids. *)

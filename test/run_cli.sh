@@ -1,0 +1,22 @@
+#!/bin/sh
+# Exit-status checks of `clic-sim run`, given the built executable:
+# every registered contract holds at quick size, --quick really shrinks
+# an experiment, and an unknown id exits 2.
+set -eu
+sim=$1
+
+"$sim" run --quick > /dev/null
+
+quick=$("$sim" run chaos --quick | cksum)
+full=$("$sim" run chaos | cksum)
+if [ "$quick" = "$full" ]; then
+  echo "run chaos: --quick output is identical to full mode" >&2
+  exit 1
+fi
+
+status=0
+"$sim" run nope > /dev/null 2>&1 || status=$?
+if [ "$status" -ne 2 ]; then
+  echo "run nope: exit status $status, expected 2" >&2
+  exit 1
+fi

@@ -274,7 +274,13 @@ let test_determinism_prefix () =
 (* The full checker, end to end *)
 
 let quiet_scenario ?(truncated = false) name run =
-  { Check.Scenario.name; descr = name; truncated; run = (fun _fmt -> run ()) }
+  {
+    Check.Scenario.name;
+    descr = name;
+    truncated;
+    report = (fun ~quick:_ _fmt -> run (); []);
+    run = (fun _fmt -> run ());
+  }
 
 (* A deliberate hidden ordering race: eight same-instant events draw
    message ids from a shared counter, so the (source -> id) binding
@@ -608,6 +614,66 @@ let test_slo_contract_run () =
   check_bool "default contract holds on the canonical run" true
     (Check.Slo.ok v)
 
+(* The panel half of the `slo' registry contract over hand-built rows: a
+   clean panel passes; a stranded CLIC request, a fail-slow window that
+   leaves no mark on the tail, and the verdict's own findings are each
+   flagged; TCP rows are reported, not judged. *)
+let test_slo_panel_contract () =
+  let row ?(system = `Clic) condition p999 =
+    {
+      Report.Figures.sl_system = system;
+      sl_condition = condition;
+      sl_requests = 100;
+      sl_completed = 100;
+      sl_stranded = 0;
+      sl_timeouts = 0;
+      sl_p50_us = 50.;
+      sl_p99_us = p999;
+      sl_p999_us = p999;
+      sl_goodput_mbps = 1.;
+    }
+  in
+  let verdict =
+    {
+      Check.Slo.v_contract = Check.Slo.default;
+      v_healthy = 1;
+      v_degraded = 1;
+      v_recovered = 1;
+      v_healthy_p999_us = 100.;
+      v_degraded_p999_us = 900.;
+      v_recovered_p999_us = 100.;
+      v_violations = [];
+    }
+  in
+  let healthy = row `Healthy 100. and slow = row `Fail_slow 900. in
+  let rules ?(verdict = verdict) rows =
+    List.map
+      (fun v -> v.Check.Violation.rule)
+      (Check.Scenario.slo_contract rows verdict)
+  in
+  let check_rules = Alcotest.(check (list string)) in
+  check_rules "clean panel" [] (rules [ healthy; slow ]);
+  check_rules "one stranded clic/healthy request"
+    [ "unanswered"; "stranded" ]
+    (rules
+       [ { healthy with Report.Figures.sl_completed = 99; sl_stranded = 1 };
+         slow ]);
+  check_rules "tcp rows are not judged" []
+    (rules
+       [ healthy; slow;
+         { (row ~system:`Tcp `Healthy 100.) with
+           Report.Figures.sl_completed = 10; sl_stranded = 90 } ]);
+  check_rules "fail-slow left no mark" [ "no-bleed" ]
+    (rules [ healthy; row `Fail_slow 100. ]);
+  check_rules "missing fail-slow row" [ "missing-row" ] (rules [ healthy ]);
+  let idle =
+    Check.Violation.make ~pass:"slo" ~rule:"mechanism-idle" ~time_ns:0 "x"
+  in
+  check_rules "verdict findings carried" [ "mechanism-idle" ]
+    (rules
+       ~verdict:{ verdict with Check.Slo.v_violations = [ idle ] }
+       [ healthy; slow ])
+
 (* ------------------------------------------------------------------ *)
 (* Satellite: the clic-lint static analyzer *)
 
@@ -750,6 +816,8 @@ let suite =
       test_slo_evaluate_phases;
     Alcotest.test_case "slo: canonical contract run holds" `Quick
       test_slo_contract_run;
+    Alcotest.test_case "slo: panel contract flags doctored rows" `Quick
+      test_slo_panel_contract;
     Alcotest.test_case "check: scenario trace hashes pinned" `Slow
       test_scenario_hashes_pinned;
     Alcotest.test_case "probe on/off trace equivalence" `Quick

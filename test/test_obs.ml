@@ -483,7 +483,7 @@ let record name =
   | Some sc -> fst (Obs.Recorder.record sc)
   | None -> Alcotest.failf "scenario %S not registered" name
 
-(* The cheap end of the registry; the CI workflow sweeps all fourteen. *)
+(* The cheap end of the registry; the CI workflow sweeps all 18. *)
 let quick_scenarios = [ "fig7"; "ext2"; "ext3"; "ext4"; "chaos" ]
 
 let test_timeline_json_valid () =
@@ -537,13 +537,36 @@ let test_metrics_families_and_determinism () =
   let json = Obs.Metrics.to_json m in
   check_bool "metrics JSON valid" true (Json_check.ok json)
 
-(* The congestion families: recording the incast scenario must populate
-   [switch-buffer], [switch-drop] and [pause] with the right kinds and
-   units, and the export must stay byte-deterministic.  This is the golden
-   export for the 802.3x instrumentation — if a probe stops firing or a
-   family is renamed, this fails. *)
+(* The metric families each contract experiment's question is answered
+   from: recording the experiment must populate every one of them. *)
+let scenario_families =
+  [
+    ("incast", [ "switch-buffer"; "switch-drop"; "pause" ]);
+    ("fabric", [ "switch-buffer"; "switch-drop"; "pause" ]);
+    ("congestion", [ "switch-buffer"; "switch-drop"; "ecn-mark"; "sack" ]);
+    ("slo", [ "latency-quantile"; "msg-count"; "queue-depth" ]);
+  ]
+
+(* Beyond the family table, the incast export must carry [switch-buffer],
+   [switch-drop] and [pause] with the right kinds and units, and stay
+   byte-deterministic.  This is the golden export for the 802.3x
+   instrumentation — if a probe stops firing or a family is renamed, this
+   fails. *)
 let test_metrics_congestion_families () =
-  let m = Obs.Metrics.build (record "incast") in
+  let built =
+    List.map
+      (fun (name, wanted) ->
+        let m = Obs.Metrics.build (record name) in
+        let fams = Obs.Metrics.families m in
+        List.iter
+          (fun f ->
+            check_bool (Printf.sprintf "%s exports %s" name f) true
+              (List.mem f fams))
+          wanted;
+        (name, m))
+      scenario_families
+  in
+  let m = List.assoc "incast" built in
   let series = m.Obs.Metrics.series in
   let with_prefix p =
     List.filter
