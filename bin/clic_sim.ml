@@ -135,9 +135,14 @@ let run_chaos verbose loss burst dup jitter_us mtu size messages =
   let c = Net.create ~config ~n:2 () in
   let pair = Measure.clic_pair c ~a:0 ~b:1 () in
   let r = Measure.stream c pair ~a:0 ~b:1 ~size ~messages in
-  let sum f =
-    f (Clic.Api.kernel (Net.node c 0).Node.clic)
-    + f (Clic.Api.kernel (Net.node c 1).Node.clic)
+  let t = Tally.net c in
+  let dups a b =
+    match
+      Clic.Clic_module.channel_to (Clic.Api.kernel (Net.node c a).Node.clic)
+        ~peer:b
+    with
+    | Some ch -> Clic.Channel.duplicates_dropped ch
+    | None -> 0
   in
   Printf.printf
     "chaos stream of %d x %dB at MTU %d (loss %.2f%%, burst %d, dup \
@@ -147,16 +152,8 @@ let run_chaos verbose loss burst dup jitter_us mtu size messages =
     messages size mtu (100. *. loss) burst (100. *. dup) jitter_us
     r.Measure.st_bandwidth_mbps
     (Time.to_us r.Measure.elapsed /. 1000.)
-    (sum Clic.Clic_module.retransmissions)
-    (sum Clic.Clic_module.timeouts)
-    (sum Clic.Clic_module.fast_retransmits)
-    (sum (fun km ->
-         match Clic.Clic_module.channel_to km ~peer:0 with
-         | Some ch -> Clic.Channel.duplicates_dropped ch
-         | None -> (
-             match Clic.Clic_module.channel_to km ~peer:1 with
-             | Some ch -> Clic.Channel.duplicates_dropped ch
-             | None -> 0)));
+    t.Tally.retransmissions t.Tally.timeouts t.Tally.fast_retransmits
+    (dups 0 1 + dups 1 0);
   (match
      Clic.Clic_module.channel_to (Clic.Api.kernel (Net.node c 0).Node.clic)
        ~peer:1
@@ -371,13 +368,11 @@ let run_soak _verbose seeds trials quick only list =
     List.iter
       (fun v -> Format.printf "  %a@." Check.Violation.pp v)
       violations;
-    let missing =
-      if only = None then Check.Soak.missing_evidence report else []
-    in
+    let missing = Check.Soak.missing_evidence report in
     List.iter
       (fun m -> Format.printf "  missing evidence: %s@." m)
       missing;
-    if Check.Soak.ok ~require_evidence:(only = None) report then
+    if Check.Soak.ok report then
       Format.printf "soak: %d trial(s) clean over %d seed(s)@."
         (List.length report.Check.Soak.s_trials)
         (List.length seeds)

@@ -16,6 +16,7 @@
    exact equality). *)
 
 module F = Report.Figures
+module T = Cluster.Tally
 
 type t = {
   name : string;
@@ -32,7 +33,7 @@ type t = {
 let require ~pass holds rule detail =
   if holds then [] else [ Violation.make ~pass ~rule ~time_ns:0 detail ]
 
-let lost ~pass name ~sent ~delivered =
+let lost ~pass name ({ sent; delivered; _ } : F.run) =
   require ~pass (delivered = sent) "lost-messages"
     (Printf.sprintf "%s: %d of %d messages lost" name (sent - delivered) sent)
 
@@ -58,42 +59,40 @@ let regimes : F.flow_control list = [ `Tail_drop; `Pause ]
 let incast_contract rows gather =
   let pass = "incast" in
   let req = require ~pass in
-  let row (r : F.incast_row) =
-    let name = F.flow_control_name r.in_regime in
-    lost ~pass name ~sent:r.in_sent ~delivered:r.in_delivered
+  let row ({ in_regime; in_run = r } : F.incast_row) =
+    let name = F.flow_control_name in_regime in
+    let t = r.tally in
+    lost ~pass name r
     @
-    match r.in_regime with
+    match in_regime with
     | `Tail_drop ->
-        req (r.in_sent >= 40) "trivial-workload"
-          (Printf.sprintf "%s: only %d messages sent" name r.in_sent)
-        @ req (r.in_ingress_drops > 0) "no-collapse"
+        req (r.sent >= 40) "trivial-workload"
+          (Printf.sprintf "%s: only %d messages sent" name r.sent)
+        @ req (t.ingress_drops > 0) "no-collapse"
             (name ^ ": no drops at the bounded uplinks")
-        @ req (r.in_egress_drops > 0) "no-collapse"
+        @ req (t.egress_drops > 0) "no-collapse"
             (name ^ ": no drops at the egress FIFOs")
-        @ req (r.in_retx > 0) "no-collapse"
+        @ req (t.retransmissions > 0) "no-collapse"
             (name ^ ": no retransmissions")
     | `Pause ->
-        req
-          (r.in_ingress_drops + r.in_egress_drops = 0)
-          "pause-loss"
+        req (T.switch_drops t = 0) "pause-loss"
           (Printf.sprintf "%s: PAUSE fabric dropped %d frame(s)" name
-             (r.in_ingress_drops + r.in_egress_drops))
-        @ req (r.in_pause_tx > 0) "pause-idle"
+             (T.switch_drops t))
+        @ req (t.switch_pause_tx > 0) "pause-idle"
             (name ^ ": switch generated no PAUSE frames")
-        @ req (r.in_tx_paused_us > 0.) "pause-idle"
+        @ req (t.tx_paused_ns > 0) "pause-idle"
             (name ^ ": sender NICs never paused")
-        @ req (r.in_peak_buffer > 0) "pause-idle"
+        @ req (t.peak_buffer > 0) "pause-idle"
             (name ^ ": shared buffer never used")
   in
   let gather_row (g : F.gather_row) =
     let name = "gather " ^ F.flow_control_name g.ga_regime in
+    let drops = T.switch_drops g.ga_tally in
     match g.ga_regime with
-    | `Tail_drop ->
-        req (g.ga_drops > 0) "no-collapse" (name ^ ": no switch drops")
+    | `Tail_drop -> req (drops > 0) "no-collapse" (name ^ ": no switch drops")
     | `Pause ->
-        req (g.ga_drops = 0) "pause-loss"
-          (Printf.sprintf "%s: PAUSE fabric dropped %d frame(s)" name
-             g.ga_drops)
+        req (drops = 0) "pause-loss"
+          (Printf.sprintf "%s: PAUSE fabric dropped %d frame(s)" name drops)
   in
   missing ~pass ~what:"incast"
     (fun (r : F.incast_row) -> r.in_regime)
@@ -113,34 +112,36 @@ let fabric_contract rows (rr : F.reroute_row) =
   let req = require ~pass in
   let row (r : F.fabric_row) =
     let name = F.flow_control_name r.fb_regime in
-    lost ~pass name ~sent:r.fb_sent ~delivered:r.fb_delivered
+    let t = r.fb_run.tally in
+    let drops = T.switch_drops t in
+    lost ~pass name r.fb_run
     @
     match r.fb_regime with
     | `Tail_drop ->
-        req (r.fb_sent >= 40) "trivial-workload"
-          (Printf.sprintf "%s: only %d messages sent" name r.fb_sent)
-        @ req (r.fb_drops > 0) "no-collapse"
+        req (r.fb_run.sent >= 40) "trivial-workload"
+          (Printf.sprintf "%s: only %d messages sent" name r.fb_run.sent)
+        @ req (drops > 0) "no-collapse"
             (name ^ ": no switch drops, the oversubscribed uplink did not \
                      collapse")
-        @ req (r.fb_retx > 0) "no-collapse" (name ^ ": no retransmissions")
+        @ req (t.retransmissions > 0) "no-collapse"
+            (name ^ ": no retransmissions")
     | `Pause ->
-        req (r.fb_drops = 0) "pause-loss"
-          (Printf.sprintf "%s: PAUSE fabric dropped %d frame(s)" name
-             r.fb_drops)
+        req (drops = 0) "pause-loss"
+          (Printf.sprintf "%s: PAUSE fabric dropped %d frame(s)" name drops)
         @ req (r.fb_spine_pause > 0) "no-congestion-tree"
             (name ^ ": spine generated no XOFF")
         @ req (r.fb_tor_pause > 0) "no-congestion-tree"
             (name ^ ": ToRs generated no XOFF")
-        @ req (r.fb_paused_us > 0.) "pause-idle"
+        @ req (t.tx_paused_ns > 0) "pause-idle"
             (name ^ ": sender NICs never paused")
-        @ req (r.fb_peak_buf > 0) "pause-idle"
+        @ req (t.peak_buffer > 0) "pause-idle"
             (name ^ ": shared buffers never used")
   in
   missing ~pass ~what:"fabric"
     (fun (r : F.fabric_row) -> r.fb_regime)
     F.flow_control_name regimes rows
   @ List.concat_map row rows
-  @ lost ~pass "reroute" ~sent:rr.rr_sent ~delivered:rr.rr_delivered
+  @ lost ~pass "reroute" rr.rr_run
   @ req (rr.rr_spine0_tx > 0) "reroute-idle"
       "reroute: no traffic crossed the doomed spine"
   @ req
@@ -164,26 +165,27 @@ let congestion_contract cells bursty =
       Printf.sprintf "%s/%s/%s" (F.regime_name c.cg_regime)
         (F.topo_name c.cg_topo) (F.scheme_name c.cg_scheme)
     in
+    let t = c.cg_run.tally in
     let marks_none () =
-      req (c.cg_ecn_marks = 0) "stray-ce"
-        (Printf.sprintf "%s: %d CE mark(s) without ECN" name c.cg_ecn_marks)
+      req (t.ecn_marks = 0) "stray-ce"
+        (Printf.sprintf "%s: %d CE mark(s) without ECN" name t.ecn_marks)
     in
     let lossless what =
-      req (c.cg_switch_drops = 0) "switch-loss"
+      req (T.switch_drops t = 0) "switch-loss"
         (Printf.sprintf "%s: %s fabric dropped %d frame(s)" name what
-           c.cg_switch_drops)
+           (T.switch_drops t))
     in
-    lost ~pass name ~sent:c.cg_sent ~delivered:c.cg_delivered
+    lost ~pass name c.cg_run
     @
     match c.cg_regime with
     | `Ecn ->
         lossless "ECN"
-        @ req (c.cg_pause_tx = 0) "ecn-pause"
+        @ req (t.switch_pause_tx = 0) "ecn-pause"
             (Printf.sprintf "%s: ECN fabric emitted %d PAUSE frame(s)" name
-               c.cg_pause_tx)
-        @ req (c.cg_ecn_marks > 0) "ecn-idle"
+               t.switch_pause_tx)
+        @ req (t.ecn_marks > 0) "ecn-idle"
             (name ^ ": ECN fabric never CE-marked a frame")
-        @ req (c.cg_ce_echoes > 0) "ecn-idle"
+        @ req (t.ce_echoes > 0) "ecn-idle"
             (name ^ ": DCTCP senders never saw a CE echo")
     | `Pause -> lossless "PAUSE" @ marks_none ()
     | `Tail_drop -> marks_none ()
@@ -193,23 +195,24 @@ let congestion_contract cells bursty =
   in
   let bursty_checks =
     match (scheme `Go_back_n, scheme `Sack) with
-    | Some gbn, Some sack ->
-        req (gbn.bu_timeouts > 0) "bursty-idle"
+    | Some { bu_run = { tally = gbn; _ }; _ },
+      Some { bu_run = { tally = sack; _ }; _ } ->
+        req (gbn.timeouts > 0) "bursty-idle"
           "bursty: the weather forced no go-back-N timeouts"
         @ req
-            (sack.bu_retx_bytes < gbn.bu_retx_bytes)
+            (sack.retx_bytes < gbn.retx_bytes)
             "sack-no-saving"
             (Printf.sprintf
                "bursty: SACK retransmitted %d bytes, not fewer than \
                 go-back-N's %d"
-               sack.bu_retx_bytes gbn.bu_retx_bytes)
-        @ req (sack.bu_sacked > 0) "sack-idle"
+               sack.retx_bytes gbn.retx_bytes)
+        @ req (sack.sacked_segments > 0) "sack-idle"
             "bursty: SACK run never recorded a SACKed segment"
-        @ req (sack.bu_retx_bytes_saved > 0) "sack-idle"
+        @ req (sack.retx_bytes_saved > 0) "sack-idle"
             "bursty: SACK run saved no retransmit bytes"
-        @ req (gbn.bu_sacked = 0) "gbn-sacked"
+        @ req (gbn.sacked_segments = 0) "gbn-sacked"
             (Printf.sprintf "bursty: go-back-N run SACKed %d segment(s)"
-               gbn.bu_sacked)
+               gbn.sacked_segments)
     | _ -> []
   in
   req (List.length cells = 12) "missing-row"
@@ -218,7 +221,7 @@ let congestion_contract cells bursty =
   @ req
       (List.exists
          (fun (c : F.congestion_cell) ->
-           c.cg_regime = `Tail_drop && c.cg_switch_drops > 0)
+           c.cg_regime = `Tail_drop && T.switch_drops c.cg_run.tally > 0)
          cells)
       "no-collapse" "tail-drop: no cell lost a frame at the switch"
   @ missing ~pass ~what:"bursty"

@@ -157,20 +157,13 @@ let run_contract ?(quick = false) ?(contract = default) () =
   in
   let v = evaluate contract ~slo ~fault_from ~fault_until in
   (* the contract is void unless every fail-slow mechanism engaged *)
+  let t = Tally.net c in
   let engaged =
     [
       ( "link-brownout",
         List.fold_left (fun acc f -> acc + Hw.Fault.slowed f) 0 !faults > 0 );
-      ( "nic-slow",
-        List.exists
-          (fun i ->
-            List.exists
-              (fun nic -> Hw.Nic.slow_extra_ns nic > 0)
-              (Net.node c i).Node.nics)
-          [ 1; 2 ] );
-      ( "switch-stall",
-        List.exists (fun sw -> Hw.Switch.egress_stall_ns sw > 0) c.Net.switches
-      );
+      ("nic-slow", t.slow_extra_ns > 0);
+      ("switch-stall", t.egress_stall_ns > 0);
     ]
   in
   let missing =

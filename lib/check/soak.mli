@@ -11,39 +11,6 @@
     *evidence counters* show a stress axis never actually fired (a soak
     that never dropped a frame at the hard watermark was not soaking). *)
 
-type evidence = {
-  mutable ev_delivered : int;
-  mutable ev_pool_drops : int;
-      (** NIC ingress drops at the pool's hard watermark *)
-  mutable ev_bad_fcs : int;  (** corrupted frames dropped by the MAC *)
-  mutable ev_poll_switches : int;  (** IRQ <-> polling transitions *)
-  mutable ev_polled : int;  (** packets processed by budgeted poll passes *)
-  mutable ev_crashes : int;
-  mutable ev_reestablished : int;
-  mutable ev_peer_reboots : int;  (** newer-epoch frames noticed by peers *)
-  mutable ev_stale_drops : int;  (** older-epoch frames rejected *)
-  mutable ev_retransmissions : int;
-  mutable ev_acks_deferred : int;
-  mutable ev_switch_drops : int;
-      (** frames lost inside a switch, ingress + egress *)
-  mutable ev_pause_frames : int;  (** 802.3x PAUSE frames generated *)
-  mutable ev_tx_paused_ns : int;  (** time transmitters spent XOFFed *)
-  mutable ev_trunk_frames : int;  (** frames carried switch-to-switch *)
-  mutable ev_switch_failures : int;  (** switches failed mid-trial *)
-  mutable ev_ecn_marks : int;
-      (** frames CE-marked above the ECN threshold *)
-  mutable ev_sacked_segments : int;
-      (** segments a sender saw covered by received SACK blocks *)
-  mutable ev_open_loop : int;
-      (** open-loop requests answered across a gray (fail-slow) window *)
-  mutable ev_brownout_slowed : int;
-      (** frames delayed by link brownouts, never dropped *)
-  mutable ev_nic_slow_ns : int;
-      (** extra service time charged by fail-slow NICs *)
-  mutable ev_switch_stall_ns : int;
-      (** egress pump time lost to injected stalls *)
-}
-
 type trial_result = {
   tr_template : string;
   tr_seed : int;
@@ -53,7 +20,13 @@ type trial_result = {
 
 type report = {
   s_trials : trial_result list;
-  s_evidence : evidence;
+  s_tally : Cluster.Tally.t;
+      (** the stack's counters over every trial, banked per boot (a
+          crashed kernel's just before its reboot) *)
+  s_switch_failures : int;  (** switches failed mid-trial *)
+  s_open_loop : int;
+      (** open-loop requests answered across a gray (fail-slow) window *)
+  s_brownout_slowed : int;  (** frames delayed by link brownouts *)
   s_notes : string list;
   s_full_set : bool;
       (** every registered template was in the rotation; when [false]
@@ -85,11 +58,12 @@ val violations : report -> Violation.t list
 
 val missing_evidence : report -> string list
 (** Human-readable complaints for stress axes that never fired; empty
-    when the soak exercised everything it promises. *)
+    when the soak exercised everything it promises, and always empty when
+    the template set was narrowed. *)
 
-val ok : ?require_evidence:bool -> report -> bool
-(** No violations, no harness crashes and (unless [require_evidence] is
-    false or the template set was narrowed) no missing evidence. *)
+val ok : report -> bool
+(** No violations, no harness crashes and no missing evidence. *)
 
 val pp_summary : Format.formatter -> report -> unit
-(** The summary table: one line per trial, then the evidence counters. *)
+(** The summary table: one line per trial, then one line per evidence
+    counter (the same table {!missing_evidence} checks). *)

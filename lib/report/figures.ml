@@ -704,12 +704,6 @@ let sec3 fmt =
    a bulk TCP transfer (the paper keeps the scheduler in the path exactly
    so concurrent communicating processes are served promptly). *)
 
-let percentile_of samples p =
-  let arr = Array.of_list (List.sort compare samples) in
-  let n = Array.length arr in
-  if n = 0 then 0
-  else arr.(min (n - 1) (int_of_float (p /. 100. *. float_of_int n)))
-
 let ext4 fmt =
   let run ~loaded =
     let c = Net.create ~n:2 () in
@@ -756,10 +750,11 @@ let ext4 fmt =
   in
   let idle = run ~loaded:false and loaded = run ~loaded:true in
   let row name samples =
-    [ name;
-      Printf.sprintf "%.1f" (Time.to_us (percentile_of samples 50.));
-      Printf.sprintf "%.1f" (Time.to_us (percentile_of samples 95.));
-      Printf.sprintf "%.1f" (Time.to_us (percentile_of samples 99.)) ]
+    let us = Array.of_list (List.map Time.to_us samples) in
+    name
+    :: List.map
+         (fun p -> Printf.sprintf "%.1f" (Workload.quantile us p))
+         [ 50.; 95.; 99. ]
   in
   Render.section fmt
     "Extension: CLIC latency under competing TCP bulk load (64B ping-pong)";
@@ -791,18 +786,9 @@ let stress fmt =
     in
     let c = Net.create ~config ~n:6 () in
     let s = mk c in
-    let retx =
-      let total = ref 0 in
-      for i = 0 to Net.size c - 1 do
-        total :=
-          !total
-          + Clic.Clic_module.retransmissions
-              (Clic.Api.kernel (Net.node c i).Node.clic)
-      done;
-      !total
-    in
     ( name, s.Workload.sent, s.Workload.delivered,
-      float_of_int s.Workload.bytes /. 1e6, retx )
+      float_of_int s.Workload.bytes /. 1e6,
+      (Tally.net c).Tally.retransmissions )
   in
   let rows =
     [
@@ -841,9 +827,7 @@ type chaos_row = {
   c_latency_us : float;  (* 1KB ping-pong one-way under the fault *)
   c_goodput_mbps : float;
   c_elapsed_ms : float;
-  c_retx : int;
-  c_timeouts : int;
-  c_fast_rtx : int;
+  c_tally : Tally.t;
   c_rto_mean_us : float;
   c_rto_max_us : float;
 }
@@ -900,10 +884,6 @@ let chaos ?(quick = false) fmt =
     let c = Net.create ~config ~n:2 () in
     let pair = Measure.clic_pair c ~a:0 ~b:1 () in
     let r = Measure.stream c pair ~a:0 ~b:1 ~size ~messages in
-    let sum f =
-      f (Clic.Api.kernel (Net.node c 0).Node.clic)
-      + f (Clic.Api.kernel (Net.node c 1).Node.clic)
-    in
     let rto_mean, rto_max =
       match
         Clic.Clic_module.channel_to
@@ -921,9 +901,7 @@ let chaos ?(quick = false) fmt =
       c_latency_us = latency_us;
       c_goodput_mbps = r.Measure.st_bandwidth_mbps;
       c_elapsed_ms = Time.to_us r.Measure.elapsed /. 1000.;
-      c_retx = sum Clic.Clic_module.retransmissions;
-      c_timeouts = sum Clic.Clic_module.timeouts;
-      c_fast_rtx = sum Clic.Clic_module.fast_retransmits;
+      c_tally = Tally.net c;
       c_rto_mean_us = rto_mean;
       c_rto_max_us = rto_max;
     }
@@ -946,9 +924,9 @@ let chaos ?(quick = false) fmt =
              Printf.sprintf "%.1f" r.c_latency_us;
              Printf.sprintf "%.1f" r.c_goodput_mbps;
              Printf.sprintf "%.1f" r.c_elapsed_ms;
-             string_of_int r.c_retx;
-             string_of_int r.c_timeouts;
-             string_of_int r.c_fast_rtx;
+             string_of_int r.c_tally.Tally.retransmissions;
+             string_of_int r.c_tally.Tally.timeouts;
+             string_of_int r.c_tally.Tally.fast_retransmits;
              Printf.sprintf "%.0f" r.c_rto_mean_us;
              Printf.sprintf "%.0f" r.c_rto_max_us;
            ])
@@ -972,422 +950,42 @@ let chaos ?(quick = false) fmt =
   rows
 
 (* ------------------------------------------------------------------ *)
-(* Incast: N senders collapse onto one receiver through the switch, with
-   tail-drop output queues vs a shared-buffer switch generating 802.3x
-   PAUSE.  Not a paper figure — the congestion-robustness evidence for
-   CLIC's switched-fabric deployment story. *)
+(* Congested fabrics: the incast, cross-rack and regime-matrix panels.
+   Not paper figures — the congestion-robustness evidence for CLIC's
+   switched-fabric deployment story.  Every panel shares one fabric
+   recipe and one run summary. *)
 
 type flow_control = [ `Tail_drop | `Pause ]
+type regime = [ flow_control | `Ecn ]
+type topo = [ `Incast | `Cross_rack ]
+type scheme = [ `Go_back_n | `Sack ]
 
 let flow_control_name = function
   | `Tail_drop -> "tail-drop"
   | `Pause -> "802.3x PAUSE"
 
-type incast_row = {
-  in_regime : flow_control;
-  in_sent : int;
-  in_delivered : int;
-  in_elapsed_ms : float;
-  in_retx : int;
-  in_ingress_drops : int;
-  in_egress_drops : int;
-  in_pause_tx : int;  (* PAUSE frames the switch generated *)
-  in_tx_paused_us : float;  (* total sender-NIC time spent XOFFed *)
-  in_peak_buffer : int;  (* peak shared-buffer occupancy, bytes *)
-}
+let regime_name = function
+  | `Tail_drop -> "tail-drop"
+  | `Pause -> "pause"
+  | `Ecn -> "ecn"
 
-type gather_row = {
-  ga_regime : flow_control;
-  ga_completion_us : float;
-  ga_retx : int;
-  ga_drops : int;
-  ga_pause_tx : int;
-  ga_paused_us : float;
-}
+let topo_name = function `Incast -> "incast" | `Cross_rack -> "cross-rack"
 
-(* Both conditions share the fabric geometry (bounded 6-frame uplinks, the
-   default 256 KiB shared buffer) and differ only in flow control: the
-   tail-drop switch caps each output FIFO at 12 frames and its stations
-   blind-dump; the PAUSE switch admits on buffer bytes alone, XOFFs hot
-   ingress ports, and its NICs honour PAUSE and uplink backpressure —
-   provisioned for zero loss ({!Hw.Switch.protected_provisioning}). *)
+let scheme_name = function `Go_back_n -> "gbn" | `Sack -> "sack"
+
 (* Server-class hosts on a Gigabit fabric: a 64-bit PCI bus DMAs frames
    at ~240 MB/s, twice wire speed, so a blind-dumping NIC really can
-   overrun the bounded switch ingress FIFO during a window burst.  The
-   tail-drop baseline keeps the classic cheap per-port 12-frame egress
-   FIFOs; the 802.3x build drops the frame caps and lets the shared
-   buffer plus PAUSE absorb the same bursts losslessly. *)
-let incast_config ~pause =
-  {
-    Node.default_config with
-    clic_params = Clic.Params.congestion;
-    pci_width_bytes = 8;
-    pci_efficiency = 0.9;
-    switch_ingress_frames = Some 6;
-    switch_egress_frames = (if pause then None else Some 12);
-    switch_buffer = Some { Hw.Switch.default_buffer with pause };
-    nic_pause = (if pause then Some Hw.Nic.pause_802_3x else None);
-  }
-
-let incast_counters c =
-  let sw = List.hd c.Net.switches in
-  let retx = ref 0 and paused_ns = ref 0 in
-  for i = 0 to Net.size c - 1 do
-    let node = Net.node c i in
-    retx :=
-      !retx + Clic.Clic_module.retransmissions (Clic.Api.kernel node.Node.clic);
-    List.iter
-      (fun nic -> paused_ns := !paused_ns + Hw.Nic.tx_paused_ns nic)
-      node.Node.nics
-  done;
-  (sw, !retx, !paused_ns)
-
-let incast ?(quick = false) fmt =
-  let senders = 4 and size = 8192 in
-  let messages = if quick then 12 else 40 in
-  let n = senders + 1 in
-  let run regime =
-    let c = Net.create ~config:(incast_config ~pause:(regime = `Pause)) ~n () in
-    let s =
-      Workload.hotspot c ~seed:7 ~target:0 ~messages_per_node:messages ~size ()
-    in
-    let sw, retx, paused_ns = incast_counters c in
-    {
-      in_regime = regime;
-      in_sent = s.Workload.sent;
-      in_delivered = s.Workload.delivered;
-      in_elapsed_ms = Time.to_ms s.Workload.elapsed;
-      in_retx = retx;
-      in_ingress_drops = Hw.Switch.ingress_drops sw;
-      in_egress_drops = Hw.Switch.egress_drops sw;
-      in_pause_tx = Hw.Switch.pause_frames_tx sw;
-      in_tx_paused_us = float_of_int paused_ns /. 1e3;
-      in_peak_buffer = Hw.Switch.peak_buffer_occupied sw;
-    }
-  in
-  let rows = [ run `Tail_drop; run `Pause ] in
-  Render.section fmt
-    (Printf.sprintf
-       "Incast: %d senders x %d x %dKB onto node 0, tail-drop vs 802.3x \
-        PAUSE"
-       senders messages (size / 1024));
-  Render.table fmt
-    ~header:
-      [ "switch"; "sent"; "delivered"; "ms"; "retx"; "ingress drops";
-        "egress drops"; "pause tx"; "paused us"; "peak buf B" ]
-    ~rows:
-      (List.map
-         (fun r ->
-           [
-             flow_control_name r.in_regime;
-             string_of_int r.in_sent;
-             string_of_int r.in_delivered;
-             Printf.sprintf "%.1f" r.in_elapsed_ms;
-             string_of_int r.in_retx;
-             string_of_int r.in_ingress_drops;
-             string_of_int r.in_egress_drops;
-             string_of_int r.in_pause_tx;
-             Printf.sprintf "%.0f" r.in_tx_paused_us;
-             string_of_int r.in_peak_buffer;
-           ])
-         rows)
-    ();
-  (* MPI gather is the same collapse dressed as a collective: every rank
-     sends its contribution to the root at once. *)
-  let gather_bytes = if quick then 16384 else 65536 in
-  let gather regime =
-    let c = Net.create ~config:(incast_config ~pause:(regime = `Pause)) ~n () in
-    let sim = c.Net.sim in
-    let reg = Mpi_layer.Mpi_clic.registry () in
-    let finished = Ivar.create () in
-    let remaining = ref n in
-    for rank = 0 to n - 1 do
-      let node = Net.node c rank in
-      let mpi =
-        Mpi_layer.Mpi.create node.Node.env ~rank
-          (Mpi_layer.Mpi_clic.transport reg node.Node.clic ~rank)
-          ()
-      in
-      Node.spawn node (fun () ->
-          Mpi_layer.Collectives.gather mpi ~rank ~root:0 ~size:n gather_bytes;
-          decr remaining;
-          if !remaining = 0 then Ivar.fill finished (Sim.now sim))
-    done;
-    Net.run c;
-    let sw, retx, paused_ns = incast_counters c in
-    {
-      ga_regime = regime;
-      ga_completion_us =
-        (match Ivar.peek finished with Some t -> Time.to_us t | None -> nan);
-      ga_retx = retx;
-      ga_drops = Hw.Switch.ingress_drops sw + Hw.Switch.egress_drops sw;
-      ga_pause_tx = Hw.Switch.pause_frames_tx sw;
-      ga_paused_us = float_of_int paused_ns /. 1e3;
-    }
-  in
-  let gather_rows = [ gather `Tail_drop; gather `Pause ] in
-  Render.section fmt
-    (Printf.sprintf "MPI gather under congestion: %d ranks x %dKB to root 0"
-       n (gather_bytes / 1024));
-  Render.table fmt
-    ~header:
-      [ "switch"; "completion us"; "retx"; "switch drops"; "pause tx";
-        "paused us" ]
-    ~rows:
-      (List.map
-         (fun g ->
-           [
-             flow_control_name g.ga_regime;
-             Printf.sprintf "%.1f" g.ga_completion_us;
-             string_of_int g.ga_retx;
-             string_of_int g.ga_drops;
-             string_of_int g.ga_pause_tx;
-             Printf.sprintf "%.0f" g.ga_paused_us;
-           ])
-         gather_rows)
-    ();
-  (match rows with
-  | [ tail; pause ] ->
-      Format.fprintf fmt
-        "tail-drop loses %d frames at the switch (%d ingress + %d egress) \
-         and recovers them with %d retransmissions; PAUSE loses %d, holding \
-         senders off for %.0f us instead (%d PAUSE frames, peak buffer %dB \
-         of %dB).@."
-        (tail.in_ingress_drops + tail.in_egress_drops)
-        tail.in_ingress_drops tail.in_egress_drops tail.in_retx
-        (pause.in_ingress_drops + pause.in_egress_drops)
-        pause.in_tx_paused_us pause.in_pause_tx pause.in_peak_buffer
-        Hw.Switch.default_buffer.Hw.Switch.total_bytes
-  | _ -> ());
-  (rows, gather_rows)
-
-(* ------------------------------------------------------------------ *)
-
-type fabric_row = {
-  fb_regime : flow_control;
-  fb_sent : int;
-  fb_delivered : int;
-  fb_elapsed_ms : float;
-  fb_retx : int;
-  fb_drops : int;
-  fb_spine_pause : int;
-  fb_tor_pause : int;
-  fb_paused_us : float;
-  fb_peak_buf : int;
-}
-
-type reroute_row = {
-  rr_sent : int;
-  rr_delivered : int;
-  rr_retx : int;
-  rr_spine0_tx : int;
-  rr_spine1_tx : int;
-  rr_down_drops : int;
-}
-
-let cluster_retx_paused c =
-  let retx = ref 0 and paused_ns = ref 0 in
-  for i = 0 to Net.size c - 1 do
-    let node = Net.node c i in
-    retx :=
-      !retx + Clic.Clic_module.retransmissions (Clic.Api.kernel node.Node.clic);
-    List.iter
-      (fun nic -> paused_ns := !paused_ns + Hw.Nic.tx_paused_ns nic)
-      node.Node.nics
-  done;
-  (!retx, !paused_ns)
-
-(* Cross-rack incast through an oversubscribed spine, tail-drop vs 802.3x
-   PAUSE, plus spine-failure rerouting — the congestion and resilience
-   behaviours a single star cannot express.
-
-   Panel 1 runs on a 3-rack leaf/spine with ONE spine: six senders in the
-   two remote racks stampede node 0, so each remote ToR funnels 3 Gb/s of
-   offered load into its 1 Gb/s uplink and the spine funnels both trunks
-   into tor0's.  Under tail-drop the trunk egress FIFOs overflow — the
-   oversubscribed-uplink collapse.  Under 802.3x the spine's trunk-ingress
-   watermarks XOFF the ToRs, the gated ToRs fill and XOFF the sender NICs,
-   and the congestion tree visibly spreads hop by hop: spine PAUSE
-   frames, ToR PAUSE frames, sender NICs off the wire — with zero loss.
-
-   Panel 2 runs a 2-spine fabric with ECMP across both, kills spine0
-   mid-workload ({!Cluster.Net.fail_switch}: ports drain, routes
-   recompile around the corpse) and requires every message to arrive
-   anyway over the surviving spine. *)
-let fabric ?(quick = false) fmt =
-  let messages = if quick then 8 else 24 in
-  let size = if quick then 4096 else 8192 in
-  let per_rack = 3 in
-  let topo = Topology.leaf_spine ~racks:3 ~per_rack ~spines:1 () in
-  let senders = List.init (2 * per_rack) (fun i -> per_rack + i) in
-  let run regime =
-    let c =
-      Net.create_topo ~config:(incast_config ~pause:(regime = `Pause)) ~topo ()
-    in
-    let s =
-      Workload.hotspot c ~seed:11 ~target:0 ~senders
-        ~messages_per_node:messages ~size ()
-    in
-    let retx, paused_ns = cluster_retx_paused c in
-    let drops =
-      List.fold_left
-        (fun acc sw -> acc + Hw.Switch.ingress_drops sw + Hw.Switch.egress_drops sw)
-        0 c.Net.switches
-    in
-    let spine = Net.switch c "spine0." in
-    let tor_pause =
-      List.fold_left
-        (fun acc r -> acc + Hw.Switch.pause_frames_tx (Net.switch c r))
-        0 [ "tor0."; "tor1."; "tor2." ]
-    in
-    let peak =
-      List.fold_left
-        (fun acc sw -> max acc (Hw.Switch.peak_buffer_occupied sw))
-        0 c.Net.switches
-    in
-    {
-      fb_regime = regime;
-      fb_sent = s.Workload.sent;
-      fb_delivered = s.Workload.delivered;
-      fb_elapsed_ms = Time.to_ms s.Workload.elapsed;
-      fb_retx = retx;
-      fb_drops = drops;
-      fb_spine_pause = Hw.Switch.pause_frames_tx spine;
-      fb_tor_pause = tor_pause;
-      fb_paused_us = float_of_int paused_ns /. 1e3;
-      fb_peak_buf = peak;
-    }
-  in
-  let rows = [ run `Tail_drop; run `Pause ] in
-  Render.section fmt
-    (Printf.sprintf
-       "Cross-rack incast: %d remote senders x %d x %dKB onto node 0 \
-        through one oversubscribed spine"
-       (2 * per_rack) messages (size / 1024));
-  Render.table fmt
-    ~header:
-      [ "fabric"; "sent"; "delivered"; "ms"; "retx"; "switch drops";
-        "spine pause"; "tor pause"; "paused us"; "peak buf B" ]
-    ~rows:
-      (List.map
-         (fun r ->
-           [
-             flow_control_name r.fb_regime;
-             string_of_int r.fb_sent;
-             string_of_int r.fb_delivered;
-             Printf.sprintf "%.1f" r.fb_elapsed_ms;
-             string_of_int r.fb_retx;
-             string_of_int r.fb_drops;
-             string_of_int r.fb_spine_pause;
-             string_of_int r.fb_tor_pause;
-             Printf.sprintf "%.0f" r.fb_paused_us;
-             string_of_int r.fb_peak_buf;
-           ])
-         rows)
-    ();
-  (match rows with
-  | [ tail; pause ] ->
-      Format.fprintf fmt
-        "tail-drop loses %d frames at the oversubscribed trunks and repairs \
-         them with %d retransmissions; 802.3x loses %d — the spine XOFFs \
-         the ToRs (%d PAUSE frames) and the ToRs XOFF the senders (%d), a \
-         congestion tree holding the stampede at the sources for %.0f us.@."
-        tail.fb_drops tail.fb_retx pause.fb_drops pause.fb_spine_pause
-        pause.fb_tor_pause pause.fb_paused_us
-  | _ -> ());
-  (* Spine failure under load: 2-way ECMP, then one spine dies mid-run. *)
-  let topo2 = Topology.leaf_spine ~racks:2 ~per_rack:2 ~spines:2 () in
-  let c = Net.create_topo ~config:(incast_config ~pause:true) ~topo:topo2 () in
-  Sim.schedule c.Net.sim ~after:(Time.us 800.) (fun () ->
-      Net.fail_switch c "spine0.")
-  |> ignore;
-  let s =
-    Workload.uniform_random c ~seed:5
-      ~messages_per_node:(if quick then 12 else 40)
-      ~min_size:2048 ~max_size:8192 ()
-  in
-  let retx, _ = cluster_retx_paused c in
-  let tor0 = Net.switch c "tor0." in
-  let reroute =
-    {
-      rr_sent = s.Workload.sent;
-      rr_delivered = s.Workload.delivered;
-      rr_retx = retx;
-      rr_spine0_tx = Hw.Switch.trunk_tx_frames tor0 ~peer:"spine0.0";
-      rr_spine1_tx = Hw.Switch.trunk_tx_frames tor0 ~peer:"spine1.0";
-      rr_down_drops = Hw.Switch.down_drops (Net.switch c "spine0.");
-    }
-  in
-  Render.section fmt "Spine failure: ECMP over 2 spines, spine0 dies at 800us";
-  Render.table fmt
-    ~header:
-      [ "sent"; "delivered"; "retx"; "tor0->spine0"; "tor0->spine1";
-        "dead-spine drops" ]
-    ~rows:
-      [
-        [
-          string_of_int reroute.rr_sent;
-          string_of_int reroute.rr_delivered;
-          string_of_int reroute.rr_retx;
-          string_of_int reroute.rr_spine0_tx;
-          string_of_int reroute.rr_spine1_tx;
-          string_of_int reroute.rr_down_drops;
-        ];
-      ]
-    ();
-  Format.fprintf fmt
-    "spine0 dies at 800us; routes recompile onto spine1 and all %d \
-     messages still arrive (%d retransmissions cover the frames that died \
-     with the spine).@."
-    reroute.rr_sent reroute.rr_retx;
-  (rows, reroute)
-
-(* ------------------------------------------------------------------ *)
-(* Congestion-regime matrix: {tail-drop, 802.3x PAUSE, ECN/DCTCP} x
-   {incast star, cross-rack fabric} x {go-back-N, SACK}, plus a same-seed
-   bursty-loss panel comparing the retransmit schemes byte for byte.  Not
-   a paper figure — the evidence that CLIC's reliability layer composes
-   with the three congestion-control answers a switched fabric offers. *)
-
-type regime = [ flow_control | `Ecn ]
-type topo = [ `Incast | `Cross_rack ]
-type scheme = [ `Go_back_n | `Sack ]
-
-type congestion_cell = {
-  cg_regime : regime;
-  cg_topo : topo;
-  cg_scheme : scheme;
-  cg_sent : int;
-  cg_delivered : int;
-  cg_elapsed_ms : float;
-  cg_retx : int;
-  cg_retx_bytes : int;
-  cg_switch_drops : int;
-  cg_pause_tx : int;
-  cg_ecn_marks : int;
-  cg_ce_echoes : int;
-  cg_sacked : int;
-}
-
-type bursty_row = {
-  bu_scheme : scheme;
-  bu_delivered : int;
-  bu_elapsed_ms : float;
-  bu_retx : int;
-  bu_retx_bytes : int;
-  bu_retx_bytes_saved : int;
-  bu_sacked : int;
-  bu_timeouts : int;
-}
-
-(* The three regimes share the incast fabric geometry (bounded 6-frame
-   uplinks, server-class PCI) and differ only in how the fabric answers
-   congestion: tail-drop sheds load from capped egress FIFOs; PAUSE XOFFs
-   hot ingress ports losslessly; ECN keeps the shared buffer uncapped,
-   marks CE once an egress queue crosses the threshold, and relies on
-   DCTCP senders to back off.  The ECN fabric's NICs are flow-control
-   capable so they respect uplink backpressure instead of blind-dumping
-   (no PAUSE frame is ever generated: the switch has PAUSE off). *)
+   overrun the bounded 6-frame switch uplink FIFO during a window burst.
+   The three regimes differ only in how the fabric answers congestion:
+   tail-drop keeps the classic cheap per-port 12-frame egress FIFOs and
+   blind-dumping NICs; PAUSE drops the frame caps and lets the shared
+   buffer plus 802.3x absorb the same bursts losslessly (provisioned for
+   zero loss, {!Hw.Switch.protected_provisioning}); ECN keeps the shared
+   buffer uncapped, marks CE once an egress queue crosses the threshold,
+   and relies on DCTCP senders to back off.  The ECN fabric's NICs are
+   flow-control capable so they respect uplink backpressure instead of
+   blind-dumping (no PAUSE frame is ever generated: the switch has PAUSE
+   off). *)
 let congestion_config ~regime ~scheme =
   let clic_params =
     {
@@ -1431,24 +1029,296 @@ let congestion_config ~regime ~scheme =
         nic_pause = Some Hw.Nic.pause_802_3x;
       }
 
-let regime_name = function
-  | `Tail_drop -> "tail-drop"
-  | `Pause -> "pause"
-  | `Ecn -> "ecn"
+type run = { sent : int; delivered : int; elapsed_ms : float; tally : Tally.t }
 
-let topo_name = function `Incast -> "incast" | `Cross_rack -> "cross-rack"
+let workload_run c (s : Workload.stats) =
+  {
+    sent = s.Workload.sent;
+    delivered = s.Workload.delivered;
+    elapsed_ms = Time.to_ms s.Workload.elapsed;
+    tally = Tally.net c;
+  }
 
-let scheme_name = function `Go_back_n -> "gbn" | `Sack -> "sack"
+(* The sent / delivered / ms columns every run-summary table starts with. *)
+let run_cells r =
+  [ string_of_int r.sent; string_of_int r.delivered;
+    Printf.sprintf "%.1f" r.elapsed_ms ]
 
-let cluster_clic_sum c f =
-  let total = ref 0 in
-  for i = 0 to Net.size c - 1 do
-    total := !total + f (Clic.Api.kernel (Net.node c i).Node.clic)
-  done;
-  !total
+let paused_us (t : Tally.t) = float_of_int t.tx_paused_ns /. 1e3
 
-let switch_sum c f =
-  List.fold_left (fun acc sw -> acc + f sw) 0 c.Net.switches
+(* ------------------------------------------------------------------ *)
+(* Incast: N senders collapse onto one receiver through the switch, with
+   tail-drop output queues vs a shared-buffer switch generating 802.3x
+   PAUSE. *)
+
+type incast_row = { in_regime : flow_control; in_run : run }
+
+type gather_row = {
+  ga_regime : flow_control;
+  ga_completion_us : float;
+  ga_tally : Tally.t;
+}
+
+let incast ?(quick = false) fmt =
+  let senders = 4 and size = 8192 in
+  let messages = if quick then 12 else 40 in
+  let n = senders + 1 in
+  let config (regime : flow_control) =
+    congestion_config ~regime:(regime :> regime) ~scheme:`Go_back_n
+  in
+  let run regime =
+    let c = Net.create ~config:(config regime) ~n () in
+    let s =
+      Workload.hotspot c ~seed:7 ~target:0 ~messages_per_node:messages ~size ()
+    in
+    { in_regime = regime; in_run = workload_run c s }
+  in
+  let rows = [ run `Tail_drop; run `Pause ] in
+  Render.section fmt
+    (Printf.sprintf
+       "Incast: %d senders x %d x %dKB onto node 0, tail-drop vs 802.3x \
+        PAUSE"
+       senders messages (size / 1024));
+  Render.table fmt
+    ~header:
+      [ "switch"; "sent"; "delivered"; "ms"; "retx"; "ingress drops";
+        "egress drops"; "pause tx"; "paused us"; "peak buf B" ]
+    ~rows:
+      (List.map
+         (fun r ->
+           let t = r.in_run.tally in
+           (flow_control_name r.in_regime :: run_cells r.in_run)
+           @ [
+               string_of_int t.retransmissions;
+               string_of_int t.ingress_drops;
+               string_of_int t.egress_drops;
+               string_of_int t.switch_pause_tx;
+               Printf.sprintf "%.0f" (paused_us t);
+               string_of_int t.peak_buffer;
+             ])
+         rows)
+    ();
+  (* MPI gather is the same collapse dressed as a collective: every rank
+     sends its contribution to the root at once. *)
+  let gather_bytes = if quick then 16384 else 65536 in
+  let gather regime =
+    let c = Net.create ~config:(config regime) ~n () in
+    let sim = c.Net.sim in
+    let reg = Mpi_layer.Mpi_clic.registry () in
+    let finished = Ivar.create () in
+    let remaining = ref n in
+    for rank = 0 to n - 1 do
+      let node = Net.node c rank in
+      let mpi =
+        Mpi_layer.Mpi.create node.Node.env ~rank
+          (Mpi_layer.Mpi_clic.transport reg node.Node.clic ~rank)
+          ()
+      in
+      Node.spawn node (fun () ->
+          Mpi_layer.Collectives.gather mpi ~rank ~root:0 ~size:n gather_bytes;
+          decr remaining;
+          if !remaining = 0 then Ivar.fill finished (Sim.now sim))
+    done;
+    Net.run c;
+    {
+      ga_regime = regime;
+      ga_completion_us =
+        (match Ivar.peek finished with Some t -> Time.to_us t | None -> nan);
+      ga_tally = Tally.net c;
+    }
+  in
+  let gather_rows = [ gather `Tail_drop; gather `Pause ] in
+  Render.section fmt
+    (Printf.sprintf "MPI gather under congestion: %d ranks x %dKB to root 0"
+       n (gather_bytes / 1024));
+  Render.table fmt
+    ~header:
+      [ "switch"; "completion us"; "retx"; "switch drops"; "pause tx";
+        "paused us" ]
+    ~rows:
+      (List.map
+         (fun g ->
+           let t = g.ga_tally in
+           [
+             flow_control_name g.ga_regime;
+             Printf.sprintf "%.1f" g.ga_completion_us;
+             string_of_int t.retransmissions;
+             string_of_int (Tally.switch_drops t);
+             string_of_int t.switch_pause_tx;
+             Printf.sprintf "%.0f" (paused_us t);
+           ])
+         gather_rows)
+    ();
+  (match rows with
+  | [ tail; pause ] ->
+      let t = tail.in_run.tally and p = pause.in_run.tally in
+      Format.fprintf fmt
+        "tail-drop loses %d frames at the switch (%d ingress + %d egress) \
+         and recovers them with %d retransmissions; PAUSE loses %d, holding \
+         senders off for %.0f us instead (%d PAUSE frames, peak buffer %dB \
+         of %dB).@."
+        (Tally.switch_drops t) t.ingress_drops t.egress_drops t.retransmissions
+        (Tally.switch_drops p) (paused_us p) p.switch_pause_tx p.peak_buffer
+        Hw.Switch.default_buffer.Hw.Switch.total_bytes
+  | _ -> ());
+  (rows, gather_rows)
+
+(* ------------------------------------------------------------------ *)
+
+type fabric_row = {
+  fb_regime : flow_control;
+  fb_run : run;
+  fb_spine_pause : int;
+  fb_tor_pause : int;
+}
+
+type reroute_row = {
+  rr_run : run;
+  rr_spine0_tx : int;
+  rr_spine1_tx : int;
+  rr_down_drops : int;
+}
+
+(* Cross-rack incast through an oversubscribed spine, tail-drop vs 802.3x
+   PAUSE, plus spine-failure rerouting — the congestion and resilience
+   behaviours a single star cannot express.
+
+   Panel 1 runs on a 3-rack leaf/spine with ONE spine: six senders in the
+   two remote racks stampede node 0, so each remote ToR funnels 3 Gb/s of
+   offered load into its 1 Gb/s uplink and the spine funnels both trunks
+   into tor0's.  Under tail-drop the trunk egress FIFOs overflow — the
+   oversubscribed-uplink collapse.  Under 802.3x the spine's trunk-ingress
+   watermarks XOFF the ToRs, the gated ToRs fill and XOFF the sender NICs,
+   and the congestion tree visibly spreads hop by hop: spine PAUSE
+   frames, ToR PAUSE frames, sender NICs off the wire — with zero loss.
+
+   Panel 2 runs a 2-spine fabric with ECMP across both, kills spine0
+   mid-workload ({!Cluster.Net.fail_switch}: ports drain, routes
+   recompile around the corpse) and requires every message to arrive
+   anyway over the surviving spine. *)
+let fabric ?(quick = false) fmt =
+  let messages = if quick then 8 else 24 in
+  let size = if quick then 4096 else 8192 in
+  let per_rack = 3 in
+  let topo = Topology.leaf_spine ~racks:3 ~per_rack ~spines:1 () in
+  let senders = List.init (2 * per_rack) (fun i -> per_rack + i) in
+  let run (regime : flow_control) =
+    let config =
+      congestion_config ~regime:(regime :> regime) ~scheme:`Go_back_n
+    in
+    let c = Net.create_topo ~config ~topo () in
+    let s =
+      Workload.hotspot c ~seed:11 ~target:0 ~senders
+        ~messages_per_node:messages ~size ()
+    in
+    let pause prefix = Hw.Switch.pause_frames_tx (Net.switch c prefix) in
+    {
+      fb_regime = regime;
+      fb_run = workload_run c s;
+      fb_spine_pause = pause "spine0.";
+      fb_tor_pause = pause "tor0." + pause "tor1." + pause "tor2.";
+    }
+  in
+  let rows = [ run `Tail_drop; run `Pause ] in
+  Render.section fmt
+    (Printf.sprintf
+       "Cross-rack incast: %d remote senders x %d x %dKB onto node 0 \
+        through one oversubscribed spine"
+       (2 * per_rack) messages (size / 1024));
+  Render.table fmt
+    ~header:
+      [ "fabric"; "sent"; "delivered"; "ms"; "retx"; "switch drops";
+        "spine pause"; "tor pause"; "paused us"; "peak buf B" ]
+    ~rows:
+      (List.map
+         (fun r ->
+           let t = r.fb_run.tally in
+           (flow_control_name r.fb_regime :: run_cells r.fb_run)
+           @ [
+               string_of_int t.retransmissions;
+               string_of_int (Tally.switch_drops t);
+               string_of_int r.fb_spine_pause;
+               string_of_int r.fb_tor_pause;
+               Printf.sprintf "%.0f" (paused_us t);
+               string_of_int t.peak_buffer;
+             ])
+         rows)
+    ();
+  (match rows with
+  | [ tail; pause ] ->
+      Format.fprintf fmt
+        "tail-drop loses %d frames at the oversubscribed trunks and repairs \
+         them with %d retransmissions; 802.3x loses %d — the spine XOFFs \
+         the ToRs (%d PAUSE frames) and the ToRs XOFF the senders (%d), a \
+         congestion tree holding the stampede at the sources for %.0f us.@."
+        (Tally.switch_drops tail.fb_run.tally)
+        tail.fb_run.tally.retransmissions
+        (Tally.switch_drops pause.fb_run.tally)
+        pause.fb_spine_pause pause.fb_tor_pause (paused_us pause.fb_run.tally)
+  | _ -> ());
+  (* Spine failure under load: 2-way ECMP, then one spine dies mid-run. *)
+  let topo2 = Topology.leaf_spine ~racks:2 ~per_rack:2 ~spines:2 () in
+  let c =
+    Net.create_topo
+      ~config:(congestion_config ~regime:`Pause ~scheme:`Go_back_n)
+      ~topo:topo2 ()
+  in
+  Sim.schedule c.Net.sim ~after:(Time.us 800.) (fun () ->
+      Net.fail_switch c "spine0.")
+  |> ignore;
+  let s =
+    Workload.uniform_random c ~seed:5
+      ~messages_per_node:(if quick then 12 else 40)
+      ~min_size:2048 ~max_size:8192 ()
+  in
+  let tor0 = Net.switch c "tor0." in
+  let reroute =
+    {
+      rr_run = workload_run c s;
+      rr_spine0_tx = Hw.Switch.trunk_tx_frames tor0 ~peer:"spine0.0";
+      rr_spine1_tx = Hw.Switch.trunk_tx_frames tor0 ~peer:"spine1.0";
+      rr_down_drops = Hw.Switch.down_drops (Net.switch c "spine0.");
+    }
+  in
+  Render.section fmt "Spine failure: ECMP over 2 spines, spine0 dies at 800us";
+  Render.table fmt
+    ~header:
+      [ "sent"; "delivered"; "retx"; "tor0->spine0"; "tor0->spine1";
+        "dead-spine drops" ]
+    ~rows:
+      [
+        [
+          string_of_int reroute.rr_run.sent;
+          string_of_int reroute.rr_run.delivered;
+          string_of_int reroute.rr_run.tally.retransmissions;
+          string_of_int reroute.rr_spine0_tx;
+          string_of_int reroute.rr_spine1_tx;
+          string_of_int reroute.rr_down_drops;
+        ];
+      ]
+    ();
+  Format.fprintf fmt
+    "spine0 dies at 800us; routes recompile onto spine1 and all %d \
+     messages still arrive (%d retransmissions cover the frames that died \
+     with the spine).@."
+    reroute.rr_run.sent reroute.rr_run.tally.retransmissions;
+  (rows, reroute)
+
+(* ------------------------------------------------------------------ *)
+(* Congestion-regime matrix: {tail-drop, 802.3x PAUSE, ECN/DCTCP} x
+   {incast star, cross-rack fabric} x {go-back-N, SACK}, plus a same-seed
+   bursty-loss panel comparing the retransmit schemes byte for byte — the
+   evidence that CLIC's reliability layer composes with the three
+   congestion-control answers a switched fabric offers. *)
+
+type congestion_cell = {
+  cg_regime : regime;
+  cg_topo : topo;
+  cg_scheme : scheme;
+  cg_run : run;
+}
+
+type bursty_row = { bu_scheme : scheme; bu_run : run }
 
 let congestion_cell ~quick ~regime ~topo ~scheme =
   let config = congestion_config ~regime ~scheme in
@@ -1473,18 +1343,7 @@ let congestion_cell ~quick ~regime ~topo ~scheme =
     cg_regime = regime;
     cg_topo = topo;
     cg_scheme = scheme;
-    cg_sent = s.Workload.sent;
-    cg_delivered = s.Workload.delivered;
-    cg_elapsed_ms = Time.to_ms s.Workload.elapsed;
-    cg_retx = cluster_clic_sum c Clic.Clic_module.retransmissions;
-    cg_retx_bytes = cluster_clic_sum c Clic.Clic_module.retx_bytes;
-    cg_switch_drops =
-      switch_sum c (fun sw ->
-          Hw.Switch.ingress_drops sw + Hw.Switch.egress_drops sw);
-    cg_pause_tx = switch_sum c Hw.Switch.pause_frames_tx;
-    cg_ecn_marks = switch_sum c Hw.Switch.ecn_marked;
-    cg_ce_echoes = cluster_clic_sum c Clic.Clic_module.ce_echoes;
-    cg_sacked = cluster_clic_sum c Clic.Clic_module.sacked_segments;
+    cg_run = workload_run c s;
   }
 
 (* Same-seed bursty loss (Gilbert–Elliott, ~20-frame bursts at 50% loss):
@@ -1505,16 +1364,15 @@ let bursty_run ~quick ~scheme =
   let size = 8192 in
   let pair = Measure.clic_pair c ~a:0 ~b:1 () in
   let r = Measure.stream c pair ~a:0 ~b:1 ~size ~messages in
-  let k = Clic.Api.kernel (Net.node c 0).Node.clic in
   {
     bu_scheme = scheme;
-    bu_delivered = messages;
-    bu_elapsed_ms = Time.to_us r.Measure.elapsed /. 1000.;
-    bu_retx = Clic.Clic_module.retransmissions k;
-    bu_retx_bytes = Clic.Clic_module.retx_bytes k;
-    bu_retx_bytes_saved = Clic.Clic_module.retx_bytes_saved k;
-    bu_sacked = Clic.Clic_module.sacked_segments k;
-    bu_timeouts = Clic.Clic_module.timeouts k;
+    bu_run =
+      {
+        sent = messages;
+        delivered = messages;
+        elapsed_ms = Time.to_us r.Measure.elapsed /. 1000.;
+        tally = Tally.net c;
+      };
   }
 
 let congestion_matrix ?(quick = false) fmt =
@@ -1539,21 +1397,19 @@ let congestion_matrix ?(quick = false) fmt =
     ~rows:
       (List.map
          (fun r ->
-           [
-             regime_name r.cg_regime;
-             topo_name r.cg_topo;
-             scheme_name r.cg_scheme;
-             string_of_int r.cg_sent;
-             string_of_int r.cg_delivered;
-             Printf.sprintf "%.1f" r.cg_elapsed_ms;
-             string_of_int r.cg_retx;
-             string_of_int r.cg_retx_bytes;
-             string_of_int r.cg_switch_drops;
-             string_of_int r.cg_pause_tx;
-             string_of_int r.cg_ecn_marks;
-             string_of_int r.cg_ce_echoes;
-             string_of_int r.cg_sacked;
-           ])
+           let t = r.cg_run.tally in
+           [ regime_name r.cg_regime; topo_name r.cg_topo;
+             scheme_name r.cg_scheme ]
+           @ run_cells r.cg_run
+           @ [
+               string_of_int t.retransmissions;
+               string_of_int t.retx_bytes;
+               string_of_int (Tally.switch_drops t);
+               string_of_int t.switch_pause_tx;
+               string_of_int t.ecn_marks;
+               string_of_int t.ce_echoes;
+               string_of_int t.sacked_segments;
+             ])
          cells)
     ();
   Format.fprintf fmt
@@ -1573,15 +1429,16 @@ let congestion_matrix ?(quick = false) fmt =
     ~rows:
       (List.map
          (fun r ->
+           let t = r.bu_run.tally in
            [
              scheme_name r.bu_scheme;
-             string_of_int r.bu_delivered;
-             Printf.sprintf "%.1f" r.bu_elapsed_ms;
-             string_of_int r.bu_retx;
-             string_of_int r.bu_retx_bytes;
-             string_of_int r.bu_retx_bytes_saved;
-             string_of_int r.bu_sacked;
-             string_of_int r.bu_timeouts;
+             string_of_int r.bu_run.delivered;
+             Printf.sprintf "%.1f" r.bu_run.elapsed_ms;
+             string_of_int t.retransmissions;
+             string_of_int t.retx_bytes;
+             string_of_int t.retx_bytes_saved;
+             string_of_int t.sacked_segments;
+             string_of_int t.timeouts;
            ])
          bursty)
     ();
@@ -1591,8 +1448,8 @@ let congestion_matrix ?(quick = false) fmt =
         "under identical burst weather SACK resends %d bytes against \
          go-back-N's %d: the peer's SACK blocks let %d segments sit out \
          the timeouts (%d bytes never resent).@."
-        sack.bu_retx_bytes gbn.bu_retx_bytes sack.bu_sacked
-        sack.bu_retx_bytes_saved
+        sack.bu_run.tally.retx_bytes gbn.bu_run.tally.retx_bytes
+        sack.bu_run.tally.sacked_segments sack.bu_run.tally.retx_bytes_saved
   | _ -> ());
   (cells, bursty)
 

@@ -83,9 +83,7 @@ type chaos_row = {
   c_latency_us : float;  (** 1 KB ping-pong one-way under the fault *)
   c_goodput_mbps : float;  (** stream goodput *)
   c_elapsed_ms : float;  (** stream completion time *)
-  c_retx : int;  (** total retransmissions, both nodes *)
-  c_timeouts : int;  (** retransmission-timer expiries *)
-  c_fast_rtx : int;  (** duplicate-ack fast retransmits *)
+  c_tally : Cluster.Tally.t;  (** the stream cluster's counters *)
   c_rto_mean_us : float;  (** mean armed RTO on the stream sender *)
   c_rto_max_us : float;  (** largest armed RTO (shows backoff) *)
 }
@@ -101,35 +99,45 @@ type flow_control = [ `Tail_drop | `Pause ]
 (** The two answers the incast and fabric panels compare: capped egress
     FIFOs that shed load, or 802.3x PAUSE end to end. *)
 
-val flow_control_name : flow_control -> string
+type regime = [ flow_control | `Ecn ]
+type topo = [ `Incast | `Cross_rack ]
+type scheme = [ `Go_back_n | `Sack ]
 
-type incast_row = {
-  in_regime : flow_control;
-  in_sent : int;
-  in_delivered : int;
-  in_elapsed_ms : float;
-  in_retx : int;  (** total retransmissions, all nodes *)
-  in_ingress_drops : int;  (** frames lost at full switch uplink FIFOs *)
-  in_egress_drops : int;  (** frames tail-dropped at switch egress *)
-  in_pause_tx : int;  (** PAUSE frames the switch generated *)
-  in_tx_paused_us : float;  (** total sender-NIC time spent XOFFed *)
-  in_peak_buffer : int;  (** peak shared-buffer occupancy, bytes *)
+val flow_control_name : flow_control -> string
+val regime_name : regime -> string
+val topo_name : topo -> string
+val scheme_name : scheme -> string
+
+val congestion_config :
+  regime:[ `Tail_drop | `Pause | `Ecn ] ->
+  scheme:[ `Go_back_n | `Sack ] ->
+  Cluster.Node.config
+(** The congested fabric every incast, fabric and matrix panel runs on:
+    bounded 6-frame uplinks, server-class PCI, congestion-tuned CLIC,
+    under one of three congestion answers.  [`Tail_drop] keeps capped
+    12-frame egress FIFOs and blind-dumping NICs; [`Pause] runs 802.3x end
+    to end, provisioned for zero switch loss; [`Ecn] uncaps the egress,
+    marks CE above the shared-buffer threshold with PAUSE generation off,
+    and turns the CLIC senders into DCTCP (the NICs stay flow-control
+    capable so they respect uplink backpressure instead of
+    blind-dumping). *)
+
+type run = {
+  sent : int;
+  delivered : int;
+  elapsed_ms : float;
+  tally : Cluster.Tally.t;  (** the cluster's counters when the run drained *)
 }
+(** The summary every congested-fabric row shares; a row adds only its
+    key and what a cluster-wide sum cannot express. *)
+
+type incast_row = { in_regime : flow_control; in_run : run }
 
 type gather_row = {
   ga_regime : flow_control;
-  ga_completion_us : float;
-  ga_retx : int;  (** total retransmissions, all nodes *)
-  ga_drops : int;  (** switch drops, ingress + egress *)
-  ga_pause_tx : int;  (** PAUSE frames the switch generated *)
-  ga_paused_us : float;  (** total sender-NIC time spent XOFFed *)
+  ga_completion_us : float;  (** when the last rank finished *)
+  ga_tally : Cluster.Tally.t;
 }
-
-val incast_config : pause:bool -> Cluster.Node.config
-(** The incast fabric: bounded 6-frame uplinks, the default 256 KiB shared
-    buffer, congestion-tuned CLIC.  [pause = false] is the tail-drop
-    baseline (12-frame egress FIFOs, blind-dumping NICs); [pause = true]
-    enables 802.3x end to end, provisioned for zero switch loss. *)
 
 val incast :
   ?quick:bool -> Format.formatter -> incast_row list * gather_row list
@@ -140,21 +148,13 @@ val incast :
 
 type fabric_row = {
   fb_regime : flow_control;
-  fb_sent : int;
-  fb_delivered : int;
-  fb_elapsed_ms : float;
-  fb_retx : int;
-  fb_drops : int;  (** switch drops fabric-wide (ingress + egress) *)
+  fb_run : run;
   fb_spine_pause : int;  (** PAUSE frames the spine generated (XOFFs ToRs) *)
   fb_tor_pause : int;  (** PAUSE frames the ToRs generated (XOFF senders) *)
-  fb_paused_us : float;  (** total sender-NIC time spent XOFFed *)
-  fb_peak_buf : int;  (** largest peak shared-buffer occupancy, any switch *)
 }
 
 type reroute_row = {
-  rr_sent : int;
-  rr_delivered : int;
-  rr_retx : int;
+  rr_run : run;
   rr_spine0_tx : int;  (** tor0 trunk frames toward the spine that dies *)
   rr_spine1_tx : int;  (** toward the survivor *)
   rr_down_drops : int;  (** frames the dead spine refused *)
@@ -170,52 +170,14 @@ val fabric :
     form hop by hop (spine XOFFs ToRs, ToRs XOFF senders) with zero
     switch loss. *)
 
-type regime = [ flow_control | `Ecn ]
-type topo = [ `Incast | `Cross_rack ]
-type scheme = [ `Go_back_n | `Sack ]
-
-val regime_name : regime -> string
-val topo_name : topo -> string
-val scheme_name : scheme -> string
-
 type congestion_cell = {
   cg_regime : regime;
   cg_topo : topo;
   cg_scheme : scheme;
-  cg_sent : int;
-  cg_delivered : int;
-  cg_elapsed_ms : float;
-  cg_retx : int;  (** retransmissions, all nodes *)
-  cg_retx_bytes : int;  (** payload bytes retransmitted, all nodes *)
-  cg_switch_drops : int;  (** ingress + egress drops, all switches *)
-  cg_pause_tx : int;  (** PAUSE frames generated, all switches *)
-  cg_ecn_marks : int;  (** frames CE-marked, all switches *)
-  cg_ce_echoes : int;  (** CE echoes received by senders *)
-  cg_sacked : int;  (** segments covered by received SACK blocks *)
+  cg_run : run;
 }
 
-type bursty_row = {
-  bu_scheme : scheme;
-  bu_delivered : int;
-  bu_elapsed_ms : float;
-  bu_retx : int;
-  bu_retx_bytes : int;
-  bu_retx_bytes_saved : int;  (** bytes RTO skipped thanks to SACKs *)
-  bu_sacked : int;
-  bu_timeouts : int;
-}
-
-val congestion_config :
-  regime:[ `Tail_drop | `Pause | `Ecn ] ->
-  scheme:[ `Go_back_n | `Sack ] ->
-  Cluster.Node.config
-(** The congestion-matrix fabric: the incast geometry (bounded 6-frame
-    uplinks, server-class PCI, congestion-tuned CLIC) under one of three
-    congestion answers.  [`Tail_drop] keeps capped 12-frame egress FIFOs;
-    [`Pause] runs 802.3x end to end; [`Ecn] uncaps the egress, marks CE
-    above the shared-buffer threshold with PAUSE generation off, and turns
-    the CLIC senders into DCTCP (the NICs stay flow-control capable so
-    they respect uplink backpressure instead of blind-dumping). *)
+type bursty_row = { bu_scheme : scheme; bu_run : run }
 
 val congestion_matrix :
   ?quick:bool -> Format.formatter -> congestion_cell list * bursty_row list

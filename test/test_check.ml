@@ -361,12 +361,15 @@ let test_soak_argument_checks () =
   check_bool "unknown template rejected" true
     (raises (fun () -> Check.Soak.run ~only:[ "no-such-template" ] ()))
 
+(* One seed over every template in quick mode, shared by the smoke and
+   evidence tests. *)
+let quick_soak = lazy (Check.Soak.run ~seeds:[ 101 ] ~quick:true ())
+
 let test_soak_smoke () =
-  (* One seed over every template in quick mode: the full harness — node
-     crash/reboot, pool crunch, interrupt storm, composed link weather,
-     incast stampede — must come back with zero violations and every
-     stress axis evidenced. *)
-  let r = Check.Soak.run ~seeds:[ 101 ] ~quick:true () in
+  (* The full harness — node crash/reboot, pool crunch, interrupt storm,
+     composed link weather, incast stampede — must come back with zero
+     violations and every stress axis evidenced. *)
+  let r = Lazy.force quick_soak in
   List.iter
     (fun v -> Printf.printf "unexpected: %s\n" (Check.Violation.to_string v))
     (Check.Soak.violations r);
@@ -375,17 +378,35 @@ let test_soak_smoke () =
   check_int "one trial per template ran"
     (List.length Check.Soak.template_names)
     (List.length r.Check.Soak.s_trials);
-  let ev = r.Check.Soak.s_evidence in
-  check_bool "a crash happened" true (ev.Check.Soak.ev_crashes > 0);
-  check_bool "hard watermark dropped frames" true
-    (ev.Check.Soak.ev_pool_drops > 0);
-  check_bool "polling engaged" true (ev.Check.Soak.ev_poll_switches > 0);
+  let t = r.Check.Soak.s_tally in
+  check_bool "a crash happened" true (t.crashes > 0);
+  check_bool "hard watermark dropped frames" true (t.pool_drops > 0);
+  check_bool "polling engaged" true (t.poll_switches > 0);
   check_bool "the switch dropped frames somewhere" true
-    (ev.Check.Soak.ev_switch_drops > 0);
+    (Cluster.Tally.switch_drops t > 0);
   check_bool "802.3x PAUSE frames flowed" true
-    (ev.Check.Soak.ev_pause_frames > 0);
-  check_bool "transmitters spent time XOFFed" true
-    (ev.Check.Soak.ev_tx_paused_ns > 0)
+    (t.nic_pause_tx + t.switch_pause_tx > 0);
+  check_bool "transmitters spent time XOFFed" true (t.tx_paused_ns > 0)
+
+(* A seeded true positive for the evidence demands: the clean report with
+   one demanded counter zeroed must bring back exactly that complaint, and
+   fail [ok]; narrowing the template set waives it again. *)
+let test_soak_missing_evidence () =
+  let r = Lazy.force quick_soak in
+  let starved =
+    { r with Check.Soak.s_tally = { r.Check.Soak.s_tally with polled = 0 } }
+  in
+  Alcotest.(check (list string))
+    "exactly the poll-pass complaint"
+    [ "no packets were processed by poll passes" ]
+    (Check.Soak.missing_evidence starved);
+  check_bool "starved report fails" false (Check.Soak.ok starved);
+  Alcotest.(check (list string))
+    "soak-only count" [ "no switch was ever failed mid-trial" ]
+    (Check.Soak.missing_evidence { r with s_switch_failures = 0 });
+  Alcotest.(check (list string))
+    "narrowed set waives the demands" []
+    (Check.Soak.missing_evidence { starved with s_full_set = false })
 
 let test_soak_incast_storm_focused () =
   (* The incast template alone, two seeds: the stampede must run under
@@ -404,12 +425,12 @@ let test_soak_incast_storm_focused () =
       Alcotest.(check string)
         "template" "incast-storm" tr.Check.Soak.tr_template)
     r.Check.Soak.s_trials;
-  let ev = r.Check.Soak.s_evidence in
+  let t = r.Check.Soak.s_tally in
   check_bool "tail-drop arm lost frames at the switch" true
-    (ev.Check.Soak.ev_switch_drops > 0);
+    (Cluster.Tally.switch_drops t > 0);
   check_bool "flow-controlled arm got XOFFed" true
-    (ev.Check.Soak.ev_pause_frames > 0 && ev.Check.Soak.ev_tx_paused_ns > 0);
-  check_bool "traffic actually flowed" true (ev.Check.Soak.ev_delivered > 0)
+    (t.nic_pause_tx + t.switch_pause_tx > 0 && t.tx_paused_ns > 0);
+  check_bool "traffic actually flowed" true (t.delivered > 0)
 
 (* Satellite: the probe-enabled flag is consulted on the engine's hottest
    path, so a probe-off run and a probe-on run of a full scenario must
@@ -423,12 +444,12 @@ let test_soak_fabric_cut_focused () =
     (fun v -> Printf.printf "unexpected: %s\n" (Check.Violation.to_string v))
     (Check.Soak.violations r);
   check_bool "fabric-cut runs clean" true (Check.Soak.ok r);
-  let ev = r.Check.Soak.s_evidence in
-  check_bool "frames crossed trunks" true (ev.Check.Soak.ev_trunk_frames > 0);
+  let t = r.Check.Soak.s_tally in
+  check_bool "frames crossed trunks" true (t.trunk_frames > 0);
   check_bool "a switch failed mid-trial" true
-    (ev.Check.Soak.ev_switch_failures > 0);
-  check_bool "a node crashed mid-trial" true (ev.Check.Soak.ev_crashes > 0);
-  check_bool "traffic actually flowed" true (ev.Check.Soak.ev_delivered > 0)
+    (r.Check.Soak.s_switch_failures > 0);
+  check_bool "a node crashed mid-trial" true (t.crashes > 0);
+  check_bool "traffic actually flowed" true (t.delivered > 0)
 
 (* The PR-8 compatibility contract: the topology-DSL rebuild of the wiring
    must leave every pre-existing scenario's logical trace untouched.  The
@@ -807,6 +828,8 @@ let suite =
       test_check_real_scenario_clean;
     Alcotest.test_case "soak: argument checks" `Quick test_soak_argument_checks;
     Alcotest.test_case "soak: one-seed smoke run" `Quick test_soak_smoke;
+    Alcotest.test_case "soak: zeroed counter brings back its complaint"
+      `Quick test_soak_missing_evidence;
     Alcotest.test_case "soak: incast-storm focused" `Quick
       test_soak_incast_storm_focused;
     Alcotest.test_case "soak: fabric-cut focused" `Quick

@@ -228,6 +228,57 @@ let test_node_crash_recovery_reestablishes () =
   check_int "fresh kernel starts at the new epoch" 1
     (Clic.Clic_module.epoch (Clic.Api.kernel nb.Node.clic))
 
+(* Banking a crashed boot: [Tally.boot] of the dying kernel, added to
+   [Tally.net] at the end, counts that boot exactly once and the crash
+   exactly once (the crash count survives reboot, so only [net] reads it). *)
+let test_tally_banks_crashed_boot () =
+  let config = { Node.default_config with clic_params = snappy } in
+  let c = Net.create ~config ~n:3 () in
+  let na = Net.node c 0 and victim = Net.node c 1 in
+  let recv_n node n =
+    for _ = 1 to n do ignore (Clic.Api.recv node.Node.clic ~port:5) done
+  in
+  let dead = ref Tally.zero and fresh = ref Tally.zero in
+  Node.spawn victim (fun () -> recv_n victim 3);
+  Node.spawn na (fun () -> recv_n na 2);
+  Node.spawn (Net.node c 2) (fun () ->
+      for _ = 1 to 2 do
+        Clic.Api.send (Net.node c 2).Node.clic ~dst:0 ~port:5 500
+      done);
+  Node.spawn na (fun () ->
+      for _ = 1 to 3 do Clic.Api.send na.Node.clic ~dst:1 ~port:5 1_000 done;
+      Process.delay (Time.ms 2.);
+      (try Clic.Api.send_sync na.Node.clic ~dst:1 ~port:5 1_000
+       with Clic.Channel.Dead _ -> ());
+      Process.delay (Time.ms 8.);
+      for _ = 1 to 2 do
+        let rec resend () =
+          try Clic.Api.send na.Node.clic ~dst:1 ~port:5 1_000
+          with Clic.Channel.Dead _ ->
+            Process.delay (Time.us 300.);
+            resend ()
+        in
+        resend ()
+      done);
+  Node.spawn na (fun () ->
+      Process.delay (Time.ms 1.);
+      Node.crash victim;
+      dead := Tally.boot victim;
+      Process.delay (Time.ms 5.);
+      Node.reboot victim;
+      fresh := Tally.boot victim;
+      Node.spawn victim (fun () -> recv_n victim 2));
+  Net.run c;
+  let net = Tally.net c in
+  let banked = Tally.add !dead net in
+  check_int "dead boot delivered the pre-crash messages" 3 !dead.delivered;
+  check_bool "a reboot starts from zero" true (!fresh = Tally.zero);
+  check_int "the new boot holds only its own deliveries" 2
+    (Tally.boot victim).delivered;
+  check_int "every delivery counted once" 7 banked.delivered;
+  check_int "the crash counted once" 1 banked.crashes;
+  check_int "boot carries no crash count" 0 !dead.crashes
+
 let test_node_crash_reboot_guards () =
   let c = Net.create ~n:2 () in
   let nb = Net.node c 1 in
@@ -840,6 +891,7 @@ let suite =
     ("gray injection validation", `Quick, test_gray_validation);
     ("node crash & recovery", `Quick, test_node_crash_recovery_reestablishes);
     ("crash/reboot guards", `Quick, test_node_crash_reboot_guards);
+    ("tally banks a crashed boot once", `Quick, test_tally_banks_crashed_boot);
     ("topology star compat", `Quick, test_topology_star_compat);
     ("topology validation", `Quick, test_topology_validation);
     ("topology linear routes", `Quick, test_topology_linear_routes);

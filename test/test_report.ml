@@ -140,24 +140,33 @@ let test_incast_acceptance () =
   let contract = Check.Scenario.incast_contract in
   holds "incast" (contract rows gather);
   let doctor regime f =
-    List.map (fun r -> if r.in_regime = regime then f r else r) rows
+    List.map
+      (fun r ->
+        if r.in_regime = regime then { r with in_run = f r.in_run } else r)
+      rows
   in
+  let tally f r = { r with tally = f r.tally } in
   flags "PAUSE row with one egress drop" "pause-loss"
-    (contract (doctor `Pause (fun r -> { r with in_egress_drops = 1 })) gather);
+    (contract
+       (doctor `Pause (tally (fun t -> { t with egress_drops = 1 })))
+       gather);
   flags "tail-drop row without ingress drops" "no-collapse"
     (contract
-       (doctor `Tail_drop (fun r -> { r with in_ingress_drops = 0 }))
+       (doctor `Tail_drop (tally (fun t -> { t with ingress_drops = 0 })))
        gather);
   flags "row with a lost message" "lost-messages"
     (contract
-       (doctor `Tail_drop (fun r -> { r with in_delivered = r.in_sent - 1 }))
+       (doctor `Tail_drop (fun r -> { r with delivered = r.sent - 1 }))
        gather);
   flags "missing PAUSE row" "missing-row"
     (contract (List.filter (fun r -> r.in_regime = `Tail_drop) rows) gather);
   flags "PAUSE gather with a drop" "pause-loss"
     (contract rows
        (List.map
-          (fun g -> if g.ga_regime = `Pause then { g with ga_drops = 1 } else g)
+          (fun g ->
+            if g.ga_regime = `Pause then
+              { g with ga_tally = { g.ga_tally with ingress_drops = 1 } }
+            else g)
           gather))
 
 let test_fabric_acceptance () =
@@ -168,12 +177,17 @@ let test_fabric_acceptance () =
   let doctor regime f =
     List.map (fun r -> if r.fb_regime = regime then f r else r) rows
   in
+  let drops n r =
+    let t = r.fb_run.tally in
+    let tally = { t with ingress_drops = n; egress_drops = 0 } in
+    { r with fb_run = { r.fb_run with tally } }
+  in
   flags "PAUSE row with one drop" "pause-loss"
-    (contract (doctor `Pause (fun r -> { r with fb_drops = 1 })) reroute);
+    (contract (doctor `Pause (drops 1)) reroute);
   flags "PAUSE row without spine XOFF" "no-congestion-tree"
     (contract (doctor `Pause (fun r -> { r with fb_spine_pause = 0 })) reroute);
   flags "tail-drop row without drops" "no-collapse"
-    (contract (doctor `Tail_drop (fun r -> { r with fb_drops = 0 })) reroute);
+    (contract (doctor `Tail_drop (drops 0)) reroute);
   flags "survivor carrying less than the dead spine" "reroute-idle"
     (contract rows { reroute with rr_spine1_tx = reroute.rr_spine0_tx })
 
@@ -183,19 +197,23 @@ let test_congestion_acceptance () =
   let contract = Check.Scenario.congestion_contract in
   holds "congestion" (contract cells bursty);
   let doctor_cells regime f =
-    List.map (fun c -> if c.cg_regime = regime then f c else c) cells
+    List.map
+      (fun c ->
+        if c.cg_regime = regime then
+          { c with cg_run = { c.cg_run with tally = f c.cg_run.tally } }
+        else c)
+      cells
   in
   flags "ECN cell with zero CE marks" "ecn-idle"
-    (contract
-       (doctor_cells `Ecn (fun c -> { c with cg_ecn_marks = 0 }))
-       bursty);
+    (contract (doctor_cells `Ecn (fun t -> { t with ecn_marks = 0 })) bursty);
   flags "PAUSE cell with one drop" "switch-loss"
     (contract
-       (doctor_cells `Pause (fun c -> { c with cg_switch_drops = 1 }))
+       (doctor_cells `Pause (fun t -> { t with egress_drops = 1 }))
        bursty);
   flags "tail-drop matrix without a drop" "no-collapse"
     (contract
-       (doctor_cells `Tail_drop (fun c -> { c with cg_switch_drops = 0 }))
+       (doctor_cells `Tail_drop (fun t ->
+            { t with ingress_drops = 0; egress_drops = 0 }))
        bursty);
   flags "short matrix" "missing-row" (contract (List.tl cells) bursty);
   let gbn = List.find (fun r -> r.bu_scheme = `Go_back_n) bursty in
@@ -204,7 +222,10 @@ let test_congestion_acceptance () =
        (List.map
           (fun r ->
             if r.bu_scheme = `Sack then
-              { r with bu_retx_bytes = gbn.bu_retx_bytes }
+              let tally =
+                { r.bu_run.tally with retx_bytes = gbn.bu_run.tally.retx_bytes }
+              in
+              { r with bu_run = { r.bu_run with tally } }
             else r)
           bursty))
 
