@@ -50,10 +50,6 @@ val evaluate :
 (** Pure classification and judgement of one latency record.
     @raise Invalid_argument on a bad contract or an empty fault window. *)
 
-val fault_from : Time.t
-val fault_until : Time.t
-(** The gray-failure window [run_contract] injects. *)
-
 val run_contract :
   ?quick:bool -> ?contract:contract -> unit -> verdict * Workload.slo
 (** Builds the canonical 4-node cluster, runs the Poisson open-loop

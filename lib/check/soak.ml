@@ -566,7 +566,10 @@ let run ?(seeds = default_seeds) ?(trials = List.length templates)
         results := run_trial tp ~quick ~seed:trial_seed acc :: !results
       done)
     seeds;
-  let full_set = List.length pool = List.length templates in
+  (* a rotation shorter than the pool skips templates just like [only] *)
+  let full_set =
+    List.length pool = List.length templates && trials >= List.length pool
+  in
   {
     s_trials = List.rev !results;
     s_tally = acc.tally;

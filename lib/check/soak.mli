@@ -30,7 +30,8 @@ type report = {
   s_notes : string list;
   s_full_set : bool;
       (** every registered template was in the rotation; when [false]
-          (an [only] run) the evidence demands are waived *)
+          (an [only] run, or fewer [trials] than templates) the evidence
+          demands are waived *)
 }
 
 val template_names : string list
@@ -48,7 +49,8 @@ val run :
   unit ->
   report
 (** [run ()] executes [trials] (default: one per template) trials per
-    seed, rotating through the template set ([only] narrows it — evidence
+    seed, rotating through the template set ([only] narrows it, and so
+    does a [trials] count below the number of templates — evidence
     demands are then waived).  [quick] divides traffic volumes by four.
     Trials always run their simulations to completion, so the lifecycle
     leak check stays on.

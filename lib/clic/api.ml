@@ -7,7 +7,6 @@ let create m =
   { m; syscall = (Clic_module.env_of m).Hostenv.syscall }
 
 let kernel t = t.m
-let node t = Clic_module.node t.m
 let wrap t f = Os_model.Syscall.wrap t.syscall f
 
 let send t ~dst ~port n =

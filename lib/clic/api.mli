@@ -15,7 +15,6 @@ type t
 
 val create : Clic_module.t -> t
 val kernel : t -> Clic_module.t
-val node : t -> int
 
 val send : t -> dst:int -> port:int -> int -> unit
 (** Asynchronous reliable send of [n] bytes: returns when the message is

@@ -112,7 +112,7 @@ let create sim ~self ~peer ?(epoch = 0) ~params ~transmit ~deliver ~send_ack
     dup_acks = 0;
     last_fast_rtx = -1;
     fast_retransmits = 0;
-    rto_stats = Stats.Summary.create "rto_us";
+    rto_stats = Stats.Summary.create ();
     on_death;
     sacked = Hashtbl.create 16;
     sacked_segments = 0;
@@ -605,10 +605,7 @@ let[@clic.atomic] rx t pkt =
         end
 
 let is_dead t = t.dead
-let peer t = t.peer
-let epoch t = t.epoch
 let outstanding t = t.snd_nxt - t.snd_una
-let advertised_window t = t.params.Params.tx_window - t.withheld
 let sacked_segments t = t.sacked_segments
 let retx_bytes t = t.retx_bytes
 let retx_bytes_saved t = t.retx_bytes_saved
@@ -621,7 +618,6 @@ let retransmissions t = t.retransmissions
 let duplicates_dropped t = t.duplicates
 let delivered t = t.delivered
 let srtt t = Option.map (fun s -> int_of_float s) t.srtt
-let rttvar t = int_of_float t.rttvar
 let rto t = effective_rto t
 let rtt_samples t = t.rtt_samples
 let timeouts t = t.timeouts

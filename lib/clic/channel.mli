@@ -105,13 +105,7 @@ val is_dead : t -> bool
 
 (** {1 Statistics} *)
 
-val peer : t -> int
-val epoch : t -> int
 val outstanding : t -> int
-
-val advertised_window : t -> int
-(** The effective transmit window after honouring the peer's latest
-    advertisement ([tx_window] minus withheld permits). *)
 
 val acks_deferred : t -> int
 (** Ack transmissions pushed past the normal batch boundary because the
@@ -149,9 +143,6 @@ val cwnd : t -> int
 
 val srtt : t -> Time.span option
 (** Smoothed RTT; [None] until the first sample. *)
-
-val rttvar : t -> Time.span
-(** Smoothed RTT deviation. *)
 
 val rto : t -> Time.span
 (** The retransmission timeout that would be armed now, including any

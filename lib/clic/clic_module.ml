@@ -53,7 +53,6 @@ type t = {
   mutable draining : bool;
   mutable shut_down : bool;
   (* statistics *)
-  mutable messages_sent : int;
   mutable messages_delivered : int;
   mutable packets_sent : int;
   mutable packets_staged : int;
@@ -522,7 +521,6 @@ let create env ?(params = Params.default) ?(epoch = 0) ?trace eths =
       backlog = Queue.create ();
       draining = false;
       shut_down = false;
-      messages_sent = 0;
       messages_delivered = 0;
       packets_sent = 0;
       packets_staged = 0;
@@ -594,7 +592,6 @@ let local_delivery t ~port ~sync bytes ~sync_done =
 let send_message t ~dst ~port ?(sync = false) ?(sync_failed = fun _ -> ())
     bytes ~sync_done =
   if bytes < 0 then invalid_arg "Clic_module.send_message: negative size";
-  t.messages_sent <- t.messages_sent + 1;
   if dst = node t then local_delivery t ~port ~sync bytes ~sync_done
   else begin
     let msg_id = t.next_msg_id in
@@ -624,7 +621,6 @@ let send_message t ~dst ~port ?(sync = false) ?(sync_failed = fun _ -> ())
 
 let broadcast_message t ~port bytes =
   if bytes < 0 then invalid_arg "Clic_module.broadcast_message: negative size";
-  t.messages_sent <- t.messages_sent + 1;
   let msg_id = t.next_msg_id in
   t.next_msg_id <- t.next_msg_id + 1;
   List.iter
@@ -638,7 +634,6 @@ let broadcast_message t ~port bytes =
 
 let remote_write t ~dst ~region bytes =
   if bytes < 0 then invalid_arg "Clic_module.remote_write: negative size";
-  t.messages_sent <- t.messages_sent + 1;
   if dst = node t then begin
     t.local_msgs <- t.local_msgs + 1;
     Cpu.copy (cpu t) ~membus:(membus t) bytes;
@@ -712,7 +707,6 @@ let region_bytes t ~region =
   | Some (count, _) -> !count
   | None -> 0
 
-let messages_sent t = t.messages_sent
 let messages_delivered t = t.messages_delivered
 let packets_sent t = t.packets_sent
 let packets_staged t = t.packets_staged
@@ -745,8 +739,5 @@ let retx_bytes_saved t =
 
 let ce_echoes t =
   Hashtbl.fold (fun _ c acc -> acc + Channel.ce_echoes c) t.channels 0
-
-let ce_marks_rx t =
-  Hashtbl.fold (fun _ c acc -> acc + Channel.ce_marks_rx c) t.channels 0
 
 let channel_to t ~peer = Hashtbl.find_opt t.channels peer

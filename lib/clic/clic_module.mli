@@ -59,7 +59,6 @@ val shutdown : t -> unit
 
 val params : t -> Params.t
 val env_of : t -> Hostenv.t
-val node : t -> int
 
 (** {1 Kernel-side operations (called by {!Api} under a system call)} *)
 
@@ -96,7 +95,6 @@ val region_bytes : t -> region:int -> int
 
 (** {1 Statistics} *)
 
-val messages_sent : t -> int
 val messages_delivered : t -> int
 val packets_sent : t -> int
 val packets_staged : t -> int
@@ -124,9 +122,6 @@ val retx_bytes_saved : t -> int
 
 val ce_echoes : t -> int
 (** Acks received with the CE-echo bit, summed over all channels. *)
-
-val ce_marks_rx : t -> int
-(** CE-marked packets received, summed over all channels. *)
 
 val channel_to : t -> peer:int -> Channel.t option
 

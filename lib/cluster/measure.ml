@@ -76,31 +76,6 @@ let pingpong cluster pair ~size ?(reps = 20) ?(warmup = 4) () =
         pp_bandwidth_mbps = Units.bandwidth_mbps ~bytes:size ~span:one_way;
       }
 
-(* Per-iteration one-way samples, for latency distributions. *)
-let latency_samples cluster pair ~size ?(reps = 50) ?(warmup = 4) () =
-  let sim = cluster.Net.sim in
-  let samples = ref [] in
-  Process.spawn sim (fun () ->
-      pair.b_setup ();
-      for _ = 1 to warmup + reps do
-        pair.b_recv size;
-        pair.b_send size
-      done);
-  Process.spawn sim (fun () ->
-      pair.a_setup ();
-      for _ = 1 to warmup do
-        pair.a_send size;
-        pair.a_recv size
-      done;
-      for _ = 1 to reps do
-        let t0 = Sim.now sim in
-        pair.a_send size;
-        pair.a_recv size;
-        samples := Time.diff (Sim.now sim) t0 / 2 :: !samples
-      done);
-  Net.run cluster;
-  List.rev !samples
-
 type stream_result = {
   elapsed : Time.span;
   st_bandwidth_mbps : float;

@@ -31,12 +31,6 @@ val pingpong :
 (** Round-trip exchange of [size]-byte messages, [reps] timed iterations
     after [warmup] untimed ones. *)
 
-val latency_samples :
-  Net.t -> pair -> size:int -> ?reps:int -> ?warmup:int -> unit ->
-  Time.span list
-(** Per-iteration one-way latency samples (half round trips), for
-    distribution/jitter analysis. *)
-
 type stream_result = {
   elapsed : Time.span;
   st_bandwidth_mbps : float;  (** application goodput *)

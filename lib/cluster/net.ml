@@ -76,7 +76,6 @@ let create_topo ?(config = Node.default_config) ~topo () =
 let create ?config ~n () =
   if n <= 0 then invalid_arg "Cluster.create: n <= 0";
   create_topo ?config ~topo:(Topology.star ~n) ()
-let topology t = t.topo
 
 let switch t ?(rank = 0) prefix =
   match List.nth_opt t.fabric rank with
@@ -108,4 +107,3 @@ let node t i = t.nodes.(i)
 let size t = Array.length t.nodes
 let run t = Sim.run t.sim
 let run_for t span = Sim.run_until t.sim ~limit:(Time.add (Sim.now t.sim) span)
-let run_n t n = Sim.run_n t.sim n

@@ -30,7 +30,6 @@ type t = {
 
 val create : ?config:Node.config -> n:int -> unit -> t
 val create_topo : ?config:Node.config -> topo:Topology.t -> unit -> t
-val topology : t -> Topology.t
 
 val switch : t -> ?rank:int -> string -> Switch.t
 (** The physical switch for a topology prefix at a NIC rank (default 0).
@@ -54,9 +53,3 @@ val run : t -> unit
 (** Runs the simulation to quiescence. *)
 
 val run_for : t -> Time.span -> unit
-
-val run_n : t -> int -> int
-(** Drains at most [n] events in one batch and returns how many fired;
-    see {!Engine.Sim.run_n}.  Lets a driver interleave cluster simulation
-    with external work (progress reporting, bounded-step debugging)
-    without per-event call overhead. *)

@@ -155,11 +155,6 @@ let validate_arrival = function
                      time would not exist)";
       if min_gap <= 0 then invalid_arg "Workload: Pareto min_gap <= 0"
 
-let mean_gap_of = function
-  | Poisson { mean_gap } -> float_of_int mean_gap
-  | Pareto { shape; min_gap } ->
-      shape *. float_of_int min_gap /. (shape -. 1.)
-
 let draw_gap rng = function
   | Poisson { mean_gap } ->
       let g =
@@ -271,11 +266,14 @@ let spawn_servers c ~port ~resp_size =
    resolves.
 
    Every CLIC send a node performs — its own requests and the responses
-   it owes — issues from one worker process draining one inbox.  A node's
-   send order is then a causal chain (inbox order), never a scheduling
-   accident between racing sender processes, which keeps the logical
-   trace invariant under the checker's seeded same-instant permutations
-   (message ids are allocated per node, in send order). *)
+   it owes — issues from one worker process draining one inbox, so a
+   node's sends are serialised: never two sender processes interleaving
+   on the same channel.  That does not make the logical trace invariant
+   under the checker's seeded same-instant permutations: the inbox order
+   itself still races the request pump against the dispatcher, so
+   per-node message ids can shift.  That race is why [open_loop_oneway]
+   and [Figures.slo_trace] exist (pinning this workload is an open item
+   in ROADMAP.md, "Pin the request-response workloads"). *)
 let spawn_open_loop c ~seed ~arrival ~requests_per_node ~req_size ~resp_size
     ~deadline ~port =
   validate_arrival arrival;

@@ -85,9 +85,6 @@ val validate_arrival : arrival -> unit
 (** @raise Invalid_argument for a non-positive gap or a Pareto shape
     [<= 1] (construction-time validation; every generator calls it). *)
 
-val mean_gap_of : arrival -> float
-(** Analytic mean inter-arrival gap in nanoseconds. *)
-
 type slo = {
   slo_requests : int;  (** arrivals fired *)
   slo_completed : int;  (** responses received *)

@@ -34,9 +34,3 @@ let transfer ?priority t n =
   Resource.use ?priority t.res span
 
 let bytes_moved t = t.bytes
-let busy_time t = Resource.busy_time t.res
-let utilization t ~since = Resource.utilization t.res ~since
-
-let reset_stats t =
-  t.bytes <- 0;
-  Resource.reset_stats t.res

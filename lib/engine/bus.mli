@@ -30,6 +30,3 @@ val transfer : ?priority:Resource.priority -> t -> int -> unit
 (** Blocks the calling process for queueing plus {!transfer_time}. *)
 
 val bytes_moved : t -> int
-val busy_time : t -> Time.span
-val utilization : t -> since:Time.t -> float
-val reset_stats : t -> unit

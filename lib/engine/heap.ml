@@ -127,11 +127,6 @@ let pop_exn h =
   | Some x -> x
   | None -> invalid_arg "Heap.pop_exn: empty heap"
 
-let clear h =
-  h.data <- [||];
-  h.size <- 0;
-  h.next_stamp <- 0
-
 let to_sorted_list h =
   let copy =
     {

@@ -8,8 +8,6 @@ let create () =
   incr next_id;
   { id; state = Empty [] }
 
-let id t = t.id
-
 let is_filled t =
   match t.state with Filled _ -> true | Empty _ -> false
 

@@ -7,9 +7,6 @@ type 'a t
 
 val create : unit -> 'a t
 
-val id : 'a t -> int
-(** Process-unique identity, reported in {!Probe.Ivar_fill} events. *)
-
 val is_filled : 'a t -> bool
 
 val fill : 'a t -> 'a -> unit

@@ -187,6 +187,3 @@ val uninstall : unit -> unit
 val owner_name : owner -> string
 val kind_name : obj_kind -> string
 val track_name : track -> string
-
-val to_string : event -> string
-(** Stable textual form, used for reports and determinism hashing. *)

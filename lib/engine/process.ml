@@ -9,7 +9,6 @@ type _ Effect.t +=
 let delay d = perform (Delay d)
 let await register = perform (Await register)
 let fork f = perform (Fork f)
-let yield () = delay 0
 
 (* Each [spawn]ed process runs its whole body under a single deep handler,
    so effects performed after any number of suspensions are still handled.

@@ -26,6 +26,3 @@ val fork : (unit -> unit) -> unit
 (** Starts a sibling process at the current instant and keeps running the
     caller.  The forked body runs when the caller next suspends (it is
     scheduled as a zero-delay event). *)
-
-val yield : unit -> unit
-(** Re-queues the caller behind already-scheduled same-instant events. *)

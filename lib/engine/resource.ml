@@ -21,9 +21,7 @@ let create sim ~name =
     grants = 0;
   }
 
-let name t = t.name
 let is_busy t = t.busy
-let queue_length t = Queue.length t.high + Queue.length t.low
 
 let release t =
   match Queue.take_opt t.high with

@@ -15,7 +15,6 @@ type t
 type priority = [ `High | `Low ]
 
 val create : Sim.t -> name:string -> t
-val name : t -> string
 
 val use : ?priority:priority -> t -> Time.span -> unit
 (** [use r span] blocks the calling process until granted, then occupies the
@@ -28,7 +27,6 @@ val use_f : ?priority:priority -> t -> (unit -> 'a) -> 'a
     inside [f] is accounted as busy time. *)
 
 val is_busy : t -> bool
-val queue_length : t -> int
 
 (** {1 Accounting} *)
 

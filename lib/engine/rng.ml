@@ -41,7 +41,3 @@ let pareto t ~shape ~scale =
   let u = ref (float t 1.0) in
   if !u = 0. then u := 1e-300;
   scale *. (!u ** (-1. /. shape))
-
-let pick t arr =
-  if Array.length arr = 0 then invalid_arg "Rng.pick: empty array";
-  arr.(int t (Array.length arr))

@@ -29,6 +29,3 @@ val pareto : t -> shape:float -> scale:float -> float
     (shape - 1)] exists only for [shape > 1]; callers that need a finite
     mean (open-loop arrival schedules) must validate that themselves.
     [shape] and [scale] must be positive. *)
-
-val pick : t -> 'a array -> 'a
-(** Uniform choice from a non-empty array. *)

@@ -44,4 +44,3 @@ let acquire ?(n = 1) t =
 
 let available t = t.permits
 let waiters t = Queue.length t.queue
-let id t = t.id

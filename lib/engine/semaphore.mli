@@ -17,6 +17,3 @@ val try_acquire : ?n:int -> t -> bool
 val release : ?n:int -> t -> unit
 val available : t -> int
 val waiters : t -> int
-
-val id : t -> int
-(** Process-unique identity, reported in {!Probe} semaphore events. *)

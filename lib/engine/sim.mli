@@ -53,9 +53,6 @@ val post : t -> after:Time.span -> (unit -> unit) -> unit
     events (frame arrivals, link updates, process wakeups); anything that
     might need {!cancel} must use {!schedule}. *)
 
-val post_at : t -> at:Time.t -> (unit -> unit) -> unit
-(** Absolute-time variant of {!post}; [at] must not be in the past. *)
-
 val cancel : handle -> unit
 (** Cancelling an already-fired or already-cancelled event is a no-op.
     Takes effect immediately in {!pending}; the cancelled record drains
@@ -79,9 +76,6 @@ val run_n : t -> int -> int
     benchmark driver, future incremental UIs) drain bounded bursts
     without paying per-event loop-control overhead at the call site.
     @raise Invalid_argument on a negative count. *)
-
-val step : t -> bool
-(** Runs a single event.  Returns [false] if the queue was empty. *)
 
 val pending : t -> int
 (** Number of scheduled (non-cancelled) events, for tests/diagnostics.

@@ -1,16 +1,5 @@
-module Counter = struct
-  type t = { name : string; mutable value : int }
-
-  let create name = { name; value = 0 }
-  let incr ?(by = 1) t = t.value <- t.value + by
-  let value t = t.value
-  let name t = t.name
-  let reset t = t.value <- 0
-end
-
 module Summary = struct
   type t = {
-    name : string;
     mutable n : int;
     mutable mean : float;
     mutable m2 : float;
@@ -18,8 +7,8 @@ module Summary = struct
     mutable max_v : float;
   }
 
-  let create name =
-    { name; n = 0; mean = 0.; m2 = 0.; min_v = infinity; max_v = neg_infinity }
+  let create () =
+    { n = 0; mean = 0.; m2 = 0.; min_v = infinity; max_v = neg_infinity }
 
   let add t x =
     t.n <- t.n + 1;
@@ -37,17 +26,6 @@ module Summary = struct
 
   let min t = if t.n = 0 then 0. else t.min_v
   let max t = if t.n = 0 then 0. else t.max_v
-
-  let reset t =
-    t.n <- 0;
-    t.mean <- 0.;
-    t.m2 <- 0.;
-    t.min_v <- infinity;
-    t.max_v <- neg_infinity
-
-  let pp fmt t =
-    Format.fprintf fmt "%s: n=%d mean=%.3f sd=%.3f min=%.3f max=%.3f" t.name
-      t.n (mean t) (stddev t) (min t) (max t)
 end
 
 module Histogram = struct

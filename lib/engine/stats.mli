@@ -1,30 +1,18 @@
-(** Measurement accumulators: counters, running summaries, log-scale
+(** Measurement accumulators: running summaries, log-scale
     histograms and (x, y) series for figure regeneration. *)
-
-module Counter : sig
-  type t
-
-  val create : string -> t
-  val incr : ?by:int -> t -> unit
-  val value : t -> int
-  val name : t -> string
-  val reset : t -> unit
-end
 
 module Summary : sig
   (** Streaming mean / variance / extrema (Welford's algorithm). *)
 
   type t
 
-  val create : string -> t
+  val create : unit -> t
   val add : t -> float -> unit
   val count : t -> int
   val mean : t -> float
   val stddev : t -> float
   val min : t -> float
   val max : t -> float
-  val reset : t -> unit
-  val pp : Format.formatter -> t -> unit
 end
 
 module Histogram : sig

@@ -2,7 +2,6 @@ type t = int
 type span = int
 
 let zero = 0
-let epoch = 0
 let ns n = n
 
 let check_finite label x =
@@ -21,20 +20,12 @@ let s x =
   check_finite "s" x;
   int_of_float (Float.round (x *. 1e9))
 
-let to_ns t = t
 let to_us t = float_of_int t /. 1e3
 let to_ms t = float_of_int t /. 1e6
 let to_s t = float_of_int t /. 1e9
 let add t d = t + d
 let diff a b = a - b
 let mul d k = d * k
-
-let scale d f =
-  check_finite "scale" f;
-  int_of_float (Float.round (float_of_int d *. f))
-
-let max = Stdlib.max
-let min = Stdlib.min
 
 let of_bytes_at_rate ~bytes_per_s n =
   if bytes_per_s <= 0. then invalid_arg "Time.of_bytes_at_rate: rate <= 0";

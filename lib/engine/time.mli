@@ -13,7 +13,6 @@ type span = int
 (** A duration in nanoseconds.  Spans may be added to instants. *)
 
 val zero : t
-val epoch : t
 
 (** {1 Constructors} *)
 
@@ -24,7 +23,6 @@ val s : float -> span
 
 (** {1 Conversions} *)
 
-val to_ns : span -> int
 val to_us : span -> float
 val to_ms : span -> float
 val to_s : span -> float
@@ -34,9 +32,6 @@ val to_s : span -> float
 val add : t -> span -> t
 val diff : t -> t -> span
 val mul : span -> int -> span
-val scale : span -> float -> span
-val max : t -> t -> t
-val min : t -> t -> t
 
 val of_bytes_at_rate : bytes_per_s:float -> int -> span
 (** [of_bytes_at_rate ~bytes_per_s n] is the time needed to move [n] bytes at

@@ -7,7 +7,6 @@ type t = {
 }
 
 let create sim = { sim; enabled = true; rev_spans = [] }
-let enabled t = t.enabled
 let set_enabled t e = t.enabled <- e
 
 let record t label start finish =
@@ -28,8 +27,6 @@ let mark t label =
 let spans t =
   List.sort (fun a b -> compare (a.start, a.finish) (b.start, b.finish))
     (List.rev t.rev_spans)
-
-let clear t = t.rev_spans <- []
 
 let duration t label =
   let total =
@@ -68,10 +65,3 @@ let disjoint_duration t label =
       (spans t)
   in
   match intervals with [] -> None | _ -> Some (merged_length intervals)
-
-let pp fmt t =
-  List.iter
-    (fun s ->
-      Format.fprintf fmt "%-28s %a .. %a (%a)@." s.label Time.pp_us s.start
-        Time.pp_us s.finish Time.pp_us (Time.diff s.finish s.start))
-    (spans t)

@@ -10,7 +10,6 @@ type t
 type span = { label : string; start : Time.t; finish : Time.t }
 
 val create : Sim.t -> t
-val enabled : t -> bool
 val set_enabled : t -> bool -> unit
 
 val record : t -> string -> Time.t -> Time.t -> unit
@@ -24,8 +23,6 @@ val mark : t -> string -> unit
 
 val spans : t -> span list
 (** Recorded spans in start order. *)
-
-val clear : t -> unit
 
 val duration : t -> string -> Time.span option
 (** Total time of all spans with the given label, summed {e with}
@@ -46,5 +43,3 @@ val merged_length : (Time.t * Time.t) list -> Time.span
 (** Total length of the union of the given [(start, finish)] intervals
     (overlaps counted once).  Exposed for observability-layer passes that
     merge probe spans without building a trace. *)
-
-val pp : Format.formatter -> t -> unit

@@ -1,8 +1,6 @@
 let kib n = n * 1024
-let mib n = n * 1024 * 1024
 let mbit_per_s x = x *. 1e6 /. 8.
 let gbit_per_s x = x *. 1e9 /. 8.
-let mbyte_per_s x = x *. 1e6
 let to_mbit_per_s ~bytes_per_s = bytes_per_s *. 8. /. 1e6
 
 let bandwidth_mbps ~bytes ~span =

@@ -47,18 +47,6 @@ type t = {
 val header_bytes : int
 (** 14 *)
 
-val crc_bytes : int
-(** 4 *)
-
-val preamble_bytes : int
-(** 8 *)
-
-val ifg_bytes : int
-(** 12 *)
-
-val min_payload : int
-(** 46 *)
-
 val standard_mtu : int
 (** 1500 *)
 

@@ -15,7 +15,6 @@ type t = {
   room_waiters : unit Ivar.t Queue.t;
   mutable frames_sent : int;
   mutable frames_dropped : int;
-  mutable bytes_sent : int;
 }
 
 let create sim ~name ~bits_per_s ?(propagation = Time.ns 500)
@@ -39,7 +38,6 @@ let create sim ~name ~bits_per_s ?(propagation = Time.ns 500)
     room_waiters = Queue.create ();
     frames_sent = 0;
     frames_dropped = 0;
-    bytes_sent = 0;
   }
 
 let connect t receiver =
@@ -110,7 +108,6 @@ let rec pump t =
   | Some frame ->
       let ser = serialization_time t frame in
       t.frames_sent <- t.frames_sent + 1;
-      t.bytes_sent <- t.bytes_sent + Eth_frame.on_wire_bytes frame;
       probe_depth t;
       notify_room t;
       (* The wire-occupancy span is known up front: serialization is not
@@ -148,9 +145,7 @@ let send t frame =
     end
   end
 
-let name t = t.name
 let bits_per_s t = t.bits_per_s
 let frames_sent t = t.frames_sent
 let frames_dropped t = t.frames_dropped + Fault.drops t.fault
-let bytes_sent t = t.bytes_sent
 let queue_depth t = Queue.length t.queue

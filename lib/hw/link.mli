@@ -60,12 +60,9 @@ val wait_room : t -> unit
 val serialization_time : t -> Eth_frame.t -> Engine.Time.span
 (** Uncontended wire occupancy of one frame. *)
 
-val name : t -> string
 val bits_per_s : t -> float
 val frames_sent : t -> int
 val frames_dropped : t -> int
-val bytes_sent : t -> int
-(** Wire bytes, including framing overhead. *)
 
 val queue_depth : t -> int
 (** Frames waiting behind the one being serialized. *)

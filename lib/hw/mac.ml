@@ -13,7 +13,6 @@ let multicast g = Multicast g
 let flow_control = Multicast 0x01
 let is_group = function Broadcast | Multicast _ -> true | Node _ -> false
 let equal a b = a = b
-let compare = Stdlib.compare
 
 let pp fmt = function
   | Node id -> Format.fprintf fmt "mac:%02x" id

@@ -21,6 +21,5 @@ val is_group : t -> bool
 (** True for broadcast and multicast addresses. *)
 
 val equal : t -> t -> bool
-val compare : t -> t -> int
 val pp : Format.formatter -> t -> unit
 val to_string : t -> string

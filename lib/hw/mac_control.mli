@@ -12,18 +12,8 @@ open Engine
 
 type Eth_frame.payload += Pause of { quanta : int }
 
-val opcode_pause : int
-(** 0x0001 *)
-
-val quantum_bits : int
-(** 512 — bit times per pause quantum. *)
-
 val max_quanta : int
 (** 0xffff (≈ 33.55 ms at 1 Gb/s). *)
-
-val payload_bytes : int
-(** 4 — opcode + pause time; padding to the 46-byte minimum is the
-    frame layer's business. *)
 
 val encode : quanta:int -> bytes
 (** Big-endian opcode ‖ quanta.

@@ -611,7 +611,6 @@ let unmask_irq t =
 let name t = t.name
 let mtu t = t.mtu
 let pci t = t.pci
-let fragmentation_enabled t = t.fragmentation
 let is_down t = t.down
 let interrupts_raised t = t.interrupts_raised
 let tx_packets t = t.tx_packets

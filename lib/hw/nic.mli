@@ -161,7 +161,6 @@ val mtu : t -> int
 val pci : t -> Bus.t
 (** The I/O bus this NIC sits on (for programmed-I/O transfers). *)
 
-val fragmentation_enabled : t -> bool
 val is_down : t -> bool
 val interrupts_raised : t -> int
 val tx_packets : t -> int

@@ -6,9 +6,6 @@
     wait states, arbitration) and a per-transaction setup cost — the PCI 2.1
     delays "of microseconds" the paper cites. *)
 
-val default_efficiency : float
-val default_setup : Engine.Time.span
-
 val create :
   Engine.Sim.t ->
   ?name:string ->

@@ -143,7 +143,6 @@ let create sim ~name ~bits_per_s ?(forward_latency = Time.us 2.)
     egress_stall_ns = 0;
   }
 
-let name t = t.name
 let find_port t pid = List.find_opt (fun p -> p.node = pid) t.port_list
 let n_ports t = List.length t.port_list
 

@@ -76,8 +76,6 @@ val create :
     bounds switch traversals per frame.
     @raise Invalid_argument on nonsensical buffer parameters or [ttl < 1]. *)
 
-val name : t -> string
-
 val add_port : t -> node:int -> unit
 (** Declares a station port for [node].
     @raise Invalid_argument on duplicates, a negative node, or when the

@@ -47,7 +47,6 @@ type t = {
 }
 
 let cpu t = t.env.Proto.Hostenv.cpu
-let rank t = t.rank
 
 let matches p (env : envelope) =
   (match p.want_src with None -> true | Some s -> s = env.e_src)

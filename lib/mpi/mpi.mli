@@ -41,16 +41,11 @@ type params = {
       (** copy unexpected eager messages through a bounce buffer *)
 }
 
-val default_params : params
-(** 16 KiB threshold, 3 us per call. *)
-
 type t
 (** One rank's MPI context. *)
 
 val create :
   Proto.Hostenv.t -> rank:int -> transport -> ?params:params -> unit -> t
-
-val rank : t -> int
 
 val send : t -> dst:int -> tag:int -> int -> unit
 (** Standard-mode blocking send of [n] bytes. *)

@@ -6,9 +6,6 @@
     the transport adds only the 32-byte envelope to each message — which is
     why Figure 6 shows MPI-CLIC hugging the raw CLIC curve. *)
 
-val mpi_port : int
-(** CLIC port reserved for MPI traffic (90). *)
-
 type registry
 (** Shared envelope registry for one MPI world (one per cluster). *)
 

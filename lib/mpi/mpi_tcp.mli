@@ -8,9 +8,6 @@
     simulator, paired with the stream's byte counts; see the registry
     comment in the implementation.) *)
 
-val base_port : int
-(** Rank r listens on [base_port + r] (6000+r). *)
-
 type registry
 val registry : unit -> registry
 

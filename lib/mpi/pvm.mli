@@ -19,8 +19,6 @@ type params = {
   retransmit_timeout : Time.span;
 }
 
-val default_params : params
-
 type t
 (** One node's PVM instance (task endpoint + daemon). *)
 

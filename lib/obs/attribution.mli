@@ -46,7 +46,5 @@ val latency_percentiles : message list -> percentiles
 (** Bucketed (power-of-two) percentiles of total latency, via
     {!Engine.Stats.Histogram}. *)
 
-val stage_means : message list -> stages
-
 val pp_table : Format.formatter -> message list -> unit
 (** Per-message stage table plus mean row and latency percentiles. *)

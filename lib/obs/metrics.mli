@@ -44,5 +44,3 @@ val to_json : t -> string
 
 val pp_summary : Format.formatter -> t -> unit
 (** One line per series: point count, last value, peak. *)
-
-val kind_name : kind -> string

@@ -9,12 +9,6 @@ type stamped = { at : int; ev : Engine.Probe.event }
 
 type t
 
-val create : unit -> t
-
-val on_event : t -> Engine.Probe.event -> unit
-(** The sink; install with [Probe.install (on_event t)] when driving a
-    run by hand. *)
-
 val events : t -> stamped list
 (** Recorded events, in emission order. *)
 

@@ -33,4 +33,3 @@ let schedule t thunk =
   end
 
 let executed t = t.executed
-let pending t = Queue.length t.queue

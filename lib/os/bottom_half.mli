@@ -19,4 +19,3 @@ val schedule : t -> (unit -> unit) -> unit
     at [`High] priority. *)
 
 val executed : t -> int
-val pending : t -> int

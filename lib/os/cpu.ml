@@ -39,5 +39,4 @@ let copy ?priority ?bytes_per_s t ~membus n =
   end
 
 let utilization t ~since = Resource.utilization t.res ~since
-let busy_time t = Resource.busy_time t.res
 let reset_stats t = Resource.reset_stats t.res

@@ -36,8 +36,5 @@ val copy :
     the CPU is held for [n / rate] while [2n] bytes cross the memory bus
     concurrently.  [bytes_per_s] overrides the CPU's default copy rate. *)
 
-val copy_time : ?bytes_per_s:float -> t -> int -> Time.span
-
 val utilization : t -> since:Time.t -> float
-val busy_time : t -> Time.span
 val reset_stats : t -> unit

@@ -59,7 +59,6 @@ type t = {
   mutable polled_packets : int;
   (* node crash support *)
   mutable dead : bool;
-  mutable dead_discards : int;
 }
 
 (* Stage work is reported twice over: to the node's [Trace] (when
@@ -95,8 +94,7 @@ let deliver_one t desc =
 (* A crashed driver owns buffers already pulled from the ring (queued for
    the bottom half): they are discarded, each with a visible release so the
    lifecycle sanitizer balances. *)
-let discard_one t desc =
-  t.dead_discards <- t.dead_discards + 1;
+let discard_one desc =
   if !Probe.on then
     Probe.emit
       (Probe.Obj_free
@@ -208,7 +206,7 @@ let[@clic.atomic] isr t () =
       | Via_bottom_half ->
           if descs <> [] then
             Bottom_half.schedule t.bh (fun () ->
-                if t.dead then List.iter (discard_one t) descs
+                if t.dead then List.iter discard_one descs
                 else
                   traced t ~track:Probe.Bh_track "driver:bottom-half"
                     (fun () ->
@@ -245,7 +243,6 @@ let create sim ~cpu ~intr ~bh ~nic ?(params = default_params) ?trace () =
       poll_passes = 0;
       polled_packets = 0;
       dead = false;
-      dead_discards = 0;
     }
   in
   Nic.set_interrupt nic (fun () -> Interrupt.raise_irq intr ~isr:(isr t));
@@ -283,9 +280,3 @@ let is_polling t = t.polling
 let poll_mode_switches t = t.poll_mode_switches
 let poll_passes t = t.poll_passes
 let polled_packets t = t.polled_packets
-let dead_discards t = t.dead_discards
-
-(* ethtool-style flow-control statistics, read straight from the NIC *)
-let tx_paused_ns t = Hw.Nic.tx_paused_ns t.nic
-let pause_frames_rx t = Hw.Nic.pause_frames_rx t.nic
-let pause_frames_tx t = Hw.Nic.pause_frames_tx t.nic

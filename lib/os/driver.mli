@@ -108,13 +108,3 @@ val poll_mode_switches : t -> int
 
 val poll_passes : t -> int
 val polled_packets : t -> int
-
-val dead_discards : t -> int
-
-(** {1 Flow-control statistics} — ethtool-style pass-throughs to the NIC *)
-
-val tx_paused_ns : t -> int
-val pause_frames_rx : t -> int
-val pause_frames_tx : t -> int
-(** Ring buffers discarded because the driver was killed with work still
-    queued. *)

@@ -23,6 +23,5 @@ let raise_irq t ~isr =
       isr ();
       t.isr_time <- t.isr_time + Time.diff (Sim.now t.sim) started)
 
-let dispatch_latency t = t.dispatch_latency
 let irqs_delivered t = t.irqs
 let time_in_isr t = t.isr_time

@@ -18,6 +18,5 @@ val raise_irq : t -> isr:(unit -> unit) -> unit
 (** Asynchronous: returns immediately; the ISR runs after the dispatch
     latency, serialized with other interrupt-level work on the CPU. *)
 
-val dispatch_latency : t -> Time.span
 val irqs_delivered : t -> int
 val time_in_isr : t -> Time.span

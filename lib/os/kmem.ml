@@ -87,9 +87,7 @@ let free t n =
     Probe.emit (Probe.Pool_free { pool = t.name; bytes = n; used = t.used });
   probe_pressure t before
 
-let name t = t.name
 let in_use t = t.used
-let capacity t = t.capacity
 let soft_mark t = t.soft_mark
 let hard_mark t = t.hard_mark
 let high_water t = t.high_water

@@ -41,9 +41,7 @@ val level : t -> level
 (** [`Hard] when [in_use >= hard_mark], [`Soft] when
     [in_use >= soft_mark], [`Normal] otherwise. *)
 
-val name : t -> string
 val in_use : t -> int
-val capacity : t -> int
 val soft_mark : t -> int
 val hard_mark : t -> int
 val high_water : t -> int

@@ -49,4 +49,3 @@ let wake s =
       resume ()
 
 let switches t = t.switches
-let switch_cost t = t.cost

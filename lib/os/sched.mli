@@ -31,4 +31,3 @@ val wake : slot -> unit
     work through anyway).  Waking an already-woken slot is a no-op. *)
 
 val switches : t -> int
-val switch_cost : t -> Time.span

@@ -33,8 +33,6 @@ let of_user ~header_bytes n =
 let of_kernel ~header_bytes n =
   create ~header_bytes [ { region = Kernel_memory; bytes = n } ]
 
-let id t = t.sk_id
-
 (* Ownership transitions and the final release only feed the lifecycle
    sanitizer; they are free when no probe sink is installed. *)
 let transfer t owner ~where =

@@ -23,8 +23,6 @@ val create : header_bytes:int -> fragment list -> t
     [App] when any fragment lives in user memory, [Channel] otherwise).
     @raise Invalid_argument on negative sizes. *)
 
-val id : t -> int
-
 val transfer : t -> Engine.Probe.owner -> where:string -> unit
 (** Reports an ownership handoff to the lifecycle sanitizer.  [where] names
     the code point (e.g. ["driver:tx-routine"]).  A no-op without an

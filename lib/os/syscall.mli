@@ -13,14 +13,9 @@ type t
 val create : ?enter:Time.span -> ?leave:Time.span -> Cpu.t -> t
 (** Defaults: 0.35 us enter, 0.30 us leave (0.65 us round trip). *)
 
-val enter : t -> unit
-(** Charges the user→kernel transition on the CPU (blocking). *)
-
-val leave : t -> unit
-
 val wrap : t -> (unit -> 'a) -> 'a
-(** [wrap t f] runs [f] between {!enter} and {!leave}; the exit cost is paid
-    even if [f] raises. *)
+(** [wrap t f] charges the user→kernel entry on the CPU (blocking), runs
+    [f], then charges the exit; the exit cost is paid even if [f] raises. *)
 
 val round_trip : t -> Time.span
 val calls : t -> int

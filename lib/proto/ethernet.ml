@@ -82,5 +82,4 @@ let send t ~dst ~ethertype ~skb ~payload ?(on_complete = fun () -> ()) () =
   Mailbox.send t.jobs { dst; ethertype; skb; payload; on_complete }
 
 let env t = t.env
-let queued t = Mailbox.length t.jobs
 let unhandled t = t.unhandled

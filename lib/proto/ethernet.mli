@@ -32,6 +32,5 @@ val send :
     [on_complete] fires when the frame has left the NIC. *)
 
 val env : t -> Hostenv.t
-val queued : t -> int
 val unhandled : t -> int
 (** Frames received with no handler for their ethertype. *)

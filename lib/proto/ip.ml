@@ -20,7 +20,6 @@ type t = {
   mutable next_ip_id : int;
   reassembly : (int * int, reasm) Hashtbl.t;
   mutable packets_sent : int;
-  mutable packets_received : int;
 }
 
 let cpu t = (Ethernet.env t.eth).Hostenv.cpu
@@ -42,7 +41,6 @@ let rx t (desc : Nic.rx_desc) =
   match desc.Nic.rx_frame.Eth_frame.payload with
   | Packet.Ip pkt -> (
       Cpu.work ~priority:`High (cpu t) t.params.rx_cost;
-      t.packets_received <- t.packets_received + 1;
       match pkt.ip_frag with
       | None -> deliver t pkt
       | Some frag ->
@@ -74,7 +72,6 @@ let create eth ?(params = default_params) () =
       next_ip_id = 0;
       reassembly = Hashtbl.create 16;
       packets_sent = 0;
-      packets_received = 0;
     }
   in
   Ethernet.register eth ~ethertype:Packet.ethertype_ip (rx t);
@@ -136,6 +133,5 @@ let send t ~dst ~skb payload =
   Skbuff.release skb ~where:"ip:encap"
 
 let packets_sent t = t.packets_sent
-let packets_received t = t.packets_received
 let reassembly_pending t = Hashtbl.length t.reassembly
 let ethernet t = t.eth

@@ -15,9 +15,6 @@ type params = {
   rx_cost : Time.span;  (** per packet received (validation, demux) *)
 }
 
-val default_params : params
-(** 1.5 us / 2 us, consistent with 2.4-kernel measurements. *)
-
 type t
 
 val create : Ethernet.t -> ?params:params -> unit -> t
@@ -37,6 +34,5 @@ val mtu : t -> int
 val packets_sent : t -> int
 (** Wire packets, counting fragments. *)
 
-val packets_received : t -> int
 val reassembly_pending : t -> int
 val ethernet : t -> Ethernet.t

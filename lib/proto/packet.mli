@@ -71,8 +71,4 @@ type Hw.Eth_frame.payload += Ip of ip_packet
 
 (** {1 Sizing helpers} *)
 
-val tcp_wire_bytes : tcp_segment -> int
-(** TCP header + data. *)
-
-val udp_wire_bytes : udp_datagram -> int
 val ip_payload_wire_bytes : ip_proto -> int

@@ -89,7 +89,6 @@ let cpu t = (env t).Hostenv.cpu
 let sched t = (env t).Hostenv.sched
 let mss_of t = Ip.mtu t.ip - Packet.ip_header_bytes - Packet.tcp_header_bytes
 let mss c = mss_of c.tcp
-let params t = t.p
 
 let byte_time rate n = Time.of_bytes_at_rate ~bytes_per_s:rate n
 let in_flight c = c.snd_nxt - c.snd_una
@@ -482,13 +481,6 @@ let recv c n =
       in
       take 0)
 
-let pp_conn fmt c =
-  Format.fprintf fmt
-    "conn[%d<->%d:%d una=%d nxt=%d unsent=%d room=%d cwnd=%d pwin=%d dup=%d      rto=%b | rcv=%d avail=%d ooo=%d]"
-    c.local_port c.peer c.peer_port c.snd_una c.snd_nxt c.unsent
-    (Semaphore.available c.send_room) c.cwnd c.peer_window c.dupacks
-    (c.rto_timer <> None) c.rcv_nxt c.avail (List.length c.ooo)
-
 let ip_of t = t.ip
 let peer_of c = c.peer
 (* Orderly shutdown: drain our own send side, then emit FIN and return
@@ -513,7 +505,6 @@ let close c =
   end
 
 let at_eof c = c.peer_fin && c.avail = 0
-let fin_received c = c.peer_fin
 
 let available c = c.avail
 let segments_sent t = t.segments_sent

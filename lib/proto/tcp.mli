@@ -44,7 +44,6 @@ type t
 type conn
 
 val create : Ip.t -> ?params:params -> unit -> t
-val params : t -> params
 
 val listen : t -> port:int -> unit
 (** @raise Invalid_argument if the port is already listening. *)
@@ -71,12 +70,9 @@ val close : conn -> unit
 val at_eof : conn -> bool
 (** The peer closed and every delivered byte has been consumed. *)
 
-val fin_received : conn -> bool
-
 (** A {!recv} that would block after the peer closed raises
     [End_of_file]. *)
 
-val pp_conn : Format.formatter -> conn -> unit
 val ip_of : t -> Ip.t
 val peer_of : conn -> int
 (** The remote node id. *)

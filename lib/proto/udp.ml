@@ -16,7 +16,6 @@ type t = {
   params : params;
   handlers : (int, Packet.udp_datagram -> src:int -> unit) Hashtbl.t;
   mutable sent : int;
-  mutable received : int;
   mutable unbound : int;
 }
 
@@ -30,15 +29,12 @@ let rx t (d : Packet.udp_datagram) ~src =
   Cpu.work ~priority:`High (cpu t) t.params.rx_cost;
   Cpu.work ~priority:`High (cpu t) (checksum_time t d.Packet.udp_bytes);
   match Hashtbl.find_opt t.handlers d.Packet.udp_dst_port with
-  | Some h ->
-      t.received <- t.received + 1;
-      h d ~src
+  | Some h -> h d ~src
   | None -> t.unbound <- t.unbound + 1
 
 let create ip ?(params = default_params) () =
   let t =
-    { ip; params; handlers = Hashtbl.create 8; sent = 0; received = 0;
-      unbound = 0 }
+    { ip; params; handlers = Hashtbl.create 8; sent = 0; unbound = 0 }
   in
   Ip.register_udp ip (rx t);
   t
@@ -69,5 +65,4 @@ let sendto t ~dst ~dst_port ?(src_port = 0) ~bytes ~app ?(zero_copy = false)
          udp_bytes = bytes; udp_app = app })
 
 let datagrams_sent t = t.sent
-let datagrams_received t = t.received
 let unbound_drops t = t.unbound

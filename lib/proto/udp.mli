@@ -13,8 +13,6 @@ type params = {
   checksum_bytes_per_s : float;  (** CPU checksum rate, both sides *)
 }
 
-val default_params : params
-
 type t
 
 val create : Ip.t -> ?params:params -> unit -> t
@@ -30,5 +28,4 @@ val sendto :
     datagram is staged into kernel memory (the normal UDP copy). *)
 
 val datagrams_sent : t -> int
-val datagrams_received : t -> int
 val unbound_drops : t -> int

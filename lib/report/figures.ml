@@ -241,9 +241,11 @@ let fig7 fmt =
         ])
     ();
   Format.fprintf fmt
-    "paper: sender 0.7+4 us; bottom half 15 us; CLIC_MODULE 2 us; interrupt \
-     path ~20 us in (a) vs ~5 us in (b)@.@.pipeline of run (a), host-side \
-     stages:@.";
+    "paper: sender 0.7+4 us; bottom half %g us; CLIC_MODULE %g us; interrupt \
+     path ~%g us in (a) vs ~%g us in (b)@.@.pipeline of run (a), host-side \
+     stages:@."
+    Paper.fig7a_bottom_half_us Paper.fig7a_module_rx_us
+    Paper.fig7_interrupt_latency_us Paper.fig7b_interrupt_latency_us;
   Render.timeline fmt ~width:60 a_spans;
   { stages; latency_a_us = a.p_total; latency_b_us = b.p_total }
 
@@ -695,8 +697,9 @@ let sec3 fmt =
          rows)
     ();
   Format.fprintf fmt
-    "paper reference: GAMMA 32 us / ~800 Mbit/s on the GA620; VIA avoids \
-     the OS but pays with polling and gives up reliable delivery.@.";
+    "paper reference: GAMMA %g us / ~%g Mbit/s on the GA620; VIA avoids the \
+     OS but pays with polling and gives up reliable delivery.@."
+    Paper.gamma_latency_us Paper.gamma_bandwidth_mbps;
   rows
 
 (* ------------------------------------------------------------------ *)

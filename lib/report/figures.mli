@@ -7,9 +7,6 @@
 
 open Engine
 
-val default_sizes : int list
-val quick_sizes : int list
-
 val fig4 : ?quick:bool -> Format.formatter -> Stats.Series.t list
 (** CLIC bandwidth for MTU {1500, 9000} × {0-copy, 1-copy}. *)
 
@@ -192,7 +189,6 @@ val congestion_matrix :
 type system = [ `Clic | `Tcp ]
 type condition = [ `Healthy | `Fail_slow | `Fail_slow_loss ]
 
-val system_name : system -> string
 val condition_name : condition -> string
 
 type slo_row = {

@@ -26,9 +26,6 @@ val half_bandwidth_size_clic : int
 val half_bandwidth_size_tcp : int
 (** 16 KB for TCP/IP. *)
 
-val fig7a_sender_module_driver_us : float
-(** 0.7 + 4 us: CLIC_MODULE plus driver on the send side (Figure 7a). *)
-
 val fig7a_bottom_half_us : float
 (** 15 us for a 1400-byte packet (Figure 7a). *)
 
@@ -45,7 +42,3 @@ val gamma_latency_us : float
 
 val gamma_bandwidth_mbps : float
 (** 768-824 Mbit/s (Section 5). *)
-
-val mtu_interrupt_interval_us : float
-(** One interrupt every ~12 us at MTU 1500 on saturated Gigabit Ethernet
-    (Section 2's motivating arithmetic). *)

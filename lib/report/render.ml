@@ -92,32 +92,3 @@ let timeline fmt ~width (spans : Trace.span list) =
         spans;
       Format.fprintf fmt "%-*s  0%*s@." label_w "" width
         (Engine.Time.to_string total)
-
-(* CSV rendering of figure series: header "x,<name>,..." then one row per
-   x value; missing points are empty cells. *)
-let series_csv ~x_label series =
-  let buf = Buffer.create 256 in
-  let xs =
-    List.sort_uniq compare
-      (List.concat_map
-         (fun s -> List.map fst (Stats.Series.points s))
-         series)
-  in
-  Buffer.add_string buf
-    (String.concat "," (x_label :: List.map Stats.Series.name series));
-  Buffer.add_char buf '\n';
-  List.iter
-    (fun x ->
-      let cells =
-        Printf.sprintf "%.0f" x
-        :: List.map
-             (fun s ->
-               match Stats.Series.y_at s ~x with
-               | Some y -> Printf.sprintf "%.2f" y
-               | None -> "")
-             series
-      in
-      Buffer.add_string buf (String.concat "," cells);
-      Buffer.add_char buf '\n')
-    xs;
-  Buffer.contents buf

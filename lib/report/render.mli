@@ -27,7 +27,3 @@ val section : Format.formatter -> string -> unit
 
 val timeline : Format.formatter -> width:int -> Engine.Trace.span list -> unit
 (** An ASCII Gantt chart of trace spans (used by fig7's pipeline view). *)
-
-val series_csv : x_label:string -> Engine.Stats.Series.t list -> string
-(** CSV text for a set of series: header then one row per x value, empty
-    cells where a series has no point. *)

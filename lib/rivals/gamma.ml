@@ -45,7 +45,6 @@ type t = {
   channels : (int, Clic.Channel.t) Hashtbl.t;
   reassembly : (int * int, reasm) Hashtbl.t;
   mutable next_msg : int;
-  mutable delivered : int;
 }
 
 let cpu t = t.env.Hostenv.cpu
@@ -122,7 +121,6 @@ and deliver t (pkt : Clic.Wire.packet) =
       slot.seen <- slot.seen + 1;
       if slot.seen = frag.Clic.Wire.frag_count then begin
         Hashtbl.remove t.reassembly key;
-        t.delivered <- t.delivered + 1;
         match Hashtbl.find_opt t.handlers port with
         | Some h ->
             h
@@ -152,7 +150,6 @@ let create env eth =
       channels = Hashtbl.create 8;
       reassembly = Hashtbl.create 8;
       next_msg = 0;
-      delivered = 0;
     }
   in
   Ethernet.register eth ~ethertype (rx t);
@@ -197,5 +194,3 @@ let recv t ~port =
   in
   Cpu.work (cpu t) lightweight_syscall;
   Mailbox.recv box
-
-let messages_delivered t = t.delivered

@@ -21,7 +21,6 @@
     GA620 NIC; the sec3 experiment configures the cluster accordingly
     (64-bit PCI). *)
 
-open Engine
 open Proto
 
 type t
@@ -46,8 +45,3 @@ val send : t -> dst:int -> port:int -> int -> unit
 val recv : t -> port:int -> message
 (** Convenience blocking receive built on an active handler: binds the
     port on first use and parks the caller until a message lands. *)
-
-val lightweight_syscall : Time.span
-(** 0.2 µs: kernel entry without the return-path scheduler pass. *)
-
-val messages_delivered : t -> int

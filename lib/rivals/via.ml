@@ -30,7 +30,6 @@ type t = {
   eth : Ethernet.t;
   completions : completion Queue.t;
   poll_interval : Time.span;
-  mutable delivered : int;
   mutable polls : int;
 }
 
@@ -43,7 +42,6 @@ let rx t (desc : Nic.rx_desc) =
   match desc.Nic.rx_frame.Eth_frame.payload with
   | Via { v_src; v_bytes } ->
       Cpu.work ~priority:`High (cpu t) completion_write;
-      t.delivered <- t.delivered + 1;
       Queue.add { vi_src = v_src; vi_bytes = v_bytes } t.completions
   | _ -> ()
 
@@ -54,7 +52,6 @@ let create env eth ?(poll_interval = Time.us 0.1) () =
       eth;
       completions = Queue.create ();
       poll_interval;
-      delivered = 0;
       polls = 0;
     }
   in
@@ -98,5 +95,4 @@ let recv t =
   in
   poll ()
 
-let completions_delivered t = t.delivered
 let polls t = t.polls

@@ -44,6 +44,5 @@ val recv : t -> completion
     arriving descriptor/MTU), burning CPU at every poll — the cost
     Section 3.2 attributes to VIA's design. *)
 
-val completions_delivered : t -> int
 val polls : t -> int
 (** Number of poll probes executed (each occupies the CPU briefly). *)

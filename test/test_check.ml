@@ -451,6 +451,18 @@ let test_soak_fabric_cut_focused () =
   check_bool "a node crashed mid-trial" true (t.crashes > 0);
   check_bool "traffic actually flowed" true (t.delivered > 0)
 
+let test_soak_short_rotation () =
+  (* Two trials rotate through only the first two templates: a narrowed
+     set, so the evidence demands are waived exactly as under [only]. *)
+  let r = Check.Soak.run ~seeds:[ 101 ] ~trials:2 ~quick:true () in
+  List.iter (Printf.printf "missing evidence: %s\n")
+    (Check.Soak.missing_evidence r);
+  check_bool "not the full template set" false r.Check.Soak.s_full_set;
+  check_bool "short rotation passes" true (Check.Soak.ok r);
+  check_bool "carries the narrowed note" true
+    (List.mem "template set narrowed: evidence demands not enforced"
+       r.Check.Soak.s_notes)
+
 (* The PR-8 compatibility contract: the topology-DSL rebuild of the wiring
    must leave every pre-existing scenario's logical trace untouched.  The
    full 15-scenario sweep runs in CI (`clic-sim check --hashes` against
@@ -783,6 +795,68 @@ let test_lint_mli_coverage () =
   check_int "clean once the interface exists" 0
     (List.length (Lint.mli_coverage ~root))
 
+let test_lint_export_readers () =
+  let root = Filename.temp_file "clic_lint" ".d" in
+  Sys.remove root;
+  Sys.mkdir root 0o755;
+  let write rel text =
+    let path = Filename.concat root rel in
+    let dir = Filename.dirname path in
+    if not (Sys.file_exists dir) then begin
+      if not (Sys.file_exists (Filename.dirname dir)) then
+        Sys.mkdir (Filename.dirname dir) 0o755;
+      Sys.mkdir dir 0o755
+    end;
+    let oc = open_out path in
+    output_string oc text;
+    close_out oc
+  in
+  write "lib/w/widget.mli"
+    "val outside : int\n\
+     val inside : int -> int\n\
+     val dead : int\n\
+     val opened : int\n\
+     val aliased : int\n\
+     module Sub : sig\n\
+    \  val deep : int\n\
+     end\n";
+  write "lib/w/widget.ml"
+    "let inside x = x + 1\n\
+     let outside = inside 0\n\
+     let dead = 2\n\
+     let opened = 3\n\
+     let aliased = 4\n\
+     module Sub = struct let deep = 5 end\n";
+  (* an R5 finding too, so the rule filter has something to drop *)
+  write "lib/w/naked.ml" "let x = 1\n";
+  let flagged () =
+    Lint.export_readers ~root
+    |> List.map (fun (d : Ldiag.t) ->
+           Alcotest.(check string) "rule" "R6" (Ldiag.rule_id d.Ldiag.d_rule);
+           List.find
+             (fun v -> contains d.Ldiag.d_msg ("`Widget." ^ v ^ "`"))
+             [ "outside"; "inside"; "dead"; "opened"; "aliased"; "Sub.deep" ])
+  in
+  Alcotest.(check (list string)) "no reader: every export flagged"
+    [ "outside"; "inside"; "dead"; "opened"; "aliased"; "Sub.deep" ]
+    (flagged ());
+  write "test/t.ml" "let _ = W.Widget.outside\n";
+  write "examples/e.ml" "let _ = Widget.Sub.deep\n";
+  write "benchsuite/b.ml" "open W.Widget\nlet _ = opened\n";
+  write "tools/a.ml" "module F = W.Widget\nlet _ = F.aliased\n";
+  Alcotest.(check (list string))
+    "readers in test/examples/benchsuite/tools clear their exports; a \
+     value read only inside its module stays flagged"
+    [ "inside"; "dead" ] (flagged ());
+  let only rules =
+    (Lint.filter_rules (Some rules) (Lint.run_all ~root)).Lint.r_findings
+    |> List.map (fun (d : Ldiag.t) -> Ldiag.rule_id d.Ldiag.d_rule)
+  in
+  Alcotest.(check (list string)) "--rule R6 narrows to R6" [ "R6"; "R6" ]
+    (only [ Ldiag.R6 ]);
+  Alcotest.(check (list string)) "--rule R5 drops R6" [ "R5" ]
+    (only [ Ldiag.R5 ])
+
 let suite =
   [
     Alcotest.test_case "heap: equal keys drain FIFO" `Quick
@@ -834,6 +908,8 @@ let suite =
       test_soak_incast_storm_focused;
     Alcotest.test_case "soak: fabric-cut focused" `Quick
       test_soak_fabric_cut_focused;
+    Alcotest.test_case "soak: short rotation waives evidence" `Quick
+      test_soak_short_rotation;
     Alcotest.test_case "slo: contract validation" `Quick test_slo_validate;
     Alcotest.test_case "slo: phase classification by arrival" `Quick
       test_slo_evaluate_phases;
@@ -855,4 +931,6 @@ let suite =
       test_lint_repo_clean;
     Alcotest.test_case "lint: mli coverage (R5)" `Quick
       test_lint_mli_coverage;
+    Alcotest.test_case "lint: every export has an outside reader (R6)" `Quick
+      test_lint_export_readers;
   ]

@@ -564,7 +564,7 @@ let prop_rng_exponential_positive =
 (* Stats *)
 
 let test_summary () =
-  let s = Stats.Summary.create "lat" in
+  let s = Stats.Summary.create () in
   List.iter (Stats.Summary.add s) [ 1.; 2.; 3.; 4. ];
   Alcotest.(check (float 1e-9)) "mean" 2.5 (Stats.Summary.mean s);
   Alcotest.(check (float 1e-9)) "min" 1. (Stats.Summary.min s);

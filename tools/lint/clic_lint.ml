@@ -1,8 +1,9 @@
 (* clic-lint CLI.
 
    Usage:
-     clic-lint --all [--root DIR]        lint lib/ bin/ bench/ under DIR
-     clic-lint FILE.ml ...               lint specific files (no R5 pass)
+     clic-lint --all [--root DIR]        lint lib/ bin/ bench/ under DIR,
+                                         plus the project rules R5 and R6
+     clic-lint FILE.ml ...               lint specific files (R1-R4 only)
      --rule R1,R3                        keep only the named rules
      --waiver-report                     print every waiver annotation
    Exit status: 0 when no finding survives the filter, 1 otherwise,

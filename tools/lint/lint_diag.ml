@@ -9,6 +9,7 @@ type rule =
   | R3  (* hot-path allocation *)
   | R4  (* probe-guard discipline *)
   | R5  (* mli coverage *)
+  | R6  (* every lib export has an outside reader *)
   | Parse  (* the file did not parse: nothing else can be checked *)
 
 let rule_id = function
@@ -17,6 +18,7 @@ let rule_id = function
   | R3 -> "R3"
   | R4 -> "R4"
   | R5 -> "R5"
+  | R6 -> "R6"
   | Parse -> "parse"
 
 let rule_title = function
@@ -25,6 +27,7 @@ let rule_title = function
   | R3 -> "hot-path allocation"
   | R4 -> "probe-guard discipline"
   | R5 -> "mli coverage"
+  | R6 -> "export has a reader"
   | Parse -> "parse error"
 
 let rule_of_id s =
@@ -34,9 +37,10 @@ let rule_of_id s =
   | "R3" -> Some R3
   | "R4" -> Some R4
   | "R5" -> Some R5
+  | "R6" -> Some R6
   | _ -> None
 
-let all_rules = [ R1; R2; R3; R4; R5 ]
+let all_rules = [ R1; R2; R3; R4; R5; R6 ]
 
 type pos = { p_file : string; p_line : int; p_col : int }
 

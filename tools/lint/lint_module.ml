@@ -59,8 +59,6 @@ let blocking_primitives =
     "Semaphore.acquire";
     "Process.delay";
     "Process.sleep";
-    (* historical alias from the issue text; keep matching it *)
-    "Process.yield";
     "Process.await";
     "Mailbox.recv";
     "Ivar.read";
@@ -78,7 +76,6 @@ let escape_points =
     "Process.spawn";
     "Process.fork";
     "Sim.post";
-    "Sim.post_at";
     "Sim.schedule";
     "Sim.schedule_at";
   ]
@@ -162,14 +159,16 @@ type t = {
 
 exception Parse_failure of Lint_diag.t
 
-let parse_file path =
+(* Parse [path] with [parse] ([Parse.implementation] or
+   [Parse.interface]); a failure becomes a [Parse] finding. *)
+let parse_with parse path =
   let ic = open_in_bin path in
   Fun.protect
     ~finally:(fun () -> close_in_noerr ic)
     (fun () ->
       let lexbuf = Lexing.from_channel ic in
       Location.init lexbuf path;
-      try Parse.implementation lexbuf
+      try parse lexbuf
       with exn ->
         let pos =
           match exn with
@@ -182,6 +181,8 @@ let parse_file path =
              (Lint_diag.make Lint_diag.Parse pos
                 (Printf.sprintf "cannot parse %s (%s)" path
                    (Printexc.to_string exn)))))
+
+let parse_file = parse_with Parse.implementation
 
 (* Does an expression mention the probe-enabled flag?  Covers [!Probe.on],
    [Probe.enabled ()], and compound conditions containing either. *)

@@ -1,6 +1,6 @@
 (* Project-level driver for clic-lint: file discovery under a repo root,
-   per-file analysis, R5 mli-coverage over [lib/], and aggregation of
-   findings + waivers into sorted reports. *)
+   per-file analysis, R5 mli-coverage over [lib/], R6 export readers,
+   and aggregation of findings + waivers into sorted reports. *)
 
 let is_ml f = Filename.check_suffix f ".ml"
 
@@ -22,9 +22,14 @@ let rec ml_files_under dir =
 (* The scanned subtrees for [--all]. *)
 let default_subdirs = [ "lib"; "bin"; "bench" ]
 
-let discover ~root =
-  List.concat_map (fun d -> ml_files_under (Filename.concat root d))
-    default_subdirs
+(* The trees whose [.ml] files count as readers for R6. *)
+let reader_subdirs =
+  default_subdirs @ [ "benchsuite"; "test"; "examples"; "tools" ]
+
+let under ~root subdirs =
+  List.concat_map (fun d -> ml_files_under (Filename.concat root d)) subdirs
+
+let discover ~root = under ~root default_subdirs
 
 (* R5: every module under [lib/] ships an interface. *)
 let mli_coverage ~root =
@@ -40,6 +45,16 @@ let mli_coverage ~root =
                    "module has no interface: expected %s (every module \
                     under lib/ must hide its internals behind an .mli)"
                    (Filename.basename mli))))
+
+(* R6: every value a [lib/] interface exports is read from another
+   compilation unit (see Lint_exports). *)
+let export_readers ~root =
+  Lint_exports.check
+    ~mlis:
+      (under ~root [ "lib" ]
+      |> List.map (fun ml -> ml ^ "i")
+      |> List.filter Sys.file_exists)
+    ~readers:(under ~root reader_subdirs)
 
 type report = {
   r_findings : Lint_diag.t list;  (* sorted by position *)
@@ -72,13 +87,17 @@ let run_files files =
     r_files = List.length files;
   }
 
+(* A file that fails to parse is reported by both the per-file pass and
+   R6: keep one copy. *)
 let run_all ~root =
   let r = run_files (discover ~root) in
   {
     r with
     r_findings =
-      List.stable_sort Lint_diag.compare_by_pos
-        (mli_coverage ~root @ r.r_findings);
+      List.sort_uniq
+        (fun a b ->
+          match Lint_diag.compare_by_pos a b with 0 -> compare a b | c -> c)
+        (mli_coverage ~root @ export_readers ~root @ r.r_findings);
   }
 
 let filter_rules rules r =
