@@ -492,9 +492,9 @@ let sack_no_spurious_retx () =
             | None -> None
             | Some set ->
                 (* the cumulative ack retired everything below it *)
-                Hashtbl.iter
-                  (fun seq () -> if seq < snd_una then Hashtbl.remove set seq)
-                  (Hashtbl.copy set);
+                Hashtbl.filter_map_inplace
+                  (fun seq () -> if seq < snd_una then None else Some ())
+                  set;
                 None)
         | Probe.Chan_retx { chan; node; peer; seq } -> (
             match Hashtbl.find_opt sacked chan with

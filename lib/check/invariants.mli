@@ -19,8 +19,9 @@ val registry : ctor list ref
     exactly-once channel delivery, at-most-once app delivery, RTO
     bounds, ivar single-fill, semaphore accounting, poll budget, epoch
     monotone delivery, pool balance, no-tx-while-paused, switch-buffer
-    ledger, zero-loss-when-protected).  Exposed so tests can save,
-    replace and restore the whole set; prefer {!register} for adding. *)
+    ledger, zero-loss-when-protected, ecn-mark-above-threshold,
+    sack-no-spurious-retx).  Exposed so tests can save, replace and
+    restore the whole set; prefer {!register} for adding. *)
 
 val register : ctor -> unit
 (** Appends a project-specific monitor; see DESIGN.md. *)

@@ -40,6 +40,7 @@ type t = {
   high_water : (string, int) Hashtbl.t;  (* survives Sim_start resets *)
   mutable now : int;
   mutable violations : Violation.t list;
+  mutable live : int;  (* objects of [objs] still live *)
   mutable live_peak : int;
 }
 
@@ -51,6 +52,7 @@ let create ~leak_check () =
     high_water = Hashtbl.create 8;
     now = 0;
     violations = [];
+    live = 0;
     live_peak = 0;
   }
 
@@ -99,10 +101,8 @@ let flush_boundary t =
       t.pools
   end;
   Hashtbl.reset t.objs;
-  Hashtbl.reset t.pools
-
-let live_count t =
-  Hashtbl.fold (fun _ st n -> if st.o_live then n + 1 else n) t.objs 0
+  Hashtbl.reset t.pools;
+  t.live <- 0
 
 let on_event t (ev : Probe.event) =
   match ev with
@@ -130,7 +130,8 @@ let on_event t (ev : Probe.event) =
             (Printf.sprintf "alloc at %s (owner %s)" where
                (Probe.owner_name owner));
           Hashtbl.replace t.objs (kind, id) st;
-          t.live_peak <- max t.live_peak (live_count t))
+          t.live <- t.live + 1;
+          t.live_peak <- max t.live_peak t.live)
   | Probe.Obj_transfer { kind; id; owner; where } -> (
       match Hashtbl.find_opt t.objs (kind, id) with
       | Some st when st.o_live ->
@@ -151,6 +152,7 @@ let on_event t (ev : Probe.event) =
       match Hashtbl.find_opt t.objs (kind, id) with
       | Some st when st.o_live ->
           st.o_live <- false;
+          t.live <- t.live - 1;
           note st t (Printf.sprintf "free at %s" where)
       | Some st ->
           violation t ~rule:"double-free"

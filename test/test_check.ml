@@ -108,6 +108,32 @@ let test_lifecycle_clean () =
     "balanced lifecycle is clean" []
     (lifecycle_rules [ alloc 4; transfer 4; free 4 ])
 
+(* The [peak live objects N] note: a tally of live objects, lowered by the
+   first free only, and restarted at every simulation boundary. *)
+let lifecycle_peak evs =
+  let l = Check.Lifecycle.create ~leak_check:false () in
+  List.iter (Check.Lifecycle.on_event l) evs;
+  List.hd (Check.Lifecycle.notes l)
+
+let test_lifecycle_peak_tally () =
+  let peak n = Printf.sprintf "peak live objects %d" n in
+  let check_note = Alcotest.(check string) in
+  check_note "allocations raise the count" (peak 3)
+    (lifecycle_peak [ alloc 1; alloc 2; alloc 3 ]);
+  check_note "frees lower it" (peak 2)
+    (lifecycle_peak [ alloc 1; alloc 2; free 1; free 2; alloc 3; alloc 4 ]);
+  check_note "a double free lowers it once" (peak 3)
+    (lifecycle_peak [ alloc 1; alloc 2; free 1; free 1; alloc 3; alloc 4 ]);
+  Alcotest.(check (list string))
+    "allocating a live id again is caught" [ "double-alloc" ]
+    (lifecycle_rules ~leak_check:false [ alloc 1; alloc 1 ]);
+  check_note "and leaves the count unchanged" (peak 2)
+    (lifecycle_peak [ alloc 1; alloc 1; alloc 2 ]);
+  check_note "a freed id allocated again counts once" (peak 2)
+    (lifecycle_peak [ alloc 1; free 1; alloc 1; alloc 2 ]);
+  check_note "leaks are not carried across Sim_start" (peak 2)
+    (lifecycle_peak [ alloc 1; alloc 2; Probe.Sim_start; alloc 3 ])
+
 (* The same double-free caught through the real instrumentation: a probe
    sink sees Os.Skbuff.release called twice on a real buffer. *)
 let test_skbuff_double_free_probed () =
@@ -212,6 +238,27 @@ let test_invariant_pool_balance () =
   Alcotest.(check (list string))
     "usage beyond capacity caught" [ "pool-balance" ]
     (monitor_hits [ palloc 1024 1024; palloc 1088 64 ])
+
+let test_invariant_sack_no_spurious_retx () =
+  let sack blocks = Probe.Sack_rx { chan = 1; node = 0; peer = 1; blocks } in
+  let una snd_una = Probe.Snd_una { chan = 1; node = 0; peer = 1; snd_una } in
+  let retx seq = Probe.Chan_retx { chan = 1; node = 0; peer = 1; seq } in
+  let sacked = [ "sack-no-spurious-retx" ] in
+  Alcotest.(check (list string))
+    "retransmitting inside a standing SACK block caught" sacked
+    (monitor_hits [ sack [ (4, 8) ]; retx 5 ]);
+  Alcotest.(check (list string))
+    "segments outside the block are clean" []
+    (monitor_hits [ sack [ (4, 8) ]; retx 3; retx 8 ]);
+  Alcotest.(check (list string))
+    "a snd_una past the seq retires it" []
+    (monitor_hits [ sack [ (4, 8) ]; una 6; retx 5 ]);
+  Alcotest.(check (list string))
+    "but not the seqs at or above it" sacked
+    (monitor_hits [ sack [ (4, 8) ]; una 6; retx 6 ]);
+  Alcotest.(check (list string))
+    "Sim_start clears the blocks" []
+    (monitor_hits [ sack [ (4, 8) ]; Probe.Sim_start; retx 5 ])
 
 let test_invariant_register () =
   let saved = !Check.Invariants.registry in
@@ -462,45 +509,6 @@ let test_soak_short_rotation () =
   check_bool "carries the narrowed note" true
     (List.mem "template set narrowed: evidence demands not enforced"
        r.Check.Soak.s_notes)
-
-(* The PR-8 compatibility contract: the topology-DSL rebuild of the wiring
-   must leave every pre-existing scenario's logical trace untouched.  The
-   full 15-scenario sweep runs in CI (`clic-sim check --hashes` against
-   test/golden/scenario_hashes.txt); in-suite, a fast subset pins the
-   hashes on every `dune runtest`. *)
-let fast_hash_scenarios =
-  [ "fig1"; "fig7"; "sec2"; "sec3"; "ext2"; "ext3"; "chaos"; "incast"; "fabric" ]
-
-let test_scenario_hashes_pinned () =
-  let golden =
-    let ic = open_in "golden/scenario_hashes.txt" in
-    let rec loop acc =
-      match input_line ic with
-      | line -> (
-          match String.split_on_char ' ' line with
-          | [ name; hash ] -> loop ((name, hash) :: acc)
-          | _ -> loop acc)
-      | exception End_of_file ->
-          close_in ic;
-          List.rev acc
-    in
-    loop []
-  in
-  check_bool "golden file pins every scenario" true (List.length golden >= 16);
-  List.iter
-    (fun name ->
-      if not (List.mem_assoc name golden) then
-        Alcotest.failf "scenario %s missing from the golden file" name)
-    fast_hash_scenarios;
-  let reports = Check.run_all ~seeds:0 ~names:fast_hash_scenarios () in
-  List.iter
-    (fun r ->
-      Alcotest.(check string)
-        (r.Check.scenario
-       ^ ": logical trace hash pinned by test/golden/scenario_hashes.txt")
-        (List.assoc r.Check.scenario golden)
-        r.Check.baseline_hash)
-    reports
 
 let test_probe_on_off_equivalence () =
   let sc =
@@ -872,6 +880,8 @@ let suite =
       test_lifecycle_pool_leak;
     Alcotest.test_case "lifecycle: balanced run is clean" `Quick
       test_lifecycle_clean;
+    Alcotest.test_case "lifecycle: peak live-object tally" `Quick
+      test_lifecycle_peak_tally;
     Alcotest.test_case "lifecycle: real skbuff double free" `Quick
       test_skbuff_double_free_probed;
     Alcotest.test_case "invariants: duplicate/gap delivery" `Quick
@@ -888,6 +898,8 @@ let suite =
       test_invariant_epoch_monotone;
     Alcotest.test_case "invariants: pool balance" `Quick
       test_invariant_pool_balance;
+    Alcotest.test_case "invariants: no retransmission of SACKed segments"
+      `Quick test_invariant_sack_no_spurious_retx;
     Alcotest.test_case "invariants: custom registration" `Quick
       test_invariant_register;
     Alcotest.test_case "determinism: logical trace hash" `Quick
@@ -917,8 +929,6 @@ let suite =
       test_slo_contract_run;
     Alcotest.test_case "slo: panel contract flags doctored rows" `Quick
       test_slo_panel_contract;
-    Alcotest.test_case "check: scenario trace hashes pinned" `Slow
-      test_scenario_hashes_pinned;
     Alcotest.test_case "probe on/off trace equivalence" `Quick
       test_probe_on_off_equivalence;
     Alcotest.test_case "lint: bad fixtures trigger exactly their rule" `Quick
