@@ -1,11 +1,17 @@
 (* Events/sec microbenchmarks for the simulation engine hot path.
 
-   Three families, sized so a full run finishes in seconds:
+   Four families, sized so a full run finishes in seconds:
 
    - empty-dispatch: one self-rescheduling chain of no-op events; measures
      the bare schedule+pop+dispatch cycle with a near-empty heap.
    - churn: schedule waves of far-future events, cancel half of them, then
-     drain; measures push/cancel/lazy-deletion throughput with a deep heap.
+     drain; measures push/cancel throughput with a deep heap.  Cancelling
+     exactly half never leaves more cancelled entries than live ones, so
+     the heap never compacts: the cancelled entries are skipped as they
+     reach the root.
+   - rearm: one live chain that cancels and re-arms a far-future timer at
+     every step, the RTO pattern; measures dispatch plus cancel and heap
+     compaction.
    - mesh-N: N nodes ping-pong with their partner concurrently, so the
      heap holds ~N outstanding events at all times; measures the whole
      loop at the heap depths the thousand-node scenarios produce.
@@ -32,8 +38,8 @@ let empty_dispatch ~events () =
   Sim.events_executed sim
 
 (* Waves of handle-returning schedules with half the handles cancelled
-   before the drain: the cancelled slots ride through the heap as lazy
-   deletions.  Returns schedules + cancels as the op count. *)
+   before the drain: the cancelled slots ride through the heap until
+   they reach the root.  Returns schedules + cancels as the op count. *)
 let churn ~ops () =
   let sim = Sim.create () in
   let wave = 1024 in
@@ -51,6 +57,21 @@ let churn ~ops () =
     Sim.run sim
   done;
   !ops_done
+
+(* A 1 us chain whose every step cancels the pending 10 ms timer and
+   schedules a fresh one: without compaction the heap would hold 10,000
+   dead timers. *)
+let rearm ~events () =
+  let sim = Sim.create () in
+  let timer = ref None in
+  let rec tick k () =
+    Option.iter Sim.cancel !timer;
+    timer := Some (Sim.schedule sim ~after:(Time.ms 10.) ignore);
+    if k < events then post sim ~after:(Time.us 1.) (tick (k + 1))
+  in
+  post sim ~after:0 (tick 1);
+  Sim.run sim;
+  Sim.events_executed sim
 
 let mesh ~nodes ~rounds () =
   if nodes land 1 <> 0 then invalid_arg "mesh: nodes must be even";
@@ -100,6 +121,7 @@ let suite ~quick =
   [
     ("engine/empty-dispatch", 0, empty_dispatch ~events:(scale 2_000_000 100_000));
     ("engine/churn", 0, churn ~ops:(scale 1_500_000 100_000));
+    ("engine/rearm", 0, rearm ~events:(scale 2_000_000 100_000));
   ]
   @ List.map
       (fun n ->

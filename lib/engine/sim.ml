@@ -25,7 +25,14 @@
    - Handle-returning {!schedule} allocates a small handle per call.  The
      handle names its slot through a generation counter, so a handle
      retained long after its event fired (timer fields commonly do this)
-     can never touch a recycled slot. *)
+     can never touch a recycled slot.
+
+   - After any {!cancel}, cancelled heap entries do not outnumber live
+     ones: the cancel that would tip the balance compacts the heap (see
+     [compact]).  Protocols cancel and re-arm RTO and delayed-ACK timers
+     far more often than they let one fire, so without this the heap
+     fills with dead timers that every sift must step over until their
+     old deadline. *)
 
 type t = {
   mutable clock : Time.t;
@@ -330,6 +337,33 @@ let[@clic.hot] post sim ~after thunk =
   if after < 0 then invalid_arg "Sim.post: negative delay";
   post_at sim ~at:(Time.add sim.clock after) thunk
 
+(* Drops every cancelled entry from the heap, frees its slot (the
+   generation bump keeps stale handles inert) and rebuilds the heap in
+   place, bottom-up.  The entries form a total order on (key, aux, seq),
+   so the pop sequence is a function of the set of live entries alone,
+   whatever the heap's shape: removing dead entries early changes
+   nothing any event can observe.  The vacated positions get their
+   sentinel keys back. *)
+let[@inline never] compact sim =
+  let keys = sim.keys and haux = sim.haux and hidx = sim.hidx in
+  let n = sim.hsize in
+  let k = ref 0 in
+  for i = 0 to n - 1 do
+    let s = Array.unsafe_get hidx i in
+    if Array.unsafe_get sim.s_state s = st_cancelled then free_slot sim s
+    else begin
+      Array.unsafe_set keys !k (Array.unsafe_get keys i);
+      Array.unsafe_set haux !k (Array.unsafe_get haux i);
+      Array.unsafe_set hidx !k s;
+      incr k
+    end
+  done;
+  Array.fill keys !k (n - !k) max_int;
+  sim.hsize <- !k;
+  for i = (!k - 2) asr 2 downto 0 do
+    sift_down sim i
+  done
+
 let cancel h =
   if not h.hcancelled then begin
     let sim = h.owner in
@@ -337,11 +371,13 @@ let cancel h =
       sim.s_gen.(h.slot) = h.gen && sim.s_state.(h.slot) = st_scheduled
     then begin
       sim.s_state.(h.slot) <- st_cancelled;
-      (* Drop the closure now; the slot itself drains from the heap
-         lazily. *)
       sim.s_thunk.(h.slot) <- ignore_thunk;
       sim.live <- sim.live - 1;
-      h.hcancelled <- true
+      h.hcancelled <- true;
+      (* The heap holds [live] entries plus the cancelled ones.  A
+         compaction costs O(hsize) < 2x the cancels since the last one,
+         so it is amortised O(1) per cancel. *)
+      if sim.hsize - sim.live > sim.live then compact sim
     end
   end
 

@@ -4,12 +4,13 @@
     (thunks).  Events scheduled for the same instant fire in scheduling
     order (FIFO), which makes runs fully deterministic.
 
-    Two scheduling tiers exist.  {!post} is the fast path: it returns no
-    handle, so the engine pools and reuses its event records — a steady
-    stream of posts allocates nothing.  {!schedule} returns a {!handle}
-    for later {!cancel}; because callers routinely retain handles past
-    the event's firing, those records are freshly allocated and never
-    recycled.  Prefer [post] anywhere the event is never cancelled.
+    Two scheduling tiers exist, over one recycled slot arena.  {!post}
+    is the fast path: it returns no handle, so a steady stream of posts
+    allocates nothing.  {!schedule} also allocates a small {!handle} for
+    later {!cancel}.  Callers routinely retain handles past the event's
+    firing, so a handle names its slot with a generation count and
+    cannot touch the slot's next occupant.  Prefer [post] anywhere the
+    event is never cancelled.
 
     Higher-level blocking-style code is built on top of this in
     {!Process}. *)
@@ -55,8 +56,11 @@ val post : t -> after:Time.span -> (unit -> unit) -> unit
 
 val cancel : handle -> unit
 (** Cancelling an already-fired or already-cancelled event is a no-op.
-    Takes effect immediately in {!pending}; the cancelled record drains
-    from the queue lazily. *)
+    Takes effect immediately in {!pending}.  A cancelled entry waits in
+    the queue only while cancelled entries do not outnumber live ones: a
+    cancel that tips the balance drops them all, in amortised O(1) per
+    cancel.  So right after any cancel the queue holds at most twice
+    {!pending} entries, however often timers are re-armed. *)
 
 val is_cancelled : handle -> bool
 
@@ -79,8 +83,7 @@ val run_n : t -> int -> int
 
 val pending : t -> int
 (** Number of scheduled (non-cancelled) events, for tests/diagnostics.
-    Cancelled events leave the count at {!cancel} time, not when their
-    record drains from the queue. *)
+    Cancelled events leave the count at {!cancel} time. *)
 
 val events_executed : t -> int
 (** Total count of events fired since creation. *)
