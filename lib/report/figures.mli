@@ -33,6 +33,14 @@ val tab1 : ?quick:bool -> Format.formatter -> scalar list
 (** The headline numbers: latency, asymptotes, ratios, half-bandwidth
     points — paper vs measured. *)
 
+val half_bandwidth_size : (float * float) list -> float
+(** [half_bandwidth_size points] is the smallest message size at which
+    the bandwidth reaches half that of the last point.  [points] are
+    (size, bandwidth) pairs in ascending size order.  Between two
+    measured points the size is interpolated in log-size space; when the
+    first point already reaches half, it is that point's size.  [0.] for
+    no points. *)
+
 val fig1 : ?quick:bool -> Format.formatter -> (string * float * float) list
 (** Data-path ablation (paths 1-4): (path, 0-byte latency us, 1 MB
     bandwidth Mbit/s) at MTU 1500. *)

@@ -99,6 +99,20 @@ let test_paper_reference_values () =
     (Report.Paper.half_bandwidth_size_tcp
    > Report.Paper.half_bandwidth_size_clic)
 
+(* The half-bandwidth point is read off measured (size, bandwidth)
+   points: half of the last point's bandwidth, found between the two
+   points that straddle it in log-size space. *)
+let test_half_bandwidth_size () =
+  let half = Report.Figures.half_bandwidth_size in
+  let close = Alcotest.(check (float 1e-6)) in
+  close "geometric midpoint" 8000.
+    (half [ (1000., 100.); (4000., 300.); (16000., 500.); (64000., 800.) ]);
+  close "crossing exactly at a point" 4000.
+    (half [ (1000., 100.); (4000., 400.); (16000., 800.) ]);
+  close "first point already at half" 256.
+    (half [ (256., 600.); (1024., 700.); (4096., 1000.) ]);
+  close "single point" 4096. (half [ (4096., 900.) ])
+
 let test_fig5_quick_invariants () =
   match Report.Figures.fig5 ~quick:true null_fmt with
   | [ clic9000; clic1500; tcp9000; tcp1500 ] ->
@@ -237,6 +251,7 @@ let suite =
     ("timeline shape", `Quick, test_timeline_shape);
     ("pairs registry", `Quick, test_pairs_registry);
     ("paper reference", `Quick, test_paper_reference_values);
+    ("half-bandwidth size", `Quick, test_half_bandwidth_size);
     ("fig5 invariants", `Slow, test_fig5_quick_invariants);
     ("incast acceptance", `Slow, test_incast_acceptance);
     ("fabric acceptance", `Slow, test_fabric_acceptance);
