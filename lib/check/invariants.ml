@@ -2,12 +2,12 @@
 
    A monitor is a small state machine fed every probe event; it answers
    with a violation detail when the event breaks its rule.  Monitors are
-   registered as constructors so each checker run gets fresh state, and
-   each monitor resets itself on [Sim_start] (scenarios create several
+   kept as constructors so each checker run gets fresh state, and each
+   monitor resets itself on [Sim_start] (scenarios create several
    simulations in sequence; identities that are per-simulation restart).
 
-   The default registry covers the protocol and engine properties the
-   repository relies on:
+   The monitors cover the protocol and engine properties the repository
+   relies on:
 
    - the simulation clock never moves backwards,
    - cumulative acknowledgements (sent and received-side [snd_una]) are
@@ -22,9 +22,7 @@
    - a switch sets CE only when the egress queue really stood at or above
      the configured marking threshold,
    - a segment covered by a received SACK block is never retransmitted
-     while the block still stands.
-
-   [register] adds project-specific monitors; see DESIGN.md. *)
+     while the block still stands. *)
 
 open Engine
 
@@ -33,9 +31,7 @@ type monitor = {
   on_event : now:int -> Probe.event -> string option;
 }
 
-type ctor = unit -> monitor
-
-(* ---------------- default monitors ---------------- *)
+(* ---------------- monitors ---------------- *)
 
 let clock_monotone () =
   let last = ref min_int in
@@ -508,7 +504,7 @@ let sack_no_spurious_retx () =
         | _ -> None);
   }
 
-let defaults : ctor list =
+let monitors =
   [
     clock_monotone;
     ack_tx_monotone;
@@ -529,8 +525,4 @@ let defaults : ctor list =
     sack_no_spurious_retx;
   ]
 
-let registry : ctor list ref = ref defaults
-
-let register ctor = registry := !registry @ [ ctor ]
-
-let create_all () = List.map (fun ctor -> ctor ()) !registry
+let create_all () = List.map (fun ctor -> ctor ()) monitors

@@ -120,25 +120,6 @@ let hotspot c ~seed ~target ?senders ~messages_per_node ?(size = 4096)
   Net.run c;
   stats_of tally
 
-let ring c ~rounds ?(size = 8192) ?(port = 72) () =
-  let n = Net.size c in
-  if n < 2 then invalid_arg "Workload.ring: need >= 2 nodes";
-  let tally = fresh_tally () in
-  for i = 0 to n - 1 do
-    let node = Net.node c i in
-    let next = (i + 1) mod n in
-    Node.spawn node (fun () ->
-        for _ = 1 to rounds do
-          note_send tally (Sim.now c.Net.sim);
-          Clic.Api.send node.Node.clic ~dst:next ~port size;
-          let msg = Clic.Api.recv node.Node.clic ~port in
-          note_delivery tally (Sim.now c.Net.sim)
-            msg.Clic.Clic_module.msg_bytes
-        done)
-  done;
-  Net.run c;
-  stats_of tally
-
 (* --------------------------------------------------------------- *)
 (* Open-loop request-response workloads with tail-latency accounting *)
 
@@ -236,26 +217,8 @@ let slo_of sb tally ~resp_size =
     slo_samples = samples;
   }
 
-(* One echo server process per node: serves requests FIFO, answering each
-   to its sender on [port + 1].  Single-threaded on purpose — a busy
-   server queues, which is exactly where open-loop tails come from. *)
-let spawn_servers c ~port ~resp_size =
-  for i = 0 to Net.size c - 1 do
-    let node = Net.node c i in
-    Node.spawn node (fun () ->
-        let rec loop () =
-          let msg = Clic.Api.recv node.Node.clic ~port in
-          Clic.Api.send node.Node.clic ~dst:msg.Clic.Clic_module.msg_src
-            ~port:(port + 1) resp_size;
-          loop ()
-        in
-        loop ())
-  done
-
-(* Spawns the full request-response fabric (request pumps, per-node send
-   workers, response listeners, dispatchers) without running the
-   simulation, so mixes can lay several workloads over the same cluster.
-   Returns the finisher that builds the stats once the net has drained.
+(* Every node runs a request pump, a send worker, a response listener
+   and an open-loop dispatcher; the net then runs until it drains.
 
    Latency is charged from the scheduled arrival instant, not from when
    the request actually reached the wire: open-loop clients do not get to
@@ -274,8 +237,8 @@ let spawn_servers c ~port ~resp_size =
    per-node message ids can shift.  That race is why [open_loop_oneway]
    and [Figures.slo_trace] exist (pinning this workload is an open item
    in ROADMAP.md, "Pin the request-response workloads"). *)
-let spawn_open_loop c ~seed ~arrival ~requests_per_node ~req_size ~resp_size
-    ~deadline ~port =
+let open_loop c ~seed ~arrival ?(requests_per_node = 100) ?(req_size = 512)
+    ?(resp_size = 4096) ?(deadline = 0) ?(port = 73) () =
   validate_arrival arrival;
   if requests_per_node <= 0 then
     invalid_arg "Workload.open_loop: requests_per_node <= 0";
@@ -357,16 +320,8 @@ let spawn_open_loop c ~seed ~arrival ~requests_per_node ~req_size ~resp_size
           Mailbox.send inbox.(i) (`Fire dst)
         done)
   done;
-  fun () -> (stats_of tally, slo_of sb tally ~resp_size)
-
-let open_loop c ~seed ~arrival ?(requests_per_node = 100) ?(req_size = 512)
-    ?(resp_size = 4096) ?(deadline = 0) ?(port = 73) () =
-  let finish =
-    spawn_open_loop c ~seed ~arrival ~requests_per_node ~req_size ~resp_size
-      ~deadline ~port
-  in
   Net.run c;
-  finish ()
+  (stats_of tally, slo_of sb tally ~resp_size)
 
 (* One-way open-loop variant: same seeded arrival schedule, no response
    leg.  Latency is delivery instant minus scheduled arrival, so client
@@ -447,167 +402,6 @@ let open_loop_oneway c ~seed ~arrival ?(requests_per_node = 100)
   done;
   Net.run c;
   (stats_of tally, slo_of sb tally ~resp_size:req_size)
-
-(* --------------------------------------------------------------- *)
-(* Partition-aggregate fan-out (websearch-style root -> leaves -> root) *)
-
-type fanout_stats = {
-  fo_queries : int;
-  fo_completed : int;
-  fo_stragglers : int;
-  fo_leaf_p99_us : float;
-}
-
-type query = {
-  q_t0 : Time.t;
-  mutable q_left : int;
-  mutable q_first : Time.t option;  (* first leaf response *)
-}
-
-let partition_aggregate c ~seed ?(queries = 50) ?fanout
-    ?(arrival = Poisson { mean_gap = Time.us 30. }) ?(req_size = 256)
-    ?(resp_size = 2048) ?(straggler_slack = Time.us 200.) ?(deadline = 0)
-    ?(port = 75) () =
-  validate_arrival arrival;
-  if queries <= 0 then
-    invalid_arg "Workload.partition_aggregate: queries <= 0";
-  if req_size <= 0 || resp_size <= 0 then
-    invalid_arg "Workload.partition_aggregate: message size <= 0";
-  if straggler_slack <= 0 then
-    invalid_arg "Workload.partition_aggregate: straggler_slack <= 0";
-  if deadline < 0 then
-    invalid_arg "Workload.partition_aggregate: deadline < 0";
-  let n = Net.size c in
-  if n < 2 then invalid_arg "Workload.partition_aggregate: need >= 2 nodes";
-  let fanout = match fanout with None -> n - 1 | Some f -> f in
-  if fanout < 1 || fanout > n - 1 then
-    invalid_arg "Workload.partition_aggregate: fanout outside [1, n-1]";
-  let tally = fresh_tally () in
-  let sb =
-    { sb_requests = 0; sb_completed = 0; sb_timeouts = 0; sb_samples = [] }
-  in
-  let stragglers = ref 0 in
-  let leaf_lats = ref [] in
-  spawn_servers c ~port ~resp_size;
-  let root = Net.node c 0 in
-  let pending = Array.init n (fun _ -> Queue.create ()) in
-  let mail = Array.init n (fun _ -> Mailbox.create ()) in
-  for j = 1 to n - 1 do
-    Node.spawn root (fun () ->
-        let rec loop () =
-          let (_ : Time.t) = Mailbox.recv mail.(j) in
-          Clic.Api.send root.Node.clic ~dst:j ~port req_size;
-          loop ()
-        in
-        loop ())
-  done;
-  (* Root aggregation listener: a query completes when its slowest leaf
-     answers; the straggler gap is slowest minus fastest. *)
-  Node.spawn root (fun () ->
-      let rec loop () =
-        let msg = Clic.Api.recv root.Node.clic ~port:(port + 1) in
-        let now = Sim.now c.Net.sim in
-        (match Queue.take_opt pending.(msg.Clic.Clic_module.msg_src) with
-        | Some q ->
-            note_delivery tally now msg.Clic.Clic_module.msg_bytes;
-            leaf_lats := Time.to_us (Time.diff now q.q_t0) :: !leaf_lats;
-            if q.q_first = None then q.q_first <- Some now;
-            q.q_left <- q.q_left - 1;
-            if q.q_left = 0 then begin
-              let lat = Time.diff now q.q_t0 in
-              sb.sb_completed <- sb.sb_completed + 1;
-              if deadline > 0 && lat > deadline then
-                sb.sb_timeouts <- sb.sb_timeouts + 1;
-              sb.sb_samples <- (q.q_t0, Time.to_us lat) :: sb.sb_samples;
-              match q.q_first with
-              | Some first when Time.diff now first > straggler_slack ->
-                  incr stragglers
-              | _ -> ()
-            end
-        | None -> ());
-        loop ()
-      in
-      loop ());
-  (* Query dispatcher at the root (the only open-loop arrival stream). *)
-  let root_rng = Rng.create ~seed in
-  let rng = Rng.split root_rng in
-  Node.spawn root (fun () ->
-      let leaves = Array.init (n - 1) (fun k -> k + 1) in
-      for _ = 1 to queries do
-        Process.delay (draw_gap rng arrival);
-        (* Partial Fisher-Yates: the first [fanout] slots become the
-           query's leaf set. *)
-        for k = 0 to fanout - 1 do
-          let swap = k + Rng.int rng (n - 1 - k) in
-          let tmp = leaves.(k) in
-          leaves.(k) <- leaves.(swap);
-          leaves.(swap) <- tmp
-        done;
-        let now = Sim.now c.Net.sim in
-        sb.sb_requests <- sb.sb_requests + 1;
-        let q = { q_t0 = now; q_left = fanout; q_first = None } in
-        for k = 0 to fanout - 1 do
-          note_send tally now;
-          Queue.add q pending.(leaves.(k));
-          Mailbox.send mail.(leaves.(k)) now
-        done
-      done);
-  Net.run c;
-  let leaf_arr = Array.of_list !leaf_lats in
-  ( stats_of tally,
-    slo_of sb tally ~resp_size,
-    {
-      fo_queries = queries;
-      fo_completed = sb.sb_completed;
-      fo_stragglers = !stragglers;
-      fo_leaf_p99_us = quantile leaf_arr 99.;
-    } )
-
-(* --------------------------------------------------------------- *)
-(* Elephants vs mice *)
-
-type mix = { mix_elephants : stats; mix_mice : stats; mix_slo : slo }
-
-let elephants_mice c ~seed ?elephant_pairs ?(elephant_messages = 20)
-    ?(elephant_size = 131072) ?(arrival = Poisson { mean_gap = Time.us 25. })
-    ?(requests_per_node = 80) ?(req_size = 256) ?(resp_size = 1024)
-    ?(deadline = 0) ?(port = 77) () =
-  let n = Net.size c in
-  if n < 2 then invalid_arg "Workload.elephants_mice: need >= 2 nodes";
-  let elephant_pairs =
-    match elephant_pairs with None -> max 1 (n / 4) | Some p -> p
-  in
-  if elephant_pairs < 1 || elephant_pairs > n then
-    invalid_arg "Workload.elephants_mice: elephant_pairs outside [1, n]";
-  if elephant_messages <= 0 || elephant_size <= 0 then
-    invalid_arg "Workload.elephants_mice: bad elephant shape";
-  let mice_finish =
-    spawn_open_loop c ~seed ~arrival ~requests_per_node ~req_size ~resp_size
-      ~deadline ~port
-  in
-  (* Bulk transfers crossing the fabric while the mice scurry: sender k
-     streams to the node halfway around, so elephants share links with
-     everyone's mice. *)
-  let elephant_port = port + 2 in
-  let e_tally = fresh_tally () in
-  spawn_receivers c ~port:elephant_port e_tally;
-  for k = 0 to elephant_pairs - 1 do
-    let node = Net.node c k in
-    let dst = (k + (n / 2)) mod n in
-    let dst = if dst = k then (k + 1) mod n else dst in
-    Node.spawn node (fun () ->
-        for _ = 1 to elephant_messages do
-          note_send e_tally (Sim.now c.Net.sim);
-          Clic.Api.send node.Node.clic ~dst ~port:elephant_port elephant_size
-        done)
-  done;
-  Net.run c;
-  let mice_stats, mice_slo = mice_finish () in
-  {
-    mix_elephants = stats_of e_tally;
-    mix_mice = mice_stats;
-    mix_slo = mice_slo;
-  }
 
 (* --------------------------------------------------------------- *)
 (* Gray-failure injection window *)

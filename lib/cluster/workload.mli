@@ -2,13 +2,13 @@
     and multiprogramming experiments.
 
     Two families share this module.  The {e closed-loop} patterns
-    ({!uniform_random}, {!hotspot}, {!ring}) inject a fixed message count
-    and run the cluster to quiescence.  The {e open-loop} patterns
-    ({!open_loop}, {!partition_aggregate}, {!elephants_mice}) model
-    production traffic: request arrivals fire on a seeded random schedule
-    whether or not earlier requests have completed, so a slow server or a
-    sagging link builds a backlog instead of silently slowing the offered
-    load — which is where p99/p999 tails actually come from.
+    ({!uniform_random}, {!hotspot}) inject a fixed message count and run
+    the cluster to quiescence.  The {e open-loop} patterns ({!open_loop},
+    {!open_loop_oneway}) model production traffic: request arrivals fire
+    on a seeded random schedule whether or not earlier requests have
+    completed, so a slow server or a sagging link builds a backlog
+    instead of silently slowing the offered load — which is where
+    p99/p999 tails actually come from.
 
     {b Drain semantics.}  Server and receiver processes are infinite
     loops; when traffic ends each is parked in one final blocking receive
@@ -63,11 +63,6 @@ val hotspot :
     default: everyone but the target.
     @raise Invalid_argument when a sender id is out of range or is the
     target itself. *)
-
-val ring :
-  Net.t -> rounds:int -> ?size:int -> ?port:int -> unit -> stats
-(** Each node sends to its clockwise neighbour, [rounds] times, waiting
-    for its own neighbour's message between rounds (bounded skew). *)
 
 (** {1 Open-loop request-response workloads} *)
 
@@ -151,63 +146,6 @@ val open_loop_oneway :
     same-instant permutations; the pinned [slo] scenario runs this
     variant.  Goodput counts request payload.
     @raise Invalid_argument as {!open_loop}. *)
-
-type fanout_stats = {
-  fo_queries : int;
-  fo_completed : int;
-  fo_stragglers : int;
-      (** completed queries whose slowest leaf answered more than the
-          straggler slack after the fastest *)
-  fo_leaf_p99_us : float;  (** p99 over individual leaf responses *)
-}
-
-val partition_aggregate :
-  Net.t ->
-  seed:int ->
-  ?queries:int ->
-  ?fanout:int ->
-  ?arrival:arrival ->
-  ?req_size:int ->
-  ?resp_size:int ->
-  ?straggler_slack:Time.span ->
-  ?deadline:Time.span ->
-  ?port:int ->
-  unit ->
-  stats * slo * fanout_stats
-(** Websearch-style partition-aggregate: node 0 fans each query out to a
-    random [fanout]-subset of the other nodes (default: all of them) and
-    the query completes when the slowest leaf has answered, so the query
-    tail is the straggler tail.  [slo] percentiles are over query
-    completion times; [fanout_stats] accounts for stragglers.
-    @raise Invalid_argument for a fanout outside [\[1, n-1\]] or the usual
-    size/count/arrival violations. *)
-
-type mix = {
-  mix_elephants : stats;  (** bulk transfer delivery *)
-  mix_mice : stats;  (** open-loop request-response delivery *)
-  mix_slo : slo;  (** the mice's latency SLO record *)
-}
-
-val elephants_mice :
-  Net.t ->
-  seed:int ->
-  ?elephant_pairs:int ->
-  ?elephant_messages:int ->
-  ?elephant_size:int ->
-  ?arrival:arrival ->
-  ?requests_per_node:int ->
-  ?req_size:int ->
-  ?resp_size:int ->
-  ?deadline:Time.span ->
-  ?port:int ->
-  unit ->
-  mix
-(** Bandwidth-heavy elephants (node [k] streams [elephant_messages]
-    messages of [elephant_size] bytes to the node halfway around the
-    cluster, for [elephant_pairs] senders, default [n/4]) sharing the
-    fabric with latency-sensitive open-loop mice on every node.  The
-    interesting output is [mix_slo]: what the elephants did to the mice's
-    tail. *)
 
 (** {1 Gray-failure injection} *)
 

@@ -40,25 +40,8 @@ let mpi_bcast mpi ~rank ~root ~size n =
     mask := !mask lsr 1
   done
 
-
-let barrier_tag = 0x7ffd
 let gather_tag = 0x7ffc
 let allreduce_tag = 0x7ffb
-
-(* Dissemination barrier: ceil(log2 size) rounds; in round k, rank r
-   signals (r + 2^k) mod size and waits for (r - 2^k) mod size. *)
-let barrier mpi ~rank ~size =
-  if size > 1 then begin
-    let k = ref 1 in
-    while !k < size do
-      let dst = (rank + !k) mod size in
-      let src = ((rank - !k) mod size + size) mod size in
-      let req = Mpi.irecv mpi ~src ~tag:barrier_tag () in
-      Mpi.send mpi ~dst ~tag:barrier_tag 1;
-      ignore (Mpi.wait req);
-      k := !k * 2
-    done
-  end
 
 (* Linear gather: every non-root rank sends its [n] bytes to the root,
    which receives size-1 contributions (any order). *)

@@ -177,33 +177,17 @@ let recv t ?src ?tag () =
       Ivar.read result
 
 (* ------------------------------------------------------------------ *)
-(* Non-blocking operations: the blocking call runs in its own process and
+(* Non-blocking receive: the blocking call runs in its own process and
    completion is signalled through an ivar. *)
 
-type request = {
-  req_done : envelope option Ivar.t;
-}
-
-let isend t ~dst ~tag n =
-  let req_done = Ivar.create () in
-  Process.fork (fun () ->
-      send t ~dst ~tag n;
-      Ivar.fill req_done None);
-  { req_done }
+type request = envelope Ivar.t
 
 let irecv t ?src ?tag () =
-  let req_done = Ivar.create () in
-  Process.fork (fun () ->
-      let env = recv t ?src ?tag () in
-      Ivar.fill req_done (Some env));
-  { req_done }
+  let req = Ivar.create () in
+  Process.fork (fun () -> Ivar.fill req (recv t ?src ?tag ()));
+  req
 
-let wait req = Ivar.read req.req_done
-let test req = Ivar.is_filled req.req_done
-
-let iprobe t ?src ?tag () =
-  let want = { want_src = src; want_tag = tag; result = Ivar.create () } in
-  Queue.fold (fun acc env -> acc || matches want env) false t.unexpected
+let wait = Ivar.read
 
 let unexpected_queued t = Queue.length t.unexpected
 let sends t = t.sends

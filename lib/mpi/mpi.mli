@@ -5,7 +5,8 @@
     part those curves exercise: standard-mode send/receive with
     (source, tag) matching, an eager protocol for small messages and a
     rendezvous protocol (RTS/CTS) above a threshold, plus the library's
-    own per-call overhead and 32-byte envelopes.
+    own per-call overhead and 32-byte envelopes.  One non-blocking
+    receive serves the collectives ({!Collectives}).
 
     Transports ({!Mpi_clic}, {!Mpi_tcp}) move envelopes and payload bytes
     between ranks; envelope metadata rides out-of-band in the simulator
@@ -54,25 +55,16 @@ val recv : t -> ?src:int -> ?tag:int -> unit -> envelope
 (** Blocking receive; omitted [src]/[tag] act as wildcards.  Matching is
     FIFO among queued candidates, as MPI requires. *)
 
-val iprobe : t -> ?src:int -> ?tag:int -> unit -> bool
-(** Non-blocking check for a matching unexpected message. *)
-
-(** {1 Non-blocking operations} *)
+(** {1 Non-blocking receive} *)
 
 type request
 
-val isend : t -> dst:int -> tag:int -> int -> request
-(** Starts a standard-mode send; completion means what {!send}'s return
-    means (handed over / rendezvous finished). *)
-
 val irecv : t -> ?src:int -> ?tag:int -> unit -> request
+(** Starts a {!recv} in its own process, so the caller can send before
+    it waits. *)
 
-val wait : request -> envelope option
-(** Blocks until the request completes; [Some envelope] for receives,
-    [None] for sends. *)
-
-val test : request -> bool
-(** Non-blocking completion check. *)
+val wait : request -> envelope
+(** Blocks until the request's message has been received. *)
 
 val unexpected_queued : t -> int
 val sends : t -> int

@@ -6,17 +6,14 @@ type t = {
   mutable handle : Sim.handle option;
 }
 
-let arm t span =
+let after sim span thunk =
+  let t = { sim; thunk; handle = None } in
   let h =
     Sim.schedule t.sim ~after:span (fun () ->
         t.handle <- None;
         t.thunk ())
   in
-  t.handle <- Some h
-
-let after sim span thunk =
-  let t = { sim; thunk; handle = None } in
-  arm t span;
+  t.handle <- Some h;
   t
 
 let cancel t =
@@ -25,9 +22,3 @@ let cancel t =
       Sim.cancel h;
       t.handle <- None
   | None -> ()
-
-let restart t span =
-  cancel t;
-  arm t span
-
-let is_pending t = t.handle <> None

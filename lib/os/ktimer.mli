@@ -1,8 +1,8 @@
 (** Kernel timers (retransmission, delayed ACKs, coalescing holdoffs).
 
-    A thin, cancellable wrapper over the simulator clock with restart
-    support, mirroring the add_timer/mod_timer/del_timer kernel API the
-    modelled protocols use. *)
+    A thin, cancellable one-shot wrapper over the simulator clock,
+    mirroring the add_timer/del_timer kernel API the modelled protocols
+    use. *)
 
 open Engine
 
@@ -13,9 +13,3 @@ val after : Sim.t -> Time.span -> (unit -> unit) -> t
 
 val cancel : t -> unit
 (** Idempotent; cancelling a fired timer is a no-op. *)
-
-val restart : t -> Time.span -> unit
-(** Re-arms with a new expiry from now, whether fired, pending or
-    cancelled. *)
-
-val is_pending : t -> bool

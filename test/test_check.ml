@@ -1,4 +1,4 @@
-(* Tests for the analysis layer: heap/sim tie-break determinism hooks, the
+(* Tests for the analysis layer: the sim tie-break determinism hook, the
    lifecycle sanitizer's true positives, the invariant monitors, and the
    determinism detector — including that the whole checker runs a real
    scenario clean end to end. *)
@@ -12,26 +12,6 @@ let contains haystack needle =
   let nh = String.length haystack and nn = String.length needle in
   let rec go i = i + nn <= nh && (String.sub haystack i nn = needle || go (i + 1)) in
   go 0
-
-(* ------------------------------------------------------------------ *)
-(* Satellite: FIFO stability of the event heap under many equal keys *)
-
-let test_heap_fifo_stability () =
-  let h = Heap.create ~dummy:(0, 0) ~cmp:(fun (a, _) (b, _) -> compare a b) in
-  (* 500 entries with the same key: pop order must be insertion order *)
-  for i = 0 to 499 do
-    Heap.push h (7, i)
-  done;
-  (* sprinkle earlier and later keys around them *)
-  Heap.push h (9, -1);
-  Heap.push h (1, -2);
-  check_int "first is smallest key" (-2) (snd (Heap.pop_exn h));
-  for i = 0 to 499 do
-    let k, v = Heap.pop_exn h in
-    check_int "equal keys stay FIFO" i v;
-    check_int "key" 7 k
-  done;
-  check_int "largest key last" (-1) (snd (Heap.pop_exn h))
 
 (* ------------------------------------------------------------------ *)
 (* Seeded tie-break: same set of same-instant events, permuted order *)
@@ -259,24 +239,6 @@ let test_invariant_sack_no_spurious_retx () =
   Alcotest.(check (list string))
     "Sim_start clears the blocks" []
     (monitor_hits [ sack [ (4, 8) ]; Probe.Sim_start; retx 5 ])
-
-let test_invariant_register () =
-  let saved = !Check.Invariants.registry in
-  Fun.protect
-    ~finally:(fun () -> Check.Invariants.registry := saved)
-    (fun () ->
-      Check.Invariants.register (fun () ->
-          {
-            Check.Invariants.name = "no-ivar-at-all";
-            on_event =
-              (fun ~now:_ ev ->
-                match ev with
-                | Probe.Ivar_fill _ -> Some "ivar use forbidden"
-                | _ -> None);
-          });
-      Alcotest.(check (list string))
-        "registered monitor runs" [ "no-ivar-at-all" ]
-        (monitor_hits [ Probe.Ivar_fill { id = 1 } ]))
 
 (* ------------------------------------------------------------------ *)
 (* Determinism trace hash *)
@@ -867,8 +829,6 @@ let test_lint_export_readers () =
 
 let suite =
   [
-    Alcotest.test_case "heap: equal keys drain FIFO" `Quick
-      test_heap_fifo_stability;
     Alcotest.test_case "sim: seeded tie-break permutes same-instant events"
       `Quick test_sim_tie_break;
     Alcotest.test_case "lifecycle: double free" `Quick
@@ -900,8 +860,6 @@ let suite =
       test_invariant_pool_balance;
     Alcotest.test_case "invariants: no retransmission of SACKed segments"
       `Quick test_invariant_sack_no_spurious_retx;
-    Alcotest.test_case "invariants: custom registration" `Quick
-      test_invariant_register;
     Alcotest.test_case "determinism: logical trace hash" `Quick
       test_determinism_hash;
     Alcotest.test_case "determinism: truncated-run prefix compare" `Quick

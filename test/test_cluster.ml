@@ -132,13 +132,6 @@ let test_workload_hotspot_incast () =
   check_int "sent" 120 s.Workload.sent;
   check_int "target absorbed everything" 120 s.Workload.delivered
 
-let test_workload_ring_rounds () =
-  let c = Net.create ~n:4 () in
-  let s = Workload.ring c ~rounds:10 () in
-  check_int "sent" 40 s.Workload.sent;
-  check_int "delivered" 40 s.Workload.delivered;
-  check_int "no stranded messages" 0 s.Workload.stranded
-
 let test_workload_determinism () =
   let run () =
     let c = Net.create ~n:3 () in
@@ -742,7 +735,30 @@ let test_workload_arrival_validation () =
         (Workload.Pareto { shape = 1.0; min_gap = Time.us 5. }));
   Alcotest.check_raises "pareto gap"
     (Invalid_argument "Workload: Pareto min_gap <= 0") (fun () ->
-      Workload.validate_arrival (Workload.Pareto { shape = 2.; min_gap = 0 }))
+      Workload.validate_arrival (Workload.Pareto { shape = 2.; min_gap = 0 }));
+  (* open_loop's own argument checks, made before anything is spawned *)
+  let open_loop ?(n = 3) ?requests_per_node ?req_size ?resp_size ?deadline
+      () =
+    ignore
+      (Workload.open_loop (Net.create ~n ()) ~seed:1
+         ~arrival:(Workload.Poisson { mean_gap = Time.us 10. })
+         ?requests_per_node ?req_size ?resp_size ?deadline ())
+  in
+  Alcotest.check_raises "no requests"
+    (Invalid_argument "Workload.open_loop: requests_per_node <= 0")
+    (open_loop ~requests_per_node:0);
+  Alcotest.check_raises "empty request"
+    (Invalid_argument "Workload.open_loop: message size <= 0")
+    (open_loop ~req_size:0);
+  Alcotest.check_raises "negative response"
+    (Invalid_argument "Workload.open_loop: message size <= 0")
+    (open_loop ~resp_size:(-1));
+  Alcotest.check_raises "negative deadline"
+    (Invalid_argument "Workload.open_loop: deadline < 0")
+    (open_loop ~deadline:(-1));
+  Alcotest.check_raises "one node"
+    (Invalid_argument "Workload.open_loop: need >= 2 nodes")
+    (open_loop ~n:1)
 
 let test_workload_quantile_hand_computed () =
   let samples = [| 9.; 1.; 8.; 2.; 7.; 3.; 6.; 4.; 5.; 10. |] in
@@ -756,31 +772,6 @@ let test_workload_quantile_hand_computed () =
   Alcotest.check_raises "percentile range"
     (Invalid_argument "Workload.quantile: percentile outside [0,100]")
     (fun () -> ignore (Workload.quantile samples 101.))
-
-let test_workload_partition_aggregate () =
-  let c = Net.create ~n:5 () in
-  let s, slo, fo =
-    Workload.partition_aggregate c ~seed:8 ~queries:15 ()
-  in
-  check_int "queries fired" 15 fo.Workload.fo_queries;
-  check_int "queries completed" 15 fo.Workload.fo_completed;
-  check_int "slo mirrors queries" 15 slo.Workload.slo_completed;
-  (* each query fans out to all 4 leaves: 15 requests + 60 leaf responses
-     were matched, nothing stranded *)
-  check_int "no stranded messages" 0 s.Workload.stranded;
-  check_int "no stranded queries" 0 slo.Workload.slo_stranded;
-  check_bool "leaf tail measured" true (fo.Workload.fo_leaf_p99_us > 0.)
-
-let test_workload_elephants_mice () =
-  let c = Net.create ~n:4 () in
-  let m = Workload.elephants_mice c ~seed:6 ~requests_per_node:20 () in
-  check_int "elephants conserved" m.Workload.mix_elephants.Workload.sent
-    m.Workload.mix_elephants.Workload.delivered;
-  check_int "no stranded elephants" 0
-    m.Workload.mix_elephants.Workload.stranded;
-  check_int "no stranded mice" 0 m.Workload.mix_mice.Workload.stranded;
-  check_int "mice answered" 80 m.Workload.mix_slo.Workload.slo_completed;
-  check_bool "mice tail measured" true (m.Workload.mix_slo.Workload.slo_p99_us > 0.)
 
 let test_gray_failures_degrade_tail_with_evidence () =
   let arrival = Workload.Poisson { mean_gap = Time.us 25. } in
@@ -874,7 +865,6 @@ let suite =
     ("workload uniform", `Quick, test_workload_uniform_random_conserves);
     ("workload under loss", `Quick, test_workload_uniform_random_under_loss);
     ("workload hotspot", `Quick, test_workload_hotspot_incast);
-    ("workload ring", `Quick, test_workload_ring_rounds);
     ("workload determinism", `Quick, test_workload_determinism);
     ("incast + finite buffers", `Quick, test_incast_with_finite_switch_buffers);
     ("open-loop completes", `Quick, test_workload_open_loop_completes);
@@ -884,8 +874,6 @@ let suite =
     ("open-loop one-way", `Quick, test_workload_open_loop_oneway);
     ("arrival validation", `Quick, test_workload_arrival_validation);
     ("quantile by hand", `Quick, test_workload_quantile_hand_computed);
-    ("partition-aggregate", `Quick, test_workload_partition_aggregate);
-    ("elephants and mice", `Quick, test_workload_elephants_mice);
     ("gray failures degrade tail", `Quick,
       test_gray_failures_degrade_tail_with_evidence);
     ("gray injection validation", `Quick, test_gray_validation);

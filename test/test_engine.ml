@@ -30,112 +30,6 @@ let test_time_invalid () =
       ignore (Time.of_bytes_at_rate ~bytes_per_s:0. 10))
 
 (* ------------------------------------------------------------------ *)
-(* Heap *)
-
-let test_heap_order () =
-  let h = Heap.create ~dummy:0 ~cmp:compare in
-  List.iter (Heap.push h) [ 5; 1; 4; 1; 3; 9; 2 ];
-  check_int "len" 7 (Heap.length h);
-  Alcotest.(check (list int))
-    "sorted drain" [ 1; 1; 2; 3; 4; 5; 9 ]
-    (Heap.to_sorted_list h);
-  (* to_sorted_list must not consume *)
-  check_int "len preserved" 7 (Heap.length h);
-  check_int "pop min" 1 (Heap.pop_exn h)
-
-let test_heap_empty () =
-  let h = Heap.create ~dummy:0 ~cmp:compare in
-  check_bool "empty" true (Heap.is_empty h);
-  Alcotest.(check (option int)) "peek" None (Heap.peek h);
-  Alcotest.(check (option int)) "pop" None (Heap.pop h);
-  Alcotest.check_raises "pop_exn" (Invalid_argument "Heap.pop_exn: empty heap")
-    (fun () -> ignore (Heap.pop_exn h))
-
-let prop_heap_sorts =
-  QCheck.Test.make ~count:300 ~name:"heap drains any list sorted"
-    QCheck.(list int)
-    (fun xs ->
-      let h = Heap.create ~dummy:0 ~cmp:compare in
-      List.iter (Heap.push h) xs;
-      Heap.to_sorted_list h = List.sort compare xs)
-
-let prop_heap_interleaved =
-  QCheck.Test.make ~count:200 ~name:"heap pop is min under interleaving"
-    QCheck.(list (pair int bool))
-    (fun ops ->
-      let h = Heap.create ~dummy:0 ~cmp:compare in
-      let model = ref [] in
-      let ok = ref true in
-      List.iter
-        (fun (x, pop) ->
-          if pop then begin
-            let expected =
-              match List.sort compare !model with
-              | [] -> None
-              | m :: _ -> Some m
-            in
-            let got = Heap.pop h in
-            if got <> expected then ok := false;
-            (match expected with
-            | Some m ->
-                (* remove one occurrence *)
-                let rec remove = function
-                  | [] -> []
-                  | y :: ys -> if y = m then ys else y :: remove ys
-                in
-                model := remove !model
-            | None -> ())
-          end
-          else begin
-            Heap.push h x;
-            model := x :: !model
-          end)
-        ops;
-      !ok)
-
-(* Regression: popping the element that empties the heap must clear the
-   parked pool record, or the heap retains the last item forever. *)
-let test_heap_pop_last_releases () =
-  let h = Heap.create ~dummy:(ref 0) ~cmp:compare in
-  let w = Weak.create 1 in
-  (* Scope the only strong reference inside a call that has returned by
-     the time the GC runs. *)
-  let push_and_pop () =
-    let item = ref 0xBEEF in
-    Weak.set w 0 (Some item);
-    Heap.push h item;
-    match Heap.pop h with
-    | Some r -> check_int "popped value" 0xBEEF !r
-    | None -> Alcotest.fail "pop returned None"
-  in
-  push_and_pop ();
-  Gc.full_major ();
-  check_bool "popped last element not retained by the heap" true
-    (Weak.get w 0 = None)
-
-let prop_heap_fifo_stable =
-  QCheck.Test.make ~count:300
-    ~name:"heap FIFO-stable among cmp-equal keys"
-    QCheck.(list (int_range 0 7))
-    (fun ks ->
-      (* cmp sees only the key; the payload records insertion order. *)
-      let h = Heap.create ~dummy:(0, 0) ~cmp:(fun (a, _) (b, _) -> compare a b) in
-      List.iteri (fun i k -> Heap.push h (k, i)) ks;
-      let drained = ref [] in
-      let rec drain () =
-        match Heap.pop h with
-        | Some x ->
-            drained := x :: !drained;
-            drain ()
-        | None -> ()
-      in
-      drain ();
-      List.rev !drained
-      = List.stable_sort
-          (fun (a, _) (b, _) -> compare a b)
-          (List.mapi (fun i k -> (k, i)) ks))
-
-(* ------------------------------------------------------------------ *)
 (* Sim *)
 
 let test_sim_ordering () =
@@ -829,8 +723,7 @@ let prop_semaphore_never_negative =
       Semaphore.available sem = permits)
 
 let qprops = List.map QCheck_alcotest.to_alcotest
-    [ prop_heap_sorts; prop_heap_interleaved; prop_heap_fifo_stable;
-      prop_sim_arena_model; prop_rng_int_in_bounds;
+    [ prop_sim_arena_model; prop_rng_int_in_bounds;
       prop_rng_exponential_positive; prop_rng_pareto_support;
       prop_arrival_streams_seed_deterministic;
       prop_semaphore_never_negative ]
@@ -840,9 +733,6 @@ let suite =
     ("time constructors", `Quick, test_time_constructors);
     ("time rates", `Quick, test_time_rates);
     ("time invalid args", `Quick, test_time_invalid);
-    ("heap ordering", `Quick, test_heap_order);
-    ("heap empty", `Quick, test_heap_empty);
-    ("heap pop releases last element", `Quick, test_heap_pop_last_releases);
     ("sim event ordering", `Quick, test_sim_ordering);
     ("sim same-instant fifo", `Quick, test_sim_fifo_same_instant);
     ("sim cancel", `Quick, test_sim_cancel);

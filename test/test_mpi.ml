@@ -95,21 +95,17 @@ let test_mpi_wildcard_and_iprobe () =
   let c = Net.create ~n:3 () in
   match clic_world c [ 0; 1; 2 ] with
   | [ m0; m1; m2 ] ->
-      let seen = ref [] and probe_before = ref true and probe_after = ref false in
+      let seen = ref [] in
       Node.spawn (Net.node c 2) (fun () ->
-          probe_before := Mpi.iprobe m2 ();
           let a = Mpi.recv m2 ~src:1 () in
           let b = Mpi.recv m2 () in
-          probe_after := Mpi.iprobe m2 ();
           seen := [ a.Mpi.e_src; b.Mpi.e_src ]);
       Node.spawn (Net.node c 0) (fun () -> Mpi.send m0 ~dst:2 ~tag:1 50);
       Node.spawn (Net.node c 1) (fun () ->
           Process.delay (Time.us 300.);
           Mpi.send m1 ~dst:2 ~tag:1 60);
       Net.run c;
-      check_bool "no message at start" false !probe_before;
-      Alcotest.(check (list int)) "selective then wildcard" [ 1; 0 ] !seen;
-      check_bool "drained" false !probe_after
+      Alcotest.(check (list int)) "selective then wildcard" [ 1; 0 ] !seen
   | _ -> assert false
 
 let test_mpi_unexpected_messages_buffered () =
@@ -222,58 +218,17 @@ let test_mpi_isend_irecv () =
           (* post both receives before anything arrives *)
           let r1 = Mpi.irecv m1 ~tag:1 () in
           let r2 = Mpi.irecv m1 ~tag:2 () in
-          (match Mpi.wait r2 with
-          | Some e -> got := e.Mpi.e_tag :: !got
-          | None -> ());
-          match Mpi.wait r1 with
-          | Some e -> got := e.Mpi.e_tag :: !got
-          | None -> ());
+          got := (Mpi.wait r2).Mpi.e_tag :: !got;
+          got := (Mpi.wait r1).Mpi.e_tag :: !got);
       Node.spawn (Net.node c 0) (fun () ->
-          let s1 = Mpi.isend m0 ~dst:1 ~tag:1 3000 in
-          let s2 = Mpi.isend m0 ~dst:1 ~tag:2 3000 in
-          check_bool "waits return None for sends" true
-            (Mpi.wait s1 = None && Mpi.wait s2 = None));
+          Mpi.send m0 ~dst:1 ~tag:1 3000;
+          Mpi.send m0 ~dst:1 ~tag:2 3000);
       Net.run c;
       Alcotest.(check (list int)) "both matched out of order" [ 1; 2 ] !got
   | _ -> assert false
 
-let test_mpi_request_test () =
-  let c = Net.create ~n:2 () in
-  match clic_world c [ 0; 1 ] with
-  | [ m0; m1 ] ->
-      let was_pending = ref false and later_done = ref false in
-      Node.spawn (Net.node c 1) (fun () ->
-          let r = Mpi.irecv m1 () in
-          was_pending := not (Mpi.test r);
-          Process.delay (Time.ms 2.);
-          later_done := Mpi.test r);
-      Node.spawn (Net.node c 0) (fun () ->
-          Process.delay (Time.us 100.);
-          Mpi.send m0 ~dst:1 ~tag:0 100);
-      Net.run c;
-      check_bool "pending before arrival" true !was_pending;
-      check_bool "complete after arrival" true !later_done
-  | _ -> assert false
-
 let run_on_all c world f =
   List.iteri (fun rank mpi -> Node.spawn (Net.node c rank) (fun () -> f rank mpi)) world
-
-let test_collective_barrier () =
-  let n = 5 in
-  let c = Net.create ~n () in
-  let world = clic_world c (List.init n (fun i -> i)) in
-  let before = Array.make n 0 and after = Array.make n 0 in
-  run_on_all c world (fun rank mpi ->
-      (* stagger arrivals; nobody may leave before the last arrives *)
-      Process.delay (Time.us (float_of_int (rank * 200)));
-      before.(rank) <- Sim.now c.Net.sim;
-      Collectives.barrier mpi ~rank ~size:n;
-      after.(rank) <- Sim.now c.Net.sim);
-  Net.run c;
-  let last_arrival = Array.fold_left max 0 before in
-  Array.iter
-    (fun t -> check_bool "left after last arrival" true (t >= last_arrival))
-    after
 
 let test_collective_gather () =
   let n = 4 in
@@ -309,14 +264,6 @@ let test_collective_allreduce () =
 let world_ranks n = List.init n (fun i -> i)
 let total_sends world = List.fold_left (fun acc m -> acc + Mpi.sends m) 0 world
 
-let ceil_log2 n =
-  let r = ref 0 and k = ref 1 in
-  while !k < n do
-    incr r;
-    k := !k * 2
-  done;
-  !r
-
 let test_bcast_message_count () =
   List.iter
     (fun n ->
@@ -329,25 +276,6 @@ let test_bcast_message_count () =
         (Printf.sprintf "binomial tree, n=%d: size-1 messages total" n)
         (n - 1) (total_sends world))
     [ 2; 3; 5; 8 ]
-
-let test_barrier_message_count () =
-  List.iter
-    (fun n ->
-      let c = Net.create ~n () in
-      let world = clic_world c (world_ranks n) in
-      run_on_all c world (fun rank mpi -> Collectives.barrier mpi ~rank ~size:n);
-      Net.run c;
-      let rounds = ceil_log2 n in
-      List.iter
-        (fun mpi ->
-          check_int
-            (Printf.sprintf "dissemination, n=%d: ceil(log2 n) sends/rank" n)
-            rounds (Mpi.sends mpi);
-          check_int
-            (Printf.sprintf "dissemination, n=%d: ceil(log2 n) recvs/rank" n)
-            rounds (Mpi.receives mpi))
-        world)
-    [ 2; 3; 4; 5; 8 ]
 
 let test_gather_message_count () =
   List.iter
@@ -470,12 +398,9 @@ let suite =
       ("mpi binomial bcast", `Quick, test_mpi_binomial_bcast);
       ("clic bcast confirms", `Quick, test_clic_bcast_with_confirms);
       ("isend/irecv", `Quick, test_mpi_isend_irecv);
-      ("request test", `Quick, test_mpi_request_test);
-      ("barrier", `Quick, test_collective_barrier);
       ("gather", `Quick, test_collective_gather);
       ("allreduce", `Quick, test_collective_allreduce);
       ("bcast message count", `Quick, test_bcast_message_count);
-      ("barrier message count", `Quick, test_barrier_message_count);
       ("gather message count", `Quick, test_gather_message_count);
       ("allreduce message count", `Quick, test_allreduce_message_count);
       ("mpi bcast under loss", `Quick, test_mpi_bcast_under_loss);
