@@ -24,16 +24,32 @@ let stack_arg =
   Arg.(value & opt (enum (List.map (fun s -> (s, s)) stacks)) "clic"
        & info [ "s"; "stack" ] ~docv:"STACK" ~doc)
 
+(* An integer flag with a floor: a value below [lo] is an argument error
+   (exit 124), like a value that is not an integer at all. *)
+let int_from lo =
+  let parse s =
+    match Arg.conv_parser Arg.int s with
+    | Ok n when n < lo ->
+        Error
+          (`Msg (Printf.sprintf "invalid value '%s', expected an integer >= %d"
+                   s lo))
+    | r -> r
+  in
+  Arg.conv (parse, Arg.conv_printer Arg.int)
+
+(* 68 bytes is the smallest MTU IPv4 allows (RFC 791); every stack runs
+   at it, while a few tens of bytes leave no room for headers. *)
 let mtu_arg =
-  Arg.(value & opt int 1500
-       & info [ "m"; "mtu" ] ~docv:"BYTES" ~doc:"Link MTU (1500 or 9000).")
+  Arg.(value & opt (int_from 68) 1500
+       & info [ "m"; "mtu" ] ~docv:"BYTES"
+           ~doc:"Link MTU, at least 68 (the paper uses 1500 and 9000).")
 
 let size_arg =
-  Arg.(value & opt int 1024
+  Arg.(value & opt (int_from 0) 1024
        & info [ "n"; "size" ] ~docv:"BYTES" ~doc:"Message size in bytes.")
 
 let reps_arg =
-  Arg.(value & opt int 10
+  Arg.(value & opt (int_from 1) 10
        & info [ "r"; "reps" ] ~docv:"N" ~doc:"Timed repetitions.")
 
 let zero_copy_arg =
@@ -210,7 +226,7 @@ let chaos_cmd =
              ~doc:"Max extra per-frame delay (reorders frames).")
   in
   let messages =
-    Arg.(value & opt int 400
+    Arg.(value & opt (int_from 0) 400
          & info [ "messages" ] ~docv:"N" ~doc:"Stream length in messages.")
   in
   Cmd.v
@@ -327,7 +343,7 @@ let check_cmd =
                 experiment.  See `clic-sim list'.")
   in
   let seeds =
-    Arg.(value & opt int 3
+    Arg.(value & opt (int_from 0) 3
          & info [ "seeds" ] ~docv:"N"
              ~doc:
                "Number of seeded same-timestamp orderings to compare \

@@ -1,7 +1,9 @@
 #!/bin/sh
-# Exit-status checks of `clic-sim run`, given the built executable:
-# --quick really shrinks an experiment, and an unknown id exits 2.  (That
-# every contract holds at quick size is checked by the run_quick golden.)
+# Exit-status checks of clic-sim, given the built executable: `run`
+# --quick really shrinks an experiment and an unknown id exits 2, and an
+# out-of-range numeric flag is an argument error (exit 124) rather than a
+# crash or a run with a nonsense count.  (That every contract holds at
+# quick size is checked by the run_quick golden.)
 set -eu
 sim=$1
 
@@ -18,3 +20,32 @@ if [ "$status" -ne 2 ]; then
   echo "run nope: exit status $status, expected 2" >&2
   exit 1
 fi
+
+# Each line: the expected exit status, then the arguments.  The 0 lines
+# are the smallest values each floor accepts.
+while read -r expected args; do
+  status=0
+  # shellcheck disable=SC2086 # word-split the argument list on purpose
+  "$sim" $args > /dev/null 2>&1 || status=$?
+  if [ "$status" -ne "$expected" ]; then
+    echo "$args: exit status $status, expected $expected" >&2
+    exit 1
+  fi
+done <<'CASES'
+124 latency --reps 0
+124 bandwidth --reps 0
+124 latency --reps=-3
+124 bandwidth --size=-5
+124 stream --size=-5
+124 chaos --size=-5
+124 latency --mtu 0
+124 bandwidth --mtu 0
+124 stream --mtu 0
+124 chaos --mtu 0
+124 latency --mtu 1
+124 chaos --messages=-1
+124 check --seeds=-2
+0 latency --reps 1 --mtu 68
+0 bandwidth --size 0 --reps 1
+0 chaos --messages 0
+CASES
