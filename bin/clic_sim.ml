@@ -408,11 +408,11 @@ let soak_cmd =
                 101, 202, 303.")
   in
   let trials =
-    Arg.(value & opt (some int) None
+    Arg.(value & opt (some (int_from 1)) None
          & info [ "trials" ] ~docv:"N"
              ~doc:
-               "Trials per seed, rotating through the templates; default \
-                one per template.")
+               "Trials per seed (at least 1), rotating through the \
+                templates; default one per template.")
   in
   let quick =
     Arg.(value & flag

@@ -24,6 +24,7 @@ open Engine
 module Violation = Violation
 module Lifecycle = Lifecycle
 module Invariants = Invariants
+module Sink = Sink
 module Determinism = Determinism
 module Scenario = Scenario
 module Soak = Soak
@@ -71,31 +72,9 @@ type run_result = {
 
 (* Runs the scenario once with every pass attached. *)
 let one_run ?tie_break (sc : Scenario.t) : run_result =
-  let lifecycle = Lifecycle.create ~leak_check:(not sc.truncated) () in
-  let monitors = Invariants.create_all () in
   let hash = Determinism.create () in
-  let now = ref 0 in
-  let found = ref [] in
-  let sink ev =
-    (match ev with
-    | Probe.Clock { now = n } -> now := n
-    | Probe.Sim_start -> now := 0
-    | _ -> ());
-    Lifecycle.on_event lifecycle ev;
-    List.iter
-      (fun (m : Invariants.monitor) ->
-        match m.on_event ~now:!now ev with
-        | Some detail ->
-            found :=
-              Violation.make
-                ~pass:("invariant:" ^ m.name)
-                ~rule:m.name ~time_ns:!now detail
-              :: !found
-        | None -> ())
-      monitors;
-    Determinism.on_event hash ev
-  in
-  let outcome = probed_run ?tie_break sc sink in
+  let sink = Sink.create ~trace:hash ~leak_check:(not sc.truncated) () in
+  let outcome = probed_run ?tie_break sc (Sink.on_event sink) in
   let output, crash =
     match outcome with
     | Ok out -> (out, [])
@@ -103,13 +82,13 @@ let one_run ?tie_break (sc : Scenario.t) : run_result =
         ( "",
           [
             Violation.make ~pass:"crash" ~rule:"uncaught-exception"
-              ~time_ns:!now
+              ~time_ns:(Sink.now sink)
               (Printexc.to_string e);
           ] )
   in
   {
-    r_violations = Lifecycle.finish lifecycle @ List.rev !found @ crash;
-    r_notes = Lifecycle.notes lifecycle;
+    r_violations = Sink.finish sink @ crash;
+    r_notes = Sink.notes sink;
     r_trace = hash;
     r_hash = Determinism.result hash;
     r_output = output;

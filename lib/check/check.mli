@@ -14,6 +14,7 @@
 module Violation = Violation
 module Lifecycle = Lifecycle
 module Invariants = Invariants
+module Sink = Sink
 module Determinism = Determinism
 module Scenario = Scenario
 module Soak = Soak

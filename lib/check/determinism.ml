@@ -26,11 +26,17 @@ type t = {
      by prefix. *)
   streams : (string, string list) Hashtbl.t;
   chan_index : (int, string) Hashtbl.t;  (* channel uid -> stable stream key *)
+  chan_count : (string, int) Hashtbl.t;  (* endpoint base -> channels seen *)
   mutable sim_index : int;  (* scenarios run several simulations in order *)
 }
 
 let create () =
-  { streams = Hashtbl.create 64; chan_index = Hashtbl.create 64; sim_index = 0 }
+  {
+    streams = Hashtbl.create 64;
+    chan_index = Hashtbl.create 64;
+    chan_count = Hashtbl.create 64;
+    sim_index = 0;
+  }
 
 let fold t key item =
   let chain = Option.value (Hashtbl.find_opt t.streams key) ~default:[] in
@@ -39,17 +45,17 @@ let fold t key item =
     (Digest.to_hex (Digest.string (prev ^ "|" ^ item)) :: chain)
 
 (* Channels are identified by endpoints plus order of first activity on
-   those endpoints, not by their process-global uid. *)
+   those endpoints, not by their process-global uid.  The count is per
+   exact base: a prefix test would count peer 23's channels as peer 2's. *)
 let chan_key t ~chan ~node ~peer =
   match Hashtbl.find_opt t.chan_index chan with
   | Some key -> key
   | None ->
       let base = Printf.sprintf "%d/chan %d<-%d" t.sim_index node peer in
       let occurrence =
-        Hashtbl.fold
-          (fun _ k n -> if String.starts_with ~prefix:base k then n + 1 else n)
-          t.chan_index 0
+        Option.value (Hashtbl.find_opt t.chan_count base) ~default:0
       in
+      Hashtbl.replace t.chan_count base (occurrence + 1);
       let key = Printf.sprintf "%s#%d" base occurrence in
       Hashtbl.add t.chan_index chan key;
       key

@@ -1,10 +1,13 @@
 (* The protocol-invariant monitors.
 
-   A monitor is a small state machine fed every probe event; it answers
-   with a violation detail when the event breaks its rule.  Monitors are
-   kept as constructors so each checker run gets fresh state, and each
-   monitor resets itself on [Sim_start] (scenarios create several
-   simulations in sequence; identities that are per-simulation restart).
+   A monitor is a small state machine over probe events; it answers with
+   a violation detail when an event breaks its rule.  Its [reads] lists
+   the event kinds the rule looks at, and the sink (sink.ml) routes it
+   only those and [Sim_start]: a kind missing from [reads] silences the
+   rule on it.  Monitors are kept as constructors so each checker run
+   gets fresh state, and each monitor resets itself on [Sim_start]
+   (scenarios create several simulations in sequence; identities that
+   are per-simulation restart).
 
    The monitors cover the protocol and engine properties the repository
    relies on:
@@ -28,6 +31,7 @@ open Engine
 
 type monitor = {
   name : string;
+  reads : Probe.Kind.t list;
   on_event : now:int -> Probe.event -> string option;
 }
 
@@ -37,6 +41,7 @@ let clock_monotone () =
   let last = ref min_int in
   {
     name = "clock-monotone";
+    reads = Probe.Kind.[ Clock ];
     on_event =
       (fun ~now:_ ev ->
         match ev with
@@ -57,10 +62,11 @@ let clock_monotone () =
 
 (* Channel uids are process-unique, so cross-simulation reuse cannot alias;
    the tables are still cleared on Sim_start to bound their size. *)
-let monotone_per_chan name proj =
+let monotone_per_chan name kind proj =
   let tbl : (int, int) Hashtbl.t = Hashtbl.create 64 in
   {
     name;
+    reads = [ kind ];
     on_event =
       (fun ~now:_ ev ->
         match ev with
@@ -83,13 +89,13 @@ let monotone_per_chan name proj =
   }
 
 let ack_tx_monotone () =
-  monotone_per_chan "ack-monotone" (function
+  monotone_per_chan "ack-monotone" Probe.Kind.Ack_tx (function
     | Probe.Ack_tx { chan; node; peer; cum_seq } ->
         Some (chan, node, peer, cum_seq)
     | _ -> None)
 
 let snd_una_monotone () =
-  monotone_per_chan "snd-una-monotone" (function
+  monotone_per_chan "snd-una-monotone" Probe.Kind.Snd_una (function
     | Probe.Snd_una { chan; node; peer; snd_una } ->
         Some (chan, node, peer, snd_una)
     | _ -> None)
@@ -97,6 +103,7 @@ let snd_una_monotone () =
 let window_bound () =
   {
     name = "window-bound";
+    reads = Probe.Kind.[ Window ];
     on_event =
       (fun ~now:_ ev ->
         match ev with
@@ -117,6 +124,7 @@ let chan_deliver_in_order () =
   let tbl : (int, int) Hashtbl.t = Hashtbl.create 64 in
   {
     name = "chan-deliver-in-order";
+    reads = Probe.Kind.[ Chan_deliver ];
     on_event =
       (fun ~now:_ ev ->
         match ev with
@@ -147,6 +155,7 @@ let msg_deliver_once () =
   let seen : (int * int * int * int, unit) Hashtbl.t = Hashtbl.create 256 in
   {
     name = "msg-deliver-once";
+    reads = Probe.Kind.[ Msg_deliver ];
     on_event =
       (fun ~now:_ ev ->
         match ev with
@@ -171,6 +180,7 @@ let msg_deliver_once () =
 let rto_bounds () =
   {
     name = "rto-bounds";
+    reads = Probe.Kind.[ Rto_armed ];
     on_event =
       (fun ~now:_ ev ->
         match ev with
@@ -188,6 +198,7 @@ let ivar_single_fill () =
   let filled : (int, unit) Hashtbl.t = Hashtbl.create 256 in
   {
     name = "ivar-single-fill";
+    reads = Probe.Kind.[ Ivar_fill ];
     on_event =
       (fun ~now:_ ev ->
         match ev with
@@ -228,6 +239,7 @@ let sem_balance () =
   in
   {
     name = "sem-balance";
+    reads = Probe.Kind.[ Sem_create; Sem_acquire; Sem_release ];
     on_event =
       (fun ~now:_ ev ->
         match ev with
@@ -250,6 +262,7 @@ let sem_balance () =
 let poll_budget () =
   {
     name = "poll-budget";
+    reads = Probe.Kind.[ Poll_pass ];
     on_event =
       (fun ~now:_ ev ->
         match ev with
@@ -272,6 +285,7 @@ let epoch_monotone_delivery () =
   let newest : (int * int, int) Hashtbl.t = Hashtbl.create 64 in
   {
     name = "epoch-monotone-delivery";
+    reads = Probe.Kind.[ Msg_deliver ];
     on_event =
       (fun ~now:_ ev ->
         match ev with
@@ -325,6 +339,7 @@ let pool_balance () =
   in
   {
     name = "pool-balance";
+    reads = Probe.Kind.[ Pool_alloc; Pool_free ];
     on_event =
       (fun ~now:_ ev ->
         match ev with
@@ -346,6 +361,7 @@ let no_tx_while_paused () =
   let paused : (string, unit) Hashtbl.t = Hashtbl.create 8 in
   {
     name = "no-tx-while-paused";
+    reads = Probe.Kind.[ Pause_state; Tx_wire ];
     on_event =
       (fun ~now:_ ev ->
         match ev with
@@ -371,6 +387,7 @@ let switch_buffer_ledger () =
   let switches : (string, int) Hashtbl.t = Hashtbl.create 4 in
   {
     name = "switch-buffer-ledger";
+    reads = Probe.Kind.[ Switch_buffer ];
     on_event =
       (fun ~now:_ ev ->
         match ev with
@@ -410,6 +427,7 @@ let switch_buffer_ledger () =
 let zero_loss_when_protected () =
   {
     name = "zero-loss-when-protected";
+    reads = Probe.Kind.[ Switch_drop ];
     on_event =
       (fun ~now:_ ev ->
         match ev with
@@ -432,6 +450,7 @@ let zero_loss_when_protected () =
 let ecn_mark_above_threshold () =
   {
     name = "ecn-mark-above-threshold";
+    reads = Probe.Kind.[ Ecn_mark ];
     on_event =
       (fun ~now:_ ev ->
         match ev with
@@ -461,6 +480,7 @@ let sack_no_spurious_retx () =
   let sacked : (int, (int, unit) Hashtbl.t) Hashtbl.t = Hashtbl.create 16 in
   {
     name = "sack-no-spurious-retx";
+    reads = Probe.Kind.[ Sack_rx; Snd_una; Chan_retx ];
     on_event =
       (fun ~now:_ ev ->
         match ev with

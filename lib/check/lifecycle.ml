@@ -19,13 +19,26 @@ open Engine
 
 let max_history = 8
 
+(* One step of an object's backtrace, kept as data: it is rendered only
+   when a finding quotes it. *)
+type step = Alloc of Probe.owner | Transfer of Probe.owner | Free
+
+type entry = { at : int; step : step; where : string }
+
 type obj_state = {
   o_bytes : int;
   mutable o_live : bool;
   mutable o_owner : Probe.owner;
-  mutable o_history : (int * string) list;  (* newest first *)
+  mutable o_history : entry list;  (* newest first *)
   mutable o_hist_len : int;
 }
+
+(* Object identities, one int per (kind, id): a tuple key would cost an
+   allocation per event. *)
+let key kind id =
+  (id lsl 1) lor match (kind : Probe.obj_kind) with Skb -> 0 | Rx_buffer -> 1
+
+let kind_of_key k : Probe.obj_kind = if k land 1 = 0 then Skb else Rx_buffer
 
 type pool_state = {
   mutable p_used : int;
@@ -35,7 +48,7 @@ type pool_state = {
 
 type t = {
   leak_check : bool;
-  objs : (Probe.obj_kind * int, obj_state) Hashtbl.t;
+  objs : (int, obj_state) Hashtbl.t;
   pools : (string, pool_state) Hashtbl.t;
   high_water : (string, int) Hashtbl.t;  (* survives Sim_start resets *)
   mutable now : int;
@@ -58,13 +71,21 @@ let create ~leak_check () =
 
 let obj_name kind id = Printf.sprintf "%s#%d" (Probe.kind_name kind) id
 
-let backtrace st =
-  st.o_history |> List.rev
-  |> List.map (fun (t, what) -> Printf.sprintf "t=%dns %s" t what)
-  |> String.concat "; "
+let render { at; step; where } =
+  match step with
+  | Alloc owner ->
+      Printf.sprintf "t=%dns alloc at %s (owner %s)" at where
+        (Probe.owner_name owner)
+  | Transfer owner ->
+      Printf.sprintf "t=%dns transfer to %s at %s" at (Probe.owner_name owner)
+        where
+  | Free -> Printf.sprintf "t=%dns free at %s" at where
 
-let note st t what =
-  st.o_history <- (t.now, what) :: st.o_history;
+let backtrace st =
+  st.o_history |> List.rev |> List.map render |> String.concat "; "
+
+let note st t step where =
+  st.o_history <- { at = t.now; step; where } :: st.o_history;
   st.o_hist_len <- st.o_hist_len + 1;
   if st.o_hist_len > max_history then begin
     (* keep the allocation record (oldest entry) and the newest ones *)
@@ -83,8 +104,9 @@ let violation t ~rule detail =
 let flush_boundary t =
   if t.leak_check then begin
     Hashtbl.iter
-      (fun (kind, id) st ->
+      (fun k st ->
         if st.o_live then
+          let kind = kind_of_key k and id = k asr 1 in
           violation t ~rule:"leak"
             (Printf.sprintf "%s (%dB, owner %s) never freed; %s"
                (obj_name kind id) st.o_bytes
@@ -111,7 +133,8 @@ let on_event t (ev : Probe.event) =
       flush_boundary t;
       t.now <- 0
   | Probe.Obj_alloc { kind; id; bytes; owner; where } -> (
-      match Hashtbl.find_opt t.objs (kind, id) with
+      let k = key kind id in
+      match Hashtbl.find_opt t.objs k with
       | Some st when st.o_live ->
           violation t ~rule:"double-alloc"
             (Printf.sprintf "%s allocated again at %s; %s"
@@ -126,19 +149,15 @@ let on_event t (ev : Probe.event) =
               o_hist_len = 0;
             }
           in
-          note st t
-            (Printf.sprintf "alloc at %s (owner %s)" where
-               (Probe.owner_name owner));
-          Hashtbl.replace t.objs (kind, id) st;
+          note st t (Alloc owner) where;
+          Hashtbl.replace t.objs k st;
           t.live <- t.live + 1;
           t.live_peak <- max t.live_peak t.live)
   | Probe.Obj_transfer { kind; id; owner; where } -> (
-      match Hashtbl.find_opt t.objs (kind, id) with
+      match Hashtbl.find_opt t.objs (key kind id) with
       | Some st when st.o_live ->
           st.o_owner <- owner;
-          note st t
-            (Printf.sprintf "transfer to %s at %s" (Probe.owner_name owner)
-               where)
+          note st t (Transfer owner) where
       | Some st ->
           violation t ~rule:"use-after-free"
             (Printf.sprintf "%s transferred to %s at %s after free; %s"
@@ -149,11 +168,11 @@ let on_event t (ev : Probe.event) =
             (Printf.sprintf "%s transferred to %s at %s but never allocated"
                (obj_name kind id) (Probe.owner_name owner) where))
   | Probe.Obj_free { kind; id; where } -> (
-      match Hashtbl.find_opt t.objs (kind, id) with
+      match Hashtbl.find_opt t.objs (key kind id) with
       | Some st when st.o_live ->
           st.o_live <- false;
           t.live <- t.live - 1;
-          note st t (Printf.sprintf "free at %s" where)
+          note st t Free where
       | Some st ->
           violation t ~rule:"double-free"
             (Printf.sprintf "%s freed again at %s; %s" (obj_name kind id)

@@ -491,33 +491,12 @@ let ok r =
   && (not (List.exists (fun t -> t.tr_crashed) r.s_trials))
   && missing_evidence r = []
 
-(* One trial: a fresh probe sink wiring the lifecycle sanitizer and every
+(* One trial under the checker's sink: the lifecycle sanitizer and every
    invariant monitor (the determinism pass needs repeated runs and is the
    `check` command's job; the soak's axis is schedule breadth). *)
 let run_trial (tp : template) ~quick ~seed acc =
-  let lifecycle = Lifecycle.create ~leak_check:true () in
-  let monitors = Invariants.create_all () in
-  let now = ref 0 in
-  let found = ref [] in
-  let sink event =
-    (match event with
-    | Probe.Clock { now = n } -> now := n
-    | Probe.Sim_start -> now := 0
-    | _ -> ());
-    Lifecycle.on_event lifecycle event;
-    List.iter
-      (fun (m : Invariants.monitor) ->
-        match m.on_event ~now:!now event with
-        | Some detail ->
-            found :=
-              Violation.make
-                ~pass:("invariant:" ^ m.name)
-                ~rule:m.name ~time_ns:!now detail
-              :: !found
-        | None -> ())
-      monitors;
-  in
-  Probe.install sink;
+  let sink = Sink.create ~leak_check:true () in
+  Probe.install (Sink.on_event sink);
   let outcome =
     Fun.protect
       ~finally:(fun () -> Probe.uninstall ())
@@ -527,13 +506,13 @@ let run_trial (tp : template) ~quick ~seed acc =
         | exception e ->
             Some
               (Violation.make ~pass:"crash" ~rule:"uncaught-exception"
-                 ~time_ns:!now (Printexc.to_string e)))
+                 ~time_ns:(Sink.now sink) (Printexc.to_string e)))
   in
   let crash = Option.to_list outcome in
   {
     tr_template = tp.tp_name;
     tr_seed = seed;
-    tr_violations = Lifecycle.finish lifecycle @ List.rev !found @ crash;
+    tr_violations = Sink.finish sink @ crash;
     tr_crashed = crash <> [];
   }
 

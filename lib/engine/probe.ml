@@ -102,6 +102,104 @@ type event =
   | Chan_retx of { chan : int; node : int; peer : int; seq : int }
   | Gray_fault of { host : string; mode : string; active : bool }
 
+(* The constructors of [event] as constants, with a dense index.  Both
+   [Kind.index] and [kind] are total matches, so a new event constructor
+   does not compile until it has a kind and an index. *)
+module Kind = struct
+  type t =
+    | Sim_start | Clock | Span | Sched_run | Sched_block | Irq | Queue_depth
+    | Msg_send | Obj_alloc | Obj_transfer | Obj_free | Pool_alloc
+    | Pool_free | Ivar_fill | Sem_create | Sem_acquire | Sem_release
+    | Ack_tx | Ack_rx | Snd_una | Window | Chan_deliver | Chan_dead
+    | Msg_deliver | Msg_recv | Rto_armed | Rx_poll_mode | Poll_pass
+    | Pool_pressure | Tx_wire | Pause_state | Pause_frame | Switch_buffer
+    | Switch_drop | Ecn_mark | Sack_tx | Sack_rx | Chan_retx | Gray_fault
+
+  let count = 39
+
+  let index = function
+    | Sim_start -> 0
+    | Clock -> 1
+    | Span -> 2
+    | Sched_run -> 3
+    | Sched_block -> 4
+    | Irq -> 5
+    | Queue_depth -> 6
+    | Msg_send -> 7
+    | Obj_alloc -> 8
+    | Obj_transfer -> 9
+    | Obj_free -> 10
+    | Pool_alloc -> 11
+    | Pool_free -> 12
+    | Ivar_fill -> 13
+    | Sem_create -> 14
+    | Sem_acquire -> 15
+    | Sem_release -> 16
+    | Ack_tx -> 17
+    | Ack_rx -> 18
+    | Snd_una -> 19
+    | Window -> 20
+    | Chan_deliver -> 21
+    | Chan_dead -> 22
+    | Msg_deliver -> 23
+    | Msg_recv -> 24
+    | Rto_armed -> 25
+    | Rx_poll_mode -> 26
+    | Poll_pass -> 27
+    | Pool_pressure -> 28
+    | Tx_wire -> 29
+    | Pause_state -> 30
+    | Pause_frame -> 31
+    | Switch_buffer -> 32
+    | Switch_drop -> 33
+    | Ecn_mark -> 34
+    | Sack_tx -> 35
+    | Sack_rx -> 36
+    | Chan_retx -> 37
+    | Gray_fault -> 38
+end
+
+let kind : event -> Kind.t = function
+  | Sim_start -> Kind.Sim_start
+  | Clock _ -> Kind.Clock
+  | Span _ -> Kind.Span
+  | Sched_run _ -> Kind.Sched_run
+  | Sched_block _ -> Kind.Sched_block
+  | Irq _ -> Kind.Irq
+  | Queue_depth _ -> Kind.Queue_depth
+  | Msg_send _ -> Kind.Msg_send
+  | Obj_alloc _ -> Kind.Obj_alloc
+  | Obj_transfer _ -> Kind.Obj_transfer
+  | Obj_free _ -> Kind.Obj_free
+  | Pool_alloc _ -> Kind.Pool_alloc
+  | Pool_free _ -> Kind.Pool_free
+  | Ivar_fill _ -> Kind.Ivar_fill
+  | Sem_create _ -> Kind.Sem_create
+  | Sem_acquire _ -> Kind.Sem_acquire
+  | Sem_release _ -> Kind.Sem_release
+  | Ack_tx _ -> Kind.Ack_tx
+  | Ack_rx _ -> Kind.Ack_rx
+  | Snd_una _ -> Kind.Snd_una
+  | Window _ -> Kind.Window
+  | Chan_deliver _ -> Kind.Chan_deliver
+  | Chan_dead _ -> Kind.Chan_dead
+  | Msg_deliver _ -> Kind.Msg_deliver
+  | Msg_recv _ -> Kind.Msg_recv
+  | Rto_armed _ -> Kind.Rto_armed
+  | Rx_poll_mode _ -> Kind.Rx_poll_mode
+  | Poll_pass _ -> Kind.Poll_pass
+  | Pool_pressure _ -> Kind.Pool_pressure
+  | Tx_wire _ -> Kind.Tx_wire
+  | Pause_state _ -> Kind.Pause_state
+  | Pause_frame _ -> Kind.Pause_frame
+  | Switch_buffer _ -> Kind.Switch_buffer
+  | Switch_drop _ -> Kind.Switch_drop
+  | Ecn_mark _ -> Kind.Ecn_mark
+  | Sack_tx _ -> Kind.Sack_tx
+  | Sack_rx _ -> Kind.Sack_rx
+  | Chan_retx _ -> Kind.Chan_retx
+  | Gray_fault _ -> Kind.Gray_fault
+
 let sink : (event -> unit) option ref = ref None
 
 (* Mirror of [sink <> None], kept as a plain bool so every emit site in the

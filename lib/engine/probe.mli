@@ -166,6 +166,32 @@ type event =
           samples into healthy / degraded / recovery phases, and the
           gray-soak demands evidence that each mode actually fired *)
 
+(** The constructors of {!event} as constants, one per event
+    constructor and with the same name, so a consumer can name the events
+    it reads without building one ([Probe.Kind.Clock] for
+    [Probe.Clock { now }]). *)
+module Kind : sig
+  type t =
+    | Sim_start | Clock | Span | Sched_run | Sched_block | Irq | Queue_depth
+    | Msg_send | Obj_alloc | Obj_transfer | Obj_free | Pool_alloc
+    | Pool_free | Ivar_fill | Sem_create | Sem_acquire | Sem_release
+    | Ack_tx | Ack_rx | Snd_una | Window | Chan_deliver | Chan_dead
+    | Msg_deliver | Msg_recv | Rto_armed | Rx_poll_mode | Poll_pass
+    | Pool_pressure | Tx_wire | Pause_state | Pause_frame | Switch_buffer
+    | Switch_drop | Ecn_mark | Sack_tx | Sack_rx | Chan_retx | Gray_fault
+
+  val count : int
+  (** The number of constructors: 39. *)
+
+  val index : t -> int
+  (** Dense and injective: [0 .. count - 1], in declaration order.  A
+      consumer that dispatches on the event kind indexes an array with
+      it. *)
+end
+
+val kind : event -> Kind.t
+(** The constructor of an event, as a {!Kind.t}. *)
+
 val on : bool ref
 (** True iff a sink is installed.  Hot emit sites read this directly —
     [if !Probe.on then Probe.emit ...] — so an uninstrumented run pays one

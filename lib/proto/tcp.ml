@@ -188,11 +188,16 @@ let fast_retransmit c =
   c.ssthresh <- max (in_flight c / 2) (2 * mss c);
   c.cwnd <- c.ssthresh;
   c.dupacks <- 0;
-  let len = min (mss c) (in_flight c) in
+  (* [seq] is read with [len]: an ack arriving during the CPU work below
+     moves [snd_una], and the old length from the new start would run
+     past the end of the stream.  The process reads [t] from [c], so its
+     closure captures three values ([c], [seq], [len]), not four. *)
+  let seq = c.snd_una and len = min (mss c) (in_flight c) in
   Process.spawn (sim t) (fun () ->
+      let t = c.tcp in
       Cpu.work (cpu t) t.p.tx_per_segment;
       t.segments_sent <- t.segments_sent + 1;
-      emit c ~data:len ~seq:c.snd_una Packet.data_flags)
+      emit c ~data:len ~seq Packet.data_flags)
 
 (* ------------------------------------------------------------------ *)
 (* Receive path (interrupt context) *)

@@ -49,7 +49,10 @@ val listen : t -> port:int -> unit
 (** @raise Invalid_argument if the port is already listening. *)
 
 val connect : t -> dst:int -> port:int -> conn
-(** Blocking three-way handshake; must run in a process. *)
+(** Blocking three-way handshake; must run in a process.  A SYN not
+    answered within [rto] is sent again, up to 8 SYNs in all.
+    @raise Failure ["Tcp.connect: handshake timed out"] when the eighth
+    goes unanswered too. *)
 
 val accept : t -> port:int -> conn
 (** Blocks until a connection on the listening port completes. *)

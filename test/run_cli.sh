@@ -1,9 +1,9 @@
 #!/bin/sh
 # Exit-status checks of clic-sim, given the built executable: `run`
-# --quick really shrinks an experiment and an unknown id exits 2, and an
-# out-of-range numeric flag is an argument error (exit 124) rather than a
-# crash or a run with a nonsense count.  (That every contract holds at
-# quick size is checked by the run_quick golden.)
+# --quick really shrinks an experiment, an unknown id or soak template
+# exits 2, and an out-of-range numeric flag is an argument error (exit
+# 124) rather than a crash or a run with a nonsense count.  (That every
+# contract holds at quick size is checked by the run_quick golden.)
 set -eu
 sim=$1
 
@@ -45,6 +45,9 @@ done <<'CASES'
 124 latency --mtu 1
 124 chaos --messages=-1
 124 check --seeds=-2
+124 soak --trials 0
+124 soak --trials=-1
+2 soak --only nope
 0 latency --reps 1 --mtu 68
 0 bandwidth --size 0 --reps 1
 0 chaos --messages 0

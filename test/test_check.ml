@@ -114,6 +114,54 @@ let test_lifecycle_peak_tally () =
   check_note "leaks are not carried across Sim_start" (peak 2)
     (lifecycle_peak [ alloc 1; alloc 2; Probe.Sim_start; alloc 3 ])
 
+(* Findings quote each object's history as text, oldest step first, with
+   at most 8 steps: the allocation and the newest 7.  An skbuff and a ring
+   buffer with the same id are two objects. *)
+let test_lifecycle_backtrace_text () =
+  let details evs =
+    let l = Check.Lifecycle.create ~leak_check:true () in
+    List.iter (Check.Lifecycle.on_event l) evs;
+    List.map (fun v -> v.Check.Violation.detail) (Check.Lifecycle.finish l)
+  in
+  let ring = Probe.Rx_buffer in
+  Alcotest.(check (list string))
+    "the skbuff leaks, with its history; the ring buffer does not"
+    [
+      "skbuff#7 (1500B, owner driver) never freed; t=5ns alloc at test \
+       (owner app); t=9ns transfer to driver at test";
+    ]
+    (details
+       [
+         Probe.Clock { now = 5 };
+         alloc 7;
+         Probe.Obj_alloc
+           {
+             kind = ring;
+             id = 7;
+             bytes = 2048;
+             owner = Probe.Nic;
+             where = "ring";
+           };
+         Probe.Clock { now = 9 };
+         transfer 7;
+         Probe.Obj_free { kind = ring; id = 7; where = "bh" };
+       ]);
+  Alcotest.(check (list string))
+    "a double free quotes the first"
+    [ "skbuff#1 freed again at test; t=0ns alloc at test (owner app); t=0ns \
+       free at test" ]
+    (details [ alloc 1; free 1; free 1 ]);
+  let busy =
+    (alloc 2 :: List.init 10 (fun _ -> transfer 2)) @ [ free 2; free 2 ]
+  in
+  match details busy with
+  | [ d ] ->
+      let steps = String.split_on_char ';' d in
+      check_int "allocation plus the newest 7 steps" 9 (List.length steps);
+      check_bool "the allocation is kept" true
+        (contains (List.nth steps 1) "alloc at test")
+  | ds -> Alcotest.failf "expected one finding, got %d" (List.length ds)
+
 (* The same double-free caught through the real instrumentation: a probe
    sink sees Os.Skbuff.release called twice on a real buffer. *)
 let test_skbuff_double_free_probed () =
@@ -134,13 +182,23 @@ let test_skbuff_double_free_probed () =
 (* ------------------------------------------------------------------ *)
 (* Invariant monitors *)
 
+let is_invariant (v : Check.Violation.t) =
+  String.starts_with ~prefix:"invariant:" v.pass
+
+(* The invariant findings of a stream fed through the checker's sink,
+   which routes each event only to the monitors that read it. *)
+let routed_findings evs =
+  let sink = Check.Sink.create ~leak_check:false () in
+  List.iter (Check.Sink.on_event sink) evs;
+  List.filter is_invariant (Check.Sink.finish sink)
+
+(* The monitors that fire on a stream, each named once, in the order of
+   their first finding. *)
 let monitor_hits evs =
-  let monitors = Check.Invariants.create_all () in
-  List.concat_map
-    (fun (m : Check.Invariants.monitor) ->
-      List.filter_map (fun ev -> Option.map (fun _ -> m.name) (m.on_event ~now:0 ev)) evs
-      |> List.sort_uniq compare)
-    monitors
+  List.fold_left
+    (fun names (v : Check.Violation.t) ->
+      if List.mem v.rule names then names else names @ [ v.rule ])
+    [] (routed_findings evs)
 
 let deliver seq = Probe.Chan_deliver { chan = 1; node = 0; peer = 1; seq }
 
@@ -240,6 +298,360 @@ let test_invariant_sack_no_spurious_retx () =
     "Sim_start clears the blocks" []
     (monitor_hits [ sack [ (4, 8) ]; Probe.Sim_start; retx 5 ])
 
+let check_hits msg expected evs =
+  Alcotest.(check (list string)) msg expected (monitor_hits evs)
+
+let clock now = Probe.Clock { now }
+
+let test_invariant_clock_monotone () =
+  let hit = [ "clock-monotone" ] in
+  check_hits "clock moving backwards caught" hit [ clock 100; clock 40 ];
+  check_hits "a clock may stand still or advance" []
+    [ clock 40; clock 40; clock 100 ];
+  check_hits "Sim_start restarts the clock" []
+    [ clock 100; Probe.Sim_start; clock 40 ]
+
+let test_invariant_snd_una_monotone () =
+  let una ?(chan = 1) snd_una =
+    Probe.Snd_una { chan; node = 0; peer = 1; snd_una }
+  in
+  let hit = [ "snd-una-monotone" ] in
+  check_hits "snd_una regression caught" hit [ una 4; una 2 ];
+  check_hits "snd_una may stand still or advance, per channel" []
+    [ una 4; una 4; una 6; una ~chan:2 1 ];
+  check_hits "Sim_start forgets every channel" []
+    [ una 4; Probe.Sim_start; una 2 ]
+
+let test_invariant_rto_bounds () =
+  let rto rto_ns =
+    Probe.Rto_armed
+      { chan = 1; node = 0; peer = 1; rto_ns; lo_ns = 100; hi_ns = 1000 }
+  in
+  let hit = [ "rto-bounds" ] in
+  check_hits "RTO below rto_min caught" hit [ rto 99 ];
+  check_hits "RTO above rto_max caught" hit [ rto 1001 ];
+  check_hits "both bounds are legal" [] [ rto 100; rto 1000; rto 500 ]
+
+let test_invariant_ivar_single_fill () =
+  let fill id = Probe.Ivar_fill { id } in
+  check_hits "second fill caught" [ "ivar-single-fill" ] [ fill 3; fill 3 ];
+  check_hits "distinct ivars clean" [] [ fill 3; fill 4 ];
+  check_hits "Sim_start forgets the fills" []
+    [ fill 3; Probe.Sim_start; fill 3 ]
+
+let test_invariant_sem_balance () =
+  let create permits = Probe.Sem_create { id = 1; permits } in
+  let acquire ?(id = 1) n permits = Probe.Sem_acquire { id; n; permits } in
+  let release n permits = Probe.Sem_release { id = 1; n; permits } in
+  let hit = [ "sem-balance" ] in
+  check_hits "acquires and releases that balance are clean" []
+    [ create 2; acquire 1 1; acquire 1 0; release 2 2 ];
+  check_hits "miscounted acquire caught" hit [ create 2; acquire 1 0 ];
+  check_hits "miscounted release caught" hit
+    [ create 2; acquire 1 1; release 1 3 ];
+  check_hits "negative permits caught" hit [ create 0; acquire 1 (-1) ];
+  check_hits "an over-release the accounting expects is legal" []
+    [ create 1; release 5 6 ];
+  check_hits "a semaphore created before the sink is not judged" []
+    [ acquire ~id:9 1 7 ]
+
+let test_invariant_no_tx_while_paused () =
+  let pause host paused = Probe.Pause_state { host; paused } in
+  let tx host = Probe.Tx_wire { host } in
+  check_hits "frame sent while PAUSEd caught" [ "no-tx-while-paused" ]
+    [ pause "nic0" true; tx "nic0" ];
+  check_hits "other hosts and resumed hosts may send" []
+    [ pause "nic0" true; tx "nic1"; pause "nic0" false; tx "nic0" ];
+  check_hits "Sim_start forgets the pauses" []
+    [ pause "nic0" true; Probe.Sim_start; tx "nic0" ]
+
+let test_invariant_switch_buffer_ledger () =
+  let buf delta occupied =
+    Probe.Switch_buffer
+      { switch = "sw0"; port = 1; delta; occupied; total = 1000 }
+  in
+  let hit = [ "switch-buffer-ledger" ] in
+  check_hits "ledger that follows its deltas is clean" []
+    [ buf 100 150; buf 50 200; buf (-200) 0 ];
+  check_hits "occupancy drifting from the deltas caught" hit
+    [ buf 100 100; buf 50 200 ];
+  check_hits "occupancy beyond the pool caught" hit
+    [ buf 100 100; buf 1000 1100 ];
+  check_hits "negative occupancy caught" hit [ buf 100 100; buf (-150) (-50) ]
+
+let test_invariant_zero_loss_when_protected () =
+  let drop ~ingress protected =
+    Probe.Switch_drop { switch = "sw0"; port = 2; ingress; protected }
+  in
+  let hit = [ "zero-loss-when-protected" ] in
+  check_hits "protected ingress drop caught" hit [ drop ~ingress:true true ];
+  check_hits "protected egress drop caught" hit [ drop ~ingress:false true ];
+  check_hits "unprotected drops are legal" []
+    [ drop ~ingress:true false; drop ~ingress:false false ]
+
+let test_invariant_ecn_mark_above_threshold () =
+  let mark occupied threshold =
+    Probe.Ecn_mark { switch = "sw0"; port = 2; occupied; threshold }
+  in
+  let hit = [ "ecn-mark-above-threshold" ] in
+  check_hits "mark below the threshold caught" hit [ mark 10 20 ];
+  check_hits "mark with no threshold configured caught" hit [ mark 50 0 ];
+  check_hits "marks at or above the threshold are legal" []
+    [ mark 20 20; mark 30 20 ]
+
+(* One stream per monitor on which that monitor alone fires. *)
+let doctored =
+  let chan_ev f = f ~chan:1 ~node:0 ~peer:1 in
+  let msg id epoch =
+    Probe.Msg_deliver { node = 0; src = 1; port = 7; msg_id = id; epoch }
+  in
+  [
+    ("clock-monotone", [ clock 100; clock 40 ]);
+    ( "ack-monotone",
+      chan_ev (fun ~chan ~node ~peer ->
+          [
+            Probe.Ack_tx { chan; node; peer; cum_seq = 4 };
+            Probe.Ack_tx { chan; node; peer; cum_seq = 2 };
+          ]) );
+    ( "snd-una-monotone",
+      chan_ev (fun ~chan ~node ~peer ->
+          [
+            Probe.Snd_una { chan; node; peer; snd_una = 4 };
+            Probe.Snd_una { chan; node; peer; snd_una = 2 };
+          ]) );
+    ( "window-bound",
+      chan_ev (fun ~chan ~node ~peer ->
+          [ Probe.Window { chan; node; peer; outstanding = 9; limit = 8 } ]) );
+    ("chan-deliver-in-order", [ deliver 0; deliver 2 ]);
+    ("msg-deliver-once", [ msg 5 0; msg 5 0 ]);
+    ( "rto-bounds",
+      chan_ev (fun ~chan ~node ~peer ->
+          [
+            Probe.Rto_armed
+              { chan; node; peer; rto_ns = 5; lo_ns = 100; hi_ns = 1000 };
+          ]) );
+    ( "ivar-single-fill",
+      [ Probe.Ivar_fill { id = 3 }; Probe.Ivar_fill { id = 3 } ] );
+    ( "sem-balance",
+      [
+        Probe.Sem_create { id = 1; permits = 2 };
+        Probe.Sem_release { id = 1; n = 1; permits = 2 };
+      ] );
+    ( "poll-budget",
+      [ Probe.Poll_pass { host = "host1"; processed = 5; budget = 4 } ] );
+    ("epoch-monotone-delivery", [ msg 0 2; msg 1 1 ]);
+    ( "pool-balance",
+      [
+        Probe.Pool_alloc
+          { pool = "kmem9"; bytes = 64; used = 64; capacity = 1024 };
+        Probe.Pool_free { pool = "kmem9"; bytes = 64; used = 40 };
+      ] );
+    ( "no-tx-while-paused",
+      [
+        Probe.Pause_state { host = "nic0"; paused = true };
+        Probe.Tx_wire { host = "nic0" };
+      ] );
+    ( "switch-buffer-ledger",
+      [
+        Probe.Switch_buffer
+          { switch = "sw0"; port = 1; delta = 10; occupied = 10; total = 1000 };
+        Probe.Switch_buffer
+          { switch = "sw0"; port = 1; delta = 10; occupied = 30; total = 1000 };
+      ] );
+    ( "zero-loss-when-protected",
+      [
+        Probe.Switch_drop
+          { switch = "sw0"; port = 2; ingress = false; protected = true };
+      ] );
+    ( "ecn-mark-above-threshold",
+      [
+        Probe.Ecn_mark
+          { switch = "sw0"; port = 2; occupied = 1; threshold = 20 };
+      ] );
+    ( "sack-no-spurious-retx",
+      chan_ev (fun ~chan ~node ~peer ->
+          [
+            Probe.Sack_rx { chan; node; peer; blocks = [ (4, 8) ] };
+            Probe.Chan_retx { chan; node; peer; seq = 5 };
+          ]) );
+  ]
+
+let test_invariant_every_monitor_fires () =
+  Alcotest.(check (list string))
+    "one doctored stream per monitor, in create_all order"
+    (List.map
+       (fun (m : Check.Invariants.monitor) -> m.name)
+       (Check.Invariants.create_all ()))
+    (List.map fst doctored);
+  List.iter
+    (fun (name, evs) -> check_hits (name ^ " fires alone") [ name ] evs)
+    doctored
+
+(* One generator per probe constructor, in declaration order.  The value
+   ranges are small so that random streams break rules often. *)
+let event_gens =
+  let open QCheck.Gen in
+  let id = int_range 0 3 and n = int_range (-1) 4 and chan = int_range 1 2 in
+  let host = oneofl [ "h0"; "h1" ] and name = oneofl [ "p0"; "p1" ] in
+  let okind = oneofl Probe.[ Skb; Rx_buffer ] in
+  let owner = oneofl Probe.[ App; Channel; Driver; Bh; Nic ] in
+  let track =
+    oneofl Probe.[ Process; Isr; Bh_track; Module; Dma; Link; Pause_t; Busy ]
+  in
+  let chan_ev f =
+    map3 (fun chan node peer -> f ~chan ~node ~peer) chan id id
+  in
+  let blocks = list_size (int_range 0 2) (pair id (int_range 0 6)) in
+  [
+    return Probe.Sim_start;
+    map (fun now -> Probe.Clock { now }) (int_range 0 20);
+    map3
+      (fun host track start ->
+        Probe.Span { host; track; label = "l"; start; finish = start + 1 })
+      host track id;
+    map (fun host -> Probe.Sched_run { host }) host;
+    map (fun host -> Probe.Sched_block { host }) host;
+    map (fun host -> Probe.Irq { host }) host;
+    map2 (fun queue depth -> Probe.Queue_depth { queue; depth }) name n;
+    map3
+      (fun node dst msg_id ->
+        Probe.Msg_send { node; dst; port = 7; msg_id; bytes = 64; epoch = 0 })
+      id id id;
+    map3
+      (fun kind id owner ->
+        Probe.Obj_alloc { kind; id; bytes = 64; owner; where = "gen" })
+      okind id owner;
+    map3
+      (fun kind id owner ->
+        Probe.Obj_transfer { kind; id; owner; where = "gen" })
+      okind id owner;
+    map2 (fun kind id -> Probe.Obj_free { kind; id; where = "gen" }) okind id;
+    map3
+      (fun pool bytes used ->
+        Probe.Pool_alloc { pool; bytes; used; capacity = 3 })
+      name n n;
+    map3
+      (fun pool bytes used -> Probe.Pool_free { pool; bytes; used })
+      name n n;
+    map (fun id -> Probe.Ivar_fill { id }) id;
+    map2 (fun id permits -> Probe.Sem_create { id; permits }) id n;
+    map3 (fun id n permits -> Probe.Sem_acquire { id; n; permits }) id n n;
+    map3 (fun id n permits -> Probe.Sem_release { id; n; permits }) id n n;
+    chan_ev (fun ~chan ~node ~peer ->
+        map (fun cum_seq -> Probe.Ack_tx { chan; node; peer; cum_seq }) n)
+    |> join;
+    chan_ev (fun ~chan ~node ~peer ->
+        map (fun cum_seq -> Probe.Ack_rx { chan; node; peer; cum_seq }) n)
+    |> join;
+    chan_ev (fun ~chan ~node ~peer ->
+        map (fun snd_una -> Probe.Snd_una { chan; node; peer; snd_una }) n)
+    |> join;
+    chan_ev (fun ~chan ~node ~peer ->
+        map2
+          (fun outstanding limit ->
+            Probe.Window { chan; node; peer; outstanding; limit })
+          n n)
+    |> join;
+    chan_ev (fun ~chan ~node ~peer ->
+        map (fun seq -> Probe.Chan_deliver { chan; node; peer; seq }) n)
+    |> join;
+    chan_ev (fun ~chan ~node ~peer ->
+        return (Probe.Chan_dead { chan; node; peer }))
+    |> join;
+    map3
+      (fun src msg_id epoch ->
+        Probe.Msg_deliver { node = 0; src; port = 7; msg_id; epoch })
+      id n id;
+    map3
+      (fun src msg_id epoch ->
+        Probe.Msg_recv { node = 0; src; port = 7; msg_id; epoch })
+      id n id;
+    chan_ev (fun ~chan ~node ~peer ->
+        map3
+          (fun rto_ns lo_ns hi_ns ->
+            Probe.Rto_armed { chan; node; peer; rto_ns; lo_ns; hi_ns })
+          n n n)
+    |> join;
+    map2 (fun host polling -> Probe.Rx_poll_mode { host; polling }) host bool;
+    map3
+      (fun host processed budget -> Probe.Poll_pass { host; processed; budget })
+      host n n;
+    map2 (fun pool level -> Probe.Pool_pressure { pool; level }) name id;
+    map (fun host -> Probe.Tx_wire { host }) host;
+    map2 (fun host paused -> Probe.Pause_state { host; paused }) host bool;
+    map3
+      (fun host sent quanta -> Probe.Pause_frame { host; sent; quanta })
+      host bool id;
+    map3
+      (fun switch delta occupied ->
+        Probe.Switch_buffer { switch; port = 1; delta; occupied; total = 3 })
+      name n n;
+    map3
+      (fun switch ingress protected ->
+        Probe.Switch_drop { switch; port = 1; ingress; protected })
+      name bool bool;
+    map3
+      (fun switch occupied threshold ->
+        Probe.Ecn_mark { switch; port = 1; occupied; threshold })
+      name n n;
+    chan_ev (fun ~chan ~node ~peer ->
+        map (fun blocks -> Probe.Sack_tx { chan; node; peer; blocks }) blocks)
+    |> join;
+    chan_ev (fun ~chan ~node ~peer ->
+        map (fun blocks -> Probe.Sack_rx { chan; node; peer; blocks }) blocks)
+    |> join;
+    chan_ev (fun ~chan ~node ~peer ->
+        map (fun seq -> Probe.Chan_retx { chan; node; peer; seq }) n)
+    |> join;
+    map3
+      (fun host mode active -> Probe.Gray_fault { host; mode; active })
+      host name bool;
+  ]
+
+let test_probe_kind_index () =
+  let rand = Random.State.make [| 7 |] in
+  Alcotest.(check (list int))
+    "one generator per constructor, indexed 0 .. count - 1 in order"
+    (List.init Probe.Kind.count Fun.id)
+    (List.map
+       (fun gen -> Probe.Kind.index (Probe.kind (gen rand)))
+       event_gens)
+
+(* What the checker reported before routing: every event to every
+   monitor, in create_all order, at the time of the latest Clock. *)
+let broadcast_findings evs =
+  let monitors = Check.Invariants.create_all () in
+  let now = ref 0 in
+  List.concat_map
+    (fun ev ->
+      (match ev with
+      | Probe.Clock { now = n } -> now := n
+      | Probe.Sim_start -> now := 0
+      | _ -> ());
+      List.filter_map
+        (fun (m : Check.Invariants.monitor) ->
+          Option.map
+            (fun detail -> (m.name, !now, detail))
+            (m.on_event ~now:!now ev))
+        monitors)
+    evs
+
+let prop_routing_matches_broadcast =
+  QCheck.Test.make ~count:300
+    ~name:"invariants: routed sink reports what broadcast reports"
+    (QCheck.make
+       ~print:(fun evs ->
+         String.concat " "
+           (List.map
+              (fun ev -> string_of_int (Probe.Kind.index (Probe.kind ev)))
+              evs))
+       QCheck.Gen.(list_size (int_range 0 150) (oneof event_gens)))
+    (fun evs ->
+      List.map
+        (fun (v : Check.Violation.t) -> (v.rule, v.time_ns, v.detail))
+        (routed_findings evs)
+      = broadcast_findings evs)
+
 (* ------------------------------------------------------------------ *)
 (* Determinism trace hash *)
 
@@ -259,7 +671,17 @@ let test_determinism_hash () =
   check_bool "content-sensitive" true
     (hash_of [ msg 1 0; msg 1 1 ] <> hash_of [ msg 1 1; msg 1 0 ]);
   check_bool "delivery-sequence-sensitive" true
-    (hash_of [ deliver 0; deliver 1 ] <> hash_of [ deliver 0; deliver 1; deliver 2 ])
+    (hash_of [ deliver 0; deliver 1 ]
+    <> hash_of [ deliver 0; deliver 1; deliver 2 ]);
+  (* independent channels: node 1's from peer 2 and from peer 23, whose
+     stream keys share a prefix *)
+  let from_peer peer =
+    Probe.Chan_deliver { chan = 100 + peer; node = 1; peer; seq = 0 }
+  in
+  Alcotest.(check string)
+    "channel keys do not depend on which channel shows first"
+    (hash_of [ Probe.Sim_start; from_peer 23; from_peer 2 ])
+    (hash_of [ Probe.Sim_start; from_peer 2; from_peer 23 ])
 
 let test_determinism_prefix () =
   let trace evs =
@@ -844,6 +1266,8 @@ let suite =
       test_lifecycle_peak_tally;
     Alcotest.test_case "lifecycle: real skbuff double free" `Quick
       test_skbuff_double_free_probed;
+    Alcotest.test_case "lifecycle: backtrace text and per-kind identities"
+      `Quick test_lifecycle_backtrace_text;
     Alcotest.test_case "invariants: duplicate/gap delivery" `Quick
       test_invariant_duplicate_delivery;
     Alcotest.test_case "invariants: duplicate app message" `Quick
@@ -860,6 +1284,29 @@ let suite =
       test_invariant_pool_balance;
     Alcotest.test_case "invariants: no retransmission of SACKed segments"
       `Quick test_invariant_sack_no_spurious_retx;
+    Alcotest.test_case "invariants: clock monotone" `Quick
+      test_invariant_clock_monotone;
+    Alcotest.test_case "invariants: snd_una monotone" `Quick
+      test_invariant_snd_una_monotone;
+    Alcotest.test_case "invariants: RTO bounds" `Quick
+      test_invariant_rto_bounds;
+    Alcotest.test_case "invariants: ivar single fill" `Quick
+      test_invariant_ivar_single_fill;
+    Alcotest.test_case "invariants: semaphore balance" `Quick
+      test_invariant_sem_balance;
+    Alcotest.test_case "invariants: no transmit while paused" `Quick
+      test_invariant_no_tx_while_paused;
+    Alcotest.test_case "invariants: switch buffer ledger" `Quick
+      test_invariant_switch_buffer_ledger;
+    Alcotest.test_case "invariants: zero loss when protected" `Quick
+      test_invariant_zero_loss_when_protected;
+    Alcotest.test_case "invariants: ECN mark above threshold" `Quick
+      test_invariant_ecn_mark_above_threshold;
+    Alcotest.test_case "invariants: every monitor fires through the sink"
+      `Quick test_invariant_every_monitor_fires;
+    Alcotest.test_case "probe: kind index is dense" `Quick
+      test_probe_kind_index;
+    QCheck_alcotest.to_alcotest prop_routing_matches_broadcast;
     Alcotest.test_case "determinism: logical trace hash" `Quick
       test_determinism_hash;
     Alcotest.test_case "determinism: truncated-run prefix compare" `Quick

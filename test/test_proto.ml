@@ -304,29 +304,52 @@ let test_ip_many_interleaved_datagrams () =
     "all reassembled in order" [ 4000; 6000; 2000; 8000 ]
     (List.rev !sizes)
 
+(* Node 0 sends 150,000 B to node 1 over links whose fault model comes
+   from [link_fault] (called once per link, in link-creation order); the
+   bytes the receiver's connection ends up with. *)
+let tcp_transfer_under_loss link_fault =
+  let config = { Node.default_config with link_fault = Some link_fault } in
+  let c, na, nb = two_nodes ~config () in
+  Tcp.listen nb.Node.tcp ~port:80;
+  let delivered = ref (-1) in
+  Node.spawn nb (fun () ->
+      let conn = Tcp.accept nb.Node.tcp ~port:80 in
+      Tcp.recv conn 150_000;
+      delivered := Tcp.bytes_delivered conn);
+  Node.spawn na (fun () ->
+      let conn = Tcp.connect na.Node.tcp ~dst:1 ~port:80 in
+      Tcp.send conn 150_000);
+  Net.run c;
+  !delivered
+
+(* Each link drops 3% of its frames on a stream of its own, split from
+   [seed], as the soak templates do. *)
+let own_drop_streams seed =
+  let rng = Rng.create ~seed in
+  fun () -> Hw.Fault.drop ~rng:(Rng.split rng) ~prob:0.03
+
 let prop_tcp_survives_any_loss_seed =
   QCheck.Test.make ~count:8 ~name:"tcp completes under random loss"
     QCheck.(int_range 1 10_000)
-    (fun seed ->
-      let config =
-        { Node.default_config with
-          link_fault =
-            Some (fun () -> Hw.Fault.drop ~rng:(Rng.create ~seed) ~prob:0.03)
-        }
-      in
-      let c, na, nb = two_nodes ~config () in
-      Tcp.listen nb.Node.tcp ~port:80;
-      let ok = ref false in
-      let total = 150_000 in
-      Node.spawn nb (fun () ->
-          let conn = Tcp.accept nb.Node.tcp ~port:80 in
-          Tcp.recv conn total;
-          ok := Tcp.bytes_delivered conn = total);
-      Node.spawn na (fun () ->
-          let conn = Tcp.connect na.Node.tcp ~dst:1 ~port:80 in
-          Tcp.send conn total);
-      Net.run c;
-      !ok)
+    (fun seed -> tcp_transfer_under_loss (own_drop_streams seed) = 150_000)
+
+(* At this seed an ack arrives while a fast retransmission waits for the
+   CPU.  Reading [snd_una] after that wait paired the new start with the
+   old length: segment (148,920, 1,460) ended at 150,380, past the
+   stream's end, and the receiver took 380 B that were never sent. *)
+let test_tcp_fast_retransmit_inside_stream () =
+  check_int "exactly the stream" 150_000
+    (tcp_transfer_under_loss (own_drop_streams 2595))
+
+(* With one drop stream replayed on all four links, an early drop hits
+   the SYN or SYN|ACK on every retry: at this seed the handshake uses up
+   its 8 SYNs. *)
+let test_tcp_connect_gives_up () =
+  Alcotest.check_raises "handshake abandoned"
+    (Failure "Tcp.connect: handshake timed out") (fun () ->
+      ignore
+        (tcp_transfer_under_loss (fun () ->
+             Hw.Fault.drop ~rng:(Rng.create ~seed:390) ~prob:0.03)))
 
 let test_tcp_close_signals_eof () =
   let c, na, nb = tcp_conn_pair () in
@@ -386,5 +409,9 @@ let suite =
     ("ip interleaved datagrams", `Quick, test_ip_many_interleaved_datagrams);
     ("tcp close eof", `Quick, test_tcp_close_signals_eof);
     ("tcp close drains", `Quick, test_tcp_close_drains_pending_data);
+    ( "tcp fast retransmit stays inside the stream",
+      `Quick,
+      test_tcp_fast_retransmit_inside_stream );
+    ("tcp connect gives up after 8 SYNs", `Quick, test_tcp_connect_gives_up);
   ]
   @ qprops
