@@ -24,18 +24,24 @@ let stack_arg =
   Arg.(value & opt (enum (List.map (fun s -> (s, s)) stacks)) "clic"
        & info [ "s"; "stack" ] ~docv:"STACK" ~doc)
 
-(* An integer flag with a floor: a value below [lo] is an argument error
-   (exit 124), like a value that is not an integer at all. *)
-let int_from lo =
+(* A flag that [conv] parses, restricted to the values [ok] accepts: any
+   other value (NaN included, for a float) is an argument error (exit
+   124), like a value [conv] cannot parse at all. *)
+let checked conv ok expected =
   let parse s =
-    match Arg.conv_parser Arg.int s with
-    | Ok n when n < lo ->
+    match Arg.conv_parser conv s with
+    | Ok x when not (ok x) ->
         Error
-          (`Msg (Printf.sprintf "invalid value '%s', expected an integer >= %d"
-                   s lo))
+          (`Msg (Printf.sprintf "invalid value '%s', expected %s" s expected))
     | r -> r
   in
-  Arg.conv (parse, Arg.conv_printer Arg.int)
+  Arg.conv (parse, Arg.conv_printer conv)
+
+let int_from lo =
+  checked Arg.int (fun n -> n >= lo) (Printf.sprintf "an integer >= %d" lo)
+
+let probability =
+  checked Arg.float (fun p -> p >= 0. && p <= 1.) "a number in [0, 1]"
 
 (* 68 bytes is the smallest MTU IPv4 allows (RFC 791); every stack runs
    at it, while a few tens of bytes leave no room for headers. *)
@@ -102,10 +108,6 @@ let run_stream verbose stack mtu zero_copy size reps =
    duplication and delay jitter composed onto every link. *)
 let run_chaos verbose loss burst dup jitter_us mtu size messages =
   ignore (verbose : bool);
-  if loss < 0. || loss > 1. || dup < 0. || dup > 1. then begin
-    prerr_endline "clic-sim: --loss and --dup must lie in [0,1]";
-    exit 2
-  end;
   let open Engine in
   let root = Rng.create ~seed:20030422 in
   let mk_fault () =
@@ -205,25 +207,31 @@ let stream_cmd =
 
 let chaos_cmd =
   let loss =
-    Arg.(value & opt float 0.
+    Arg.(value & opt probability 0.
          & info [ "loss" ] ~docv:"PROB"
-             ~doc:"Frame loss probability (e.g. 0.01 for 1%).")
+             ~doc:"Frame loss probability in [0, 1] (e.g. 0.01 for 1%).")
   in
   let burst =
-    Arg.(value & opt int 1
+    Arg.(value & opt (int_from 1) 1
          & info [ "burst" ] ~docv:"FRAMES"
              ~doc:
-               "Mean loss-burst length in frames; > 1 selects a \
+               "Mean loss-burst length in frames, at least 1; > 1 selects a \
                 Gilbert-Elliott bursty profile at the same average loss.")
   in
   let dup =
-    Arg.(value & opt float 0.
-         & info [ "dup" ] ~docv:"PROB" ~doc:"Frame duplication probability.")
+    Arg.(value & opt probability 0.
+         & info [ "dup" ] ~docv:"PROB"
+             ~doc:"Frame duplication probability in [0, 1].")
   in
   let jitter =
-    Arg.(value & opt float 0.
+    Arg.(value
+         & opt
+             (checked float
+                (fun us -> Float.is_finite us && us >= 0.)
+                "a finite number >= 0")
+             0.
          & info [ "jitter-us" ] ~docv:"US"
-             ~doc:"Max extra per-frame delay (reorders frames).")
+             ~doc:"Max extra per-frame delay, at least 0 (reorders frames).")
   in
   let messages =
     Arg.(value & opt (int_from 0) 400
@@ -290,49 +298,41 @@ let run_cmd =
     Term.(const run_experiments $ verbose_arg $ id $ quick)
 
 (* Run the sanitizer, invariant monitors and determinism detector over the
-   selected scenarios; non-zero exit on any finding so CI can gate on it. *)
+   selected scenarios; non-zero exit on any finding so CI can gate on it.
+   [--hashes] runs the baselines only and prints one `name hash' line per
+   scenario, the format test/golden/scenario_hashes.txt pins (regenerate
+   it with `clic-sim check --hashes > test/golden/scenario_hashes.txt');
+   a baseline with a finding still fails, its report on stderr. *)
 let run_check verbose scenarios seeds hashes =
+  let names = if scenarios = [] then None else Some scenarios in
+  let reports =
+    try Check.run_all ~seeds:(if hashes then 0 else seeds) ?names ()
+    with Invalid_argument msg ->
+      prerr_endline ("clic-sim: " ^ msg);
+      exit 2
+  in
+  let bad = List.filter (fun r -> not (Check.ok r)) reports in
   if hashes then begin
-    (* One baseline run per scenario, full logical trace hash: the output
-       format is exactly what test/golden/scenario_hashes.txt pins, so an
-       intentional behaviour change regenerates the file with
-       `clic-sim check --hashes > test/golden/scenario_hashes.txt`. *)
-    let names = if scenarios = [] then None else Some scenarios in
-    let reports =
-      try Check.run_all ~seeds:0 ?names ()
-      with Invalid_argument msg ->
-        prerr_endline ("clic-sim: " ^ msg);
-        exit 2
-    in
     List.iter
       (fun r -> Printf.printf "%s %s\n" r.Check.scenario r.Check.baseline_hash)
-      reports
+      reports;
+    List.iter (fun r -> Format.eprintf "%a@." Check.pp_report r) bad
   end
   else begin
-    let names = if scenarios = [] then None else Some scenarios in
-    let reports =
-      try Check.run_all ~seeds ?names ()
-      with Invalid_argument msg ->
-        prerr_endline ("clic-sim: " ^ msg);
-        exit 2
-    in
-    let bad = ref 0 in
     List.iter
       (fun r ->
         Format.printf "%a@." Check.pp_report r;
-        if verbose then Format.printf "%s@." r.Check.output;
-        if not (Check.ok r) then incr bad)
+        if verbose then Format.printf "%s@." r.Check.output)
       reports;
     let total = List.length reports in
-    if !bad = 0 then
+    if bad = [] then
       Format.printf "check: %d scenario(s) clean (%d tie-break seed(s))@."
         total seeds
-    else begin
-      Format.printf "check: %d of %d scenario(s) with violations@." !bad
-        total;
-      exit 1
-    end
-  end
+    else
+      Format.printf "check: %d of %d scenario(s) with violations@."
+        (List.length bad) total
+  end;
+  if bad <> [] then exit 1
 
 let check_cmd =
   let scenarios =
@@ -353,9 +353,11 @@ let check_cmd =
     Arg.(value & flag
          & info [ "hashes" ]
              ~doc:
-               "Print each scenario's baseline logical trace hash (one \
-                `name hash' line per scenario) instead of checking; the \
-                format of test/golden/scenario_hashes.txt.")
+               "Run only each scenario's FIFO baseline and print its \
+                logical trace hash (one `name hash' line per scenario, the \
+                format of test/golden/scenario_hashes.txt) instead of the \
+                reports; a baseline with a finding still exits 1, its \
+                report on stderr.")
   in
   Cmd.v
     (Cmd.info "check"
@@ -473,8 +475,7 @@ let run_metrics verbose name out format bucket_us attribution =
   let sc = find_scenario name in
   let recorder, _rendered = Obs.Recorder.record sc in
   let bucket_ns =
-    if bucket_us <= 0. then None
-    else Some (int_of_float (bucket_us *. 1000.))
+    if bucket_us = 0. then None else Some (int_of_float (bucket_us *. 1000.))
   in
   let m = Obs.Metrics.build ?bucket_ns recorder in
   (match format with
@@ -515,12 +516,20 @@ let metrics_cmd =
          & info [ "f"; "format" ] ~docv:"FMT"
              ~doc:"Export format: csv, json or summary.")
   in
+  (* A width of 0.001 us is one nanosecond, the finest bucket; its
+     nanosecond count must fit an int. *)
+  let bucket_width us =
+    us = 0.
+    || (Float.is_finite us && us >= 0.001
+       && us *. 1000. < Float.of_int max_int)
+  in
   let bucket =
-    Arg.(value & opt float 0.
+    Arg.(value
+         & opt (checked float bucket_width "0 or a finite width >= 0.001") 0.
          & info [ "bucket-us" ] ~docv:"US"
              ~doc:
-               "Bucket width for utilization/rate series; default divides \
-                the run into ~200 buckets.")
+               "Bucket width for utilization/rate series, at least 0.001 \
+                (1 ns); the default 0 divides the run into ~200 buckets.")
   in
   let attribution =
     Arg.(value & flag

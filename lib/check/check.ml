@@ -64,7 +64,6 @@ let probed_run ?tie_break (sc : Scenario.t) sink =
 type run_result = {
   r_violations : Violation.t list;  (* lifecycle + invariants + crash *)
   r_notes : string list;
-  r_trace : Determinism.t;
   r_hash : string;
   r_output : string;
   r_crashed : bool;
@@ -73,7 +72,7 @@ type run_result = {
 (* Runs the scenario once with every pass attached. *)
 let one_run ?tie_break (sc : Scenario.t) : run_result =
   let hash = Determinism.create () in
-  let sink = Sink.create ~trace:hash ~leak_check:(not sc.truncated) () in
+  let sink = Sink.create ~trace:hash () in
   let outcome = probed_run ?tie_break sc (Sink.on_event sink) in
   let output, crash =
     match outcome with
@@ -89,7 +88,6 @@ let one_run ?tie_break (sc : Scenario.t) : run_result =
   {
     r_violations = Sink.finish sink @ crash;
     r_notes = Sink.notes sink;
-    r_trace = hash;
     r_hash = Determinism.result hash;
     r_output = output;
     r_crashed = crash <> [];
@@ -112,50 +110,31 @@ let run_scenario ?(seeds = 3) (sc : Scenario.t) : report =
           let seed = seed_of_index i in
           let r = one_run ~tie_break:seed sc in
           let vs = vs @ List.map (retag_seed seed) r.r_violations in
-          (* For runs truncated by a wall-clock bound, per-stream progress
-             at the cut legitimately depends on timing: compare the common
-             prefix of each stream instead of the full trace. *)
-          let diverged_stream =
-            if sc.truncated then
-              match Determinism.prefix_divergence baseline.r_trace r.r_trace with
-              | Some key -> Some (Printf.sprintf "stream %S diverges" key)
-              | None -> None
-            else if r.r_hash <> baseline.r_hash then
-              Some
-                (Printf.sprintf "trace hash %s differs from baseline %s"
-                   r.r_hash baseline.r_hash)
-            else None
-          in
           let vs, ns =
             if r.r_crashed then (vs, ns)
-            else
-              match diverged_stream with
-              | Some what ->
-                  ( vs
-                    @ [
-                        Violation.make ~pass:"determinism"
-                          ~rule:"trace-divergence" ~time_ns:0
-                          (Printf.sprintf
-                             "seed %d: %s (rendered results %s)" seed what
-                             (if r.r_output = baseline.r_output then
-                                "identical"
-                              else "also differ"));
-                      ],
-                    ns )
-              | None ->
-                  if r.r_output <> baseline.r_output then
-                    ( vs,
-                      ns
-                      @ [
-                          Printf.sprintf
-                            "seed %d: %s logical trace, but measured \
-                             numbers shift with same-instant contention \
-                             ordering"
-                            seed
-                            (if sc.truncated then "prefix-consistent"
-                             else "identical");
-                        ] )
-                  else (vs, ns)
+            else if r.r_hash <> baseline.r_hash then
+              ( vs
+                @ [
+                    Violation.make ~pass:"determinism" ~rule:"trace-divergence"
+                      ~time_ns:0
+                      (Printf.sprintf
+                         "seed %d: trace hash %s differs from baseline %s \
+                          (rendered results %s)"
+                         seed r.r_hash baseline.r_hash
+                         (if r.r_output = baseline.r_output then "identical"
+                          else "also differ"));
+                  ],
+                ns )
+            else if r.r_output <> baseline.r_output then
+              ( vs,
+                ns
+                @ [
+                    Printf.sprintf
+                      "seed %d: identical logical trace, but measured \
+                       numbers shift with same-instant contention ordering"
+                      seed;
+                  ] )
+            else (vs, ns)
           in
           go (i + 1) vs ns (runs + 1)
       in

@@ -21,10 +21,7 @@
 open Engine
 
 type t = {
-  (* stream key -> cumulative chained digests, newest first.  The full
-     chain (not just its head) is kept so truncated runs can be compared
-     by prefix. *)
-  streams : (string, string list) Hashtbl.t;
+  streams : (string, string) Hashtbl.t;  (* stream key -> chain head *)
   chan_index : (int, string) Hashtbl.t;  (* channel uid -> stable stream key *)
   chan_count : (string, int) Hashtbl.t;  (* endpoint base -> channels seen *)
   mutable sim_index : int;  (* scenarios run several simulations in order *)
@@ -39,10 +36,9 @@ let create () =
   }
 
 let fold t key item =
-  let chain = Option.value (Hashtbl.find_opt t.streams key) ~default:[] in
-  let prev = match chain with d :: _ -> d | [] -> "init" in
+  let prev = Option.value (Hashtbl.find_opt t.streams key) ~default:"init" in
   Hashtbl.replace t.streams key
-    (Digest.to_hex (Digest.string (prev ^ "|" ^ item)) :: chain)
+    (Digest.to_hex (Digest.string (prev ^ "|" ^ item)))
 
 (* Channels are identified by endpoints plus order of first activity on
    those endpoints, not by their process-global uid.  The count is per
@@ -76,40 +72,9 @@ let on_event t (ev : Probe.event) =
 (* Folds the per-stream chain heads, in canonical key order, into one
    value. *)
 let result t =
-  Hashtbl.fold
-    (fun key chain acc ->
-      (key, (match chain with d :: _ -> d | [] -> "init")) :: acc)
-    t.streams []
+  Hashtbl.fold (fun key d acc -> (key, d) :: acc) t.streams []
   |> List.sort compare
   |> List.map (fun (key, d) -> key ^ "=" ^ d)
   |> String.concat "\n"
   |> Digest.string
   |> Digest.to_hex
-
-(* Whether two runs agree on every stream up to the shorter run's length.
-   Used for scenarios truncated by a wall-clock bound ([Net.run_for]):
-   the permutation legitimately moves how far each stream progressed by
-   the cut, but the part both runs did produce must match exactly —
-   a duplicate, gap or reordering anywhere in the common prefix still
-   differs.  Returns the offending stream key on mismatch. *)
-let prefix_divergence a b =
-  let check key chain_a acc =
-    match acc with
-    | Some _ -> acc
-    | None -> (
-        let chain_b = Option.value (Hashtbl.find_opt b.streams key) ~default:[] in
-        let la = List.length chain_a and lb = List.length chain_b in
-        let n = min la lb in
-        if n = 0 then None
-        else
-          (* chains are newest-first: the shorter chain's head must appear
-             at the same depth in the longer chain *)
-          let head_at chain len target = List.nth chain (len - target) in
-          let da = head_at chain_a la n and db = head_at chain_b lb n in
-          if da = db then None else Some key)
-  in
-  match Hashtbl.fold check a.streams None with
-  | Some key -> Some key
-  | None ->
-      (* streams only [b] saw: nothing to compare (empty prefix) *)
-      None

@@ -6,7 +6,7 @@
     everything a same-instant tie-break permutation may legitimately
     change (process-global uids, wall-clock timing, cross-stream
     interleaving).  The stream tables are internal: callers only compare
-    results or prefixes. *)
+    results. *)
 
 type t
 
@@ -15,11 +15,3 @@ val on_event : t -> Engine.Probe.event -> unit
 
 val result : t -> string
 (** Hex digest over every stream's chain head, in canonical key order. *)
-
-val prefix_divergence : t -> t -> string option
-(** [prefix_divergence a b] is [Some stream_key] when the two runs
-    disagree somewhere in the common prefix of that stream's chain, and
-    [None] when every shared stream agrees up to the shorter run's
-    length.  Used for truncated scenarios, where how far each stream got
-    legitimately varies with the schedule but the produced prefix must
-    not. *)

@@ -10,8 +10,10 @@
 type t
 
 val create : leak_check:bool -> unit -> t
-(** [leak_check:false] is for deliberately truncated runs, where buffers
-    legitimately remain live at the cut. *)
+(** [leak_check:false] reports use-after-free and double free but no
+    leaks.  Every checked run and soak trial leak-checks, through
+    {!Sink.create}; the argument stays because the bench harness
+    ([benchsuite/suite.ml]) passes [~leak_check:true]. *)
 
 val on_event : t -> Engine.Probe.event -> unit
 

@@ -6,14 +6,7 @@
    behaviour, not curve resolution, so quick sizes are enough for it.
 
    Contracts are pure functions over the typed rows a figure returns, so
-   tests can feed them doctored rows.
-
-   [truncated] is set for ext4 only: that experiment deliberately cuts
-   the run with [Net.run_for] while infinite TCP pump processes are still
-   mid-flight.  At the cut, buffers legitimately remain live (so the leak
-   check is off) and per-stream progress legitimately depends on timing
-   (so the determinism pass compares traces by common prefix instead of
-   exact equality). *)
+   tests can feed them doctored rows. *)
 
 module F = Report.Figures
 module T = Cluster.Tally
@@ -21,7 +14,6 @@ module T = Cluster.Tally
 type t = {
   name : string;
   descr : string;
-  truncated : bool;
   report : quick:bool -> Format.formatter -> Violation.t list;
   run : Format.formatter -> unit;
 }
@@ -266,13 +258,13 @@ let slo_contract rows (verdict : Slo.verdict) =
 (* ------------------------------------------------------------------ *)
 (* The registry *)
 
-let sc ?(truncated = false) ?run name descr report =
+let sc ?run name descr report =
   let run =
     match run with
     | Some run -> run
     | None -> fun fmt -> ignore (report ~quick:true fmt)
   in
-  { name; descr; truncated; report; run }
+  { name; descr; report; run }
 
 (* Reports for experiments without a contract: one with a quick size, one
    fixed-size. *)
@@ -297,8 +289,7 @@ let all : t list =
     sc "ext1" "NIC-side fragmentation" (fixed F.ext1);
     sc "ext2" "channel bonding" (fixed F.ext2);
     sc "ext3" "64KB broadcast to 8 nodes" (fixed (fun fmt -> F.ext3 fmt));
-    sc "ext4" ~truncated:true
-      "latency under competing TCP bulk load (truncated run)" (fixed F.ext4);
+    sc "ext4" "latency under competing TCP bulk load" (fixed F.ext4);
     sc "stress" "synthetic workloads, clean and 2% loss" (fixed F.stress);
     sc "chaos" "reliability under fault injection" (sized F.chaos);
     sc "incast" "N->1 incast collapse, tail-drop vs 802.3x PAUSE"

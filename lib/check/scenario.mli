@@ -8,10 +8,6 @@
 type t = {
   name : string;
   descr : string;
-  truncated : bool;
-      (** The run is deliberately cut mid-flight ([Net.run_for]): the
-          leak check is waived and determinism is compared by common
-          prefix instead of exact equality. *)
   report : quick:bool -> Format.formatter -> Violation.t list;
       (** Renders the experiment at full or quick size and returns its
           contract violations; [[]] for experiments without a contract. *)

@@ -31,9 +31,9 @@ let route monitors =
         monitors
       |> Array.of_list)
 
-let create ?trace ~leak_check () =
+let create ?trace () =
   {
-    lifecycle = Lifecycle.create ~leak_check ();
+    lifecycle = Lifecycle.create ~leak_check:true ();
     trace;
     routes = route (Invariants.create_all ());
     now = 0;

@@ -11,8 +11,8 @@
 
 type t
 
-val create : ?trace:Determinism.t -> leak_check:bool -> unit -> t
-(** Fresh lifecycle sanitizer ({!Lifecycle.create} [~leak_check]) and
+val create : ?trace:Determinism.t -> unit -> t
+(** Fresh lifecycle sanitizer, leak check on ({!Lifecycle.create}), and
     fresh monitors; [trace], when given, is fed every event too. *)
 
 val on_event : t -> Engine.Probe.event -> unit

@@ -495,7 +495,7 @@ let ok r =
    invariant monitor (the determinism pass needs repeated runs and is the
    `check` command's job; the soak's axis is schedule breadth). *)
 let run_trial (tp : template) ~quick ~seed acc =
-  let sink = Sink.create ~leak_check:true () in
+  let sink = Sink.create () in
   Probe.install (Sink.on_event sink);
   let outcome =
     Fun.protect

@@ -106,4 +106,3 @@ let failed_switches t = t.failed
 let node t i = t.nodes.(i)
 let size t = Array.length t.nodes
 let run t = Sim.run t.sim
-let run_for t span = Sim.run_until t.sim ~limit:(Time.add (Sim.now t.sim) span)

@@ -51,5 +51,3 @@ val size : t -> int
 
 val run : t -> unit
 (** Runs the simulation to quiescence. *)
-
-val run_for : t -> Time.span -> unit

@@ -19,9 +19,8 @@
      interrupt-side work services the oldest undelivered message.
 
    Stage durations merge each label's intervals disjointly
-   ([Trace.merged_length]), so a stage never exceeds wall-clock time; the
-   driver's bottom-half time subtracts the CLIC module work nested inside
-   it, mirroring the Figure 7 computation in [Report.Figures].  With
+   ([Trace.merged_length]), so a stage never exceeds wall-clock time, and
+   [Report.Figures.fig7_stages] splits them as Figure 7 does.  With
    pipelined traffic the windows of consecutive messages overlap and
    shared batch work (one ISR draining several messages' fragments) is
    charged to the oldest message — totals stay exact per message, stage
@@ -29,7 +28,7 @@
 
 open Engine
 
-type stages = {
+type stages = Report.Figures.fig7_stages = {
   module_tx_us : float;
   driver_tx_us : float;
   transit_us : float;
@@ -88,20 +87,6 @@ let merged acc label =
   | None -> 0.
 
 let finish_message acc =
-  let module_tx = merged acc "clic:module-tx" in
-  let driver_tx = merged acc "driver:tx-routine" in
-  let isr_total = merged acc "driver:isr" in
-  let bh_total = merged acc "driver:bottom-half" in
-  let module_rx =
-    merged acc "clic:module-rx" +. merged acc "clic:copy-to-user"
-  in
-  (* The module upcall nests inside whichever driver stage invoked it:
-     the bottom half normally, the ISR when the driver runs in
-     direct-from-ISR mode (no bottom-half spans at all). *)
-  let isr, bottom_half =
-    if bh_total > 0. then (isr_total, Float.max 0. (bh_total -. module_rx))
-    else (Float.max 0. (isr_total -. module_rx), 0.)
-  in
   let t_end =
     match (acc.m_recv, acc.m_deliver) with
     | Some r, _ -> Some r
@@ -110,10 +95,6 @@ let finish_message acc =
   in
   let total =
     match t_end with Some e -> us (e - acc.m_send) | None -> 0.
-  in
-  let transit =
-    Float.max 0.
-      (total -. module_tx -. driver_tx -. isr -. bottom_half -. module_rx)
   in
   {
     src = acc.m_src;
@@ -125,15 +106,14 @@ let finish_message acc =
     t_deliver = acc.m_deliver;
     t_recv = acc.m_recv;
     stages =
-      {
-        module_tx_us = module_tx;
-        driver_tx_us = driver_tx;
-        transit_us = transit;
-        isr_us = isr;
-        bottom_half_us = bottom_half;
-        module_rx_us = module_rx;
-        total_us = total;
-      };
+      Report.Figures.fig7_stages
+        ~module_tx:(merged acc "clic:module-tx")
+        ~driver_tx:(merged acc "driver:tx-routine")
+        ~isr:(merged acc "driver:isr")
+        ~bottom_half:(merged acc "driver:bottom-half")
+        ~module_rx:
+          (merged acc "clic:module-rx" +. merged acc "clic:copy-to-user")
+        ~total;
   }
 
 let messages recorder =

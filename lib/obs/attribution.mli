@@ -6,15 +6,15 @@
     receiver to it: sender-side work goes to the latest message entered
     at the span's start, receiver-side work to the oldest message still
     in flight to that node (fragments are delivered in order).  Stage
-    durations merge intervals disjointly ({!Engine.Trace.merged_length});
-    the bottom-half stage subtracts the CLIC module work nested inside
-    it, mirroring [Report.Figures]'s Figure 7 computation.
+    durations merge intervals disjointly ({!Engine.Trace.merged_length})
+    and are split into stages by {!Report.Figures.fig7_stages}, as
+    Figure 7 is.
 
     With pipelined traffic, batch work shared between messages (one ISR
     draining several messages' fragments) is charged to the oldest; the
     per-message [total_us] is exact, the stage split is an attribution. *)
 
-type stages = {
+type stages = Report.Figures.fig7_stages = {
   module_tx_us : float;  (** CLIC_MODULE send-side work *)
   driver_tx_us : float;  (** driver transmit routine *)
   transit_us : float;  (** buses + wire + switch + interrupt dispatch *)

@@ -27,6 +27,33 @@ type fig7_result = {
 val fig7 : Format.formatter -> fig7_result
 (** Per-stage timing of a 1400-byte packet, stock vs direct-from-ISR. *)
 
+type fig7_stages = {
+  module_tx_us : float;  (** CLIC_MODULE send-side work *)
+  driver_tx_us : float;  (** driver transmit routine *)
+  transit_us : float;  (** buses + wire + switch + interrupt dispatch *)
+  isr_us : float;  (** interrupt service routine (driver part) *)
+  bottom_half_us : float;  (** bottom half, driver part *)
+  module_rx_us : float;  (** CLIC_MODULE receive work + copy to user *)
+  total_us : float;  (** one-way total *)
+}
+
+val fig7_stages :
+  module_tx:float ->
+  driver_tx:float ->
+  isr:float ->
+  bottom_half:float ->
+  module_rx:float ->
+  total:float ->
+  fig7_stages
+(** Figure 7's stage split from measured stage times in us: [isr] and
+    [bottom_half] are the driver stages' whole times.  The module's
+    receive work nests inside the driver stage that ran its upcall, so it
+    comes out of the bottom half when [bottom_half > 0] and out of the
+    ISR otherwise (direct-from-ISR mode), floored at 0.  Transit is what
+    the five host stages leave of [total], floored at 0.  {!fig7} and
+    the per-message attribution ([Obs.Attribution]) both split this
+    way. *)
+
 type scalar = { name : string; paper : float; measured : float }
 
 val tab1 : ?quick:bool -> Format.formatter -> scalar list

@@ -1,9 +1,10 @@
 #!/bin/sh
 # Exit-status checks of clic-sim, given the built executable: `run`
 # --quick really shrinks an experiment, an unknown id or soak template
-# exits 2, and an out-of-range numeric flag is an argument error (exit
-# 124) rather than a crash or a run with a nonsense count.  (That every
-# contract holds at quick size is checked by the run_quick golden.)
+# exits 2, and an out-of-range numeric flag (NaN and infinity included)
+# is an argument error (exit 124) rather than a crash or a run with a
+# nonsense value.  (That every contract holds at quick size is checked
+# by the run_quick golden.)
 set -eu
 sim=$1
 
@@ -22,7 +23,7 @@ if [ "$status" -ne 2 ]; then
 fi
 
 # Each line: the expected exit status, then the arguments.  The 0 lines
-# are the smallest values each floor accepts.
+# are the edge values each flag accepts.
 while read -r expected args; do
   status=0
   # shellcheck disable=SC2086 # word-split the argument list on purpose
@@ -47,8 +48,22 @@ done <<'CASES'
 124 check --seeds=-2
 124 soak --trials 0
 124 soak --trials=-1
+124 chaos --loss 2
+124 chaos --loss nan
+124 chaos --dup=nan
+124 chaos --jitter-us inf
+124 chaos --jitter-us=nan
+124 chaos --jitter-us=-5
+124 chaos --burst 0
+124 metrics fig7 --bucket-us 0.0001
+124 metrics fig7 --bucket-us=inf
+124 metrics fig7 --bucket-us=nan
+124 metrics fig7 --bucket-us=1e300
+124 metrics fig7 --bucket-us=-1
 2 soak --only nope
 0 latency --reps 1 --mtu 68
 0 bandwidth --size 0 --reps 1
 0 chaos --messages 0
+0 chaos --messages 0 --loss 1 --dup 1 --burst 1 --jitter-us 0
+0 metrics fig7 --bucket-us 0.001 -o /dev/null
 CASES

@@ -188,7 +188,7 @@ let is_invariant (v : Check.Violation.t) =
 (* The invariant findings of a stream fed through the checker's sink,
    which routes each event only to the monitors that read it. *)
 let routed_findings evs =
-  let sink = Check.Sink.create ~leak_check:false () in
+  let sink = Check.Sink.create () in
   List.iter (Check.Sink.on_event sink) evs;
   List.filter is_invariant (Check.Sink.finish sink)
 
@@ -683,32 +683,13 @@ let test_determinism_hash () =
     (hash_of [ Probe.Sim_start; from_peer 23; from_peer 2 ])
     (hash_of [ Probe.Sim_start; from_peer 2; from_peer 23 ])
 
-let test_determinism_prefix () =
-  let trace evs =
-    let d = Check.Determinism.create () in
-    List.iter (Check.Determinism.on_event d) evs;
-    d
-  in
-  let short = trace [ deliver 0; deliver 1 ] in
-  let long = trace [ deliver 0; deliver 1; deliver 2 ] in
-  let conflicting = trace [ deliver 0; deliver 2 ] in
-  Alcotest.(check (option string))
-    "prefix of longer run is consistent" None
-    (Check.Determinism.prefix_divergence short long);
-  Alcotest.(check (option string))
-    "and symmetrically" None
-    (Check.Determinism.prefix_divergence long short);
-  check_bool "conflicting common prefix flagged" true
-    (Check.Determinism.prefix_divergence short conflicting <> None)
-
 (* ------------------------------------------------------------------ *)
 (* The full checker, end to end *)
 
-let quiet_scenario ?(truncated = false) name run =
+let quiet_scenario name run =
   {
     Check.Scenario.name;
     descr = name;
-    truncated;
     report = (fun ~quick:_ _fmt -> run (); []);
     run = (fun _fmt -> run ());
   }
@@ -775,6 +756,25 @@ let test_check_real_scenario_clean () =
     (List.exists
        (fun n -> n <> "peak live objects 0")
        r.Check.notes)
+
+(* The registry's ext4, whose loaded run (bulk TCP beside a ping-pong)
+   ends when the pinger does: clean with the leak check on, and the same
+   logical trace hash under a seeded permutation as in the baseline. *)
+let test_check_ext4_clean () =
+  let sc = Option.get (Check.Scenario.find "ext4") in
+  let r = Check.run_scenario ~seeds:1 sc in
+  List.iter
+    (fun v -> Printf.printf "unexpected: %s\n" (Check.Violation.to_string v))
+    r.Check.violations;
+  check_bool "clean" true (Check.ok r);
+  check_int "baseline + 1 seeded run" 2 r.Check.runs;
+  let peak =
+    List.find_map
+      (fun n -> Scanf.sscanf_opt n "peak live objects %d%!" Fun.id)
+      r.Check.notes
+  in
+  check_bool "objects were tracked" true
+    (match peak with Some n -> n > 0 | None -> false)
 
 (* ------------------------------------------------------------------ *)
 (* The chaos-soak harness *)
@@ -1309,14 +1309,14 @@ let suite =
     QCheck_alcotest.to_alcotest prop_routing_matches_broadcast;
     Alcotest.test_case "determinism: logical trace hash" `Quick
       test_determinism_hash;
-    Alcotest.test_case "determinism: truncated-run prefix compare" `Quick
-      test_determinism_prefix;
     Alcotest.test_case "check: catches a seeded ordering race" `Quick
       test_check_catches_race;
     Alcotest.test_case "check: clean synthetic scenario" `Quick
       test_check_clean_synthetic;
     Alcotest.test_case "check: real CLIC ping-pong end to end" `Quick
       test_check_real_scenario_clean;
+    Alcotest.test_case "check: ext4 runs to the end, leak-checked" `Quick
+      test_check_ext4_clean;
     Alcotest.test_case "soak: argument checks" `Quick test_soak_argument_checks;
     Alcotest.test_case "soak: one-seed smoke run" `Quick test_soak_smoke;
     Alcotest.test_case "soak: zeroed counter brings back its complaint"

@@ -95,18 +95,6 @@ let test_both_stacks_share_one_node () =
   check_bool "tcp completed" true !tcp_done;
   check_bool "clic completed" true !clic_done
 
-let test_run_for_bounds_time () =
-  let c = Net.create ~n:2 () in
-  let na = Net.node c 0 in
-  Node.spawn na (fun () ->
-      let rec forever () =
-        Process.delay (Time.ms 1.);
-        forever ()
-      in
-      forever ());
-  Net.run_for c (Time.ms 10.);
-  check_int "clock advanced exactly" (Time.ms 10.) (Sim.now c.Net.sim)
-
 let test_workload_uniform_random_conserves () =
   let c = Net.create ~n:4 () in
   let s = Workload.uniform_random c ~seed:3 ~messages_per_node:20 () in
@@ -861,7 +849,6 @@ let suite =
     ("latency vs size", `Quick, test_pingpong_latency_increases_with_size);
     ("all-to-all", `Quick, test_all_to_all_traffic);
     ("stacks coexist", `Quick, test_both_stacks_share_one_node);
-    ("run_for bound", `Quick, test_run_for_bounds_time);
     ("workload uniform", `Quick, test_workload_uniform_random_conserves);
     ("workload under loss", `Quick, test_workload_uniform_random_under_loss);
     ("workload hotspot", `Quick, test_workload_hotspot_incast);
