@@ -109,6 +109,28 @@ let run_stream verbose stack mtu zero_copy size reps =
 let run_chaos verbose loss burst dup jitter_us mtu size messages =
   ignore (verbose : bool);
   let open Engine in
+  (* Gilbert–Elliott with mean burst length [burst] frames and average
+     loss [loss]: the bad state drops half its frames, so it must hold
+     for a share [loss /. loss_bad] of the time, which the good state's
+     exit probability sets.  That is a probability only while [loss] is
+     at most [burst / (2 (burst + 1))]; a higher average loss is an
+     argument error, not a quietly milder channel. *)
+  let loss_bad = 0.5 in
+  let frac_bad = loss /. loss_bad in
+  let p_bad_to_good = 1. /. float_of_int burst in
+  let p_good_to_bad = frac_bad *. p_bad_to_good /. (1. -. frac_bad) in
+  if
+    loss > 0. && burst > 1
+    && not (p_good_to_bad >= 0. && p_good_to_bad <= 1.)
+  then begin
+    Printf.eprintf
+      "clic-sim: chaos: --loss %g is out of reach at --burst %d: a bursty \
+       channel whose bad state drops half its frames averages at most %g \
+       loss at that burst length\n"
+      loss burst
+      (float_of_int burst /. float_of_int (2 * (burst + 1)));
+    exit Cmd.Exit.cli_error
+  end;
   let root = Rng.create ~seed:20030422 in
   let mk_fault () =
     let rng = Rng.split root in
@@ -116,21 +138,11 @@ let run_chaos verbose loss burst dup jitter_us mtu size messages =
       List.concat
         [
           (if loss > 0. then
-             if burst > 1 then begin
-               (* Gilbert–Elliott with mean burst length [burst] frames
-                  and average loss [loss]: bad state drops half its
-                  frames, dwell times set the stationary bad fraction. *)
-               let loss_bad = 0.5 in
-               let frac_bad = min 0.9 (loss /. loss_bad) in
-               let p_bad_to_good = 1. /. float_of_int burst in
-               let p_good_to_bad =
-                 frac_bad *. p_bad_to_good /. (1. -. frac_bad)
-               in
+             if burst > 1 then
                [
                  Hw.Fault.gilbert_elliott ~rng:(Rng.split rng)
                    ~p_good_to_bad ~p_bad_to_good ~loss_bad ();
                ]
-             end
              else [ Hw.Fault.drop ~rng:(Rng.split rng) ~prob:loss ]
            else []);
           (if dup > 0. then

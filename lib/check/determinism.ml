@@ -16,12 +16,23 @@
      allocation order and contention timing legitimately vary with the
      permutation).  Cross-stream interleaving and acknowledgement timing
      are not part of the hash — they are covered by the invariant
-     monitors, which run under every seeded permutation as well. *)
+     monitors, which run under every seeded permutation as well.
+
+   - An application delivery is named by its place in its own flow, not
+     by the sender's node-global message id: the matching [Msg_send]
+     gives its ordinal among the (src, dst, port, epoch) flow's sends and
+     its size.  How a node's flows interleaved in its id counter is
+     cross-stream interleaving too.  A delivery with no recorded send (a
+     CLIC broadcast, a same-node message) keeps its raw id. *)
 
 open Engine
 
 type t = {
   streams : (string, string) Hashtbl.t;  (* stream key -> chain head *)
+  flows : (int * int * int * int, int) Hashtbl.t;
+      (* (src, dst, port, epoch) -> sends so far *)
+  sends : (int * int * int, int * int) Hashtbl.t;
+      (* (src, epoch, msg_id) -> (ordinal in its flow, bytes) *)
   chan_index : (int, string) Hashtbl.t;  (* channel uid -> stable stream key *)
   chan_count : (string, int) Hashtbl.t;  (* endpoint base -> channels seen *)
   mutable sim_index : int;  (* scenarios run several simulations in order *)
@@ -30,6 +41,8 @@ type t = {
 let create () =
   {
     streams = Hashtbl.create 64;
+    flows = Hashtbl.create 64;
+    sends = Hashtbl.create 64;
     chan_index = Hashtbl.create 64;
     chan_count = Hashtbl.create 64;
     sim_index = 0;
@@ -58,11 +71,22 @@ let chan_key t ~chan ~node ~peer =
 
 let on_event t (ev : Probe.event) =
   match ev with
-  | Probe.Sim_start -> t.sim_index <- t.sim_index + 1
+  | Probe.Sim_start ->
+      (* message ids restart with each simulation's nodes *)
+      t.sim_index <- t.sim_index + 1;
+      Hashtbl.reset t.flows;
+      Hashtbl.reset t.sends
+  | Probe.Msg_send { node; dst; port; msg_id; bytes; epoch } ->
+      let flow = (node, dst, port, epoch) in
+      let n = Option.value (Hashtbl.find_opt t.flows flow) ~default:0 in
+      Hashtbl.replace t.flows flow (n + 1);
+      Hashtbl.replace t.sends (node, epoch, msg_id) (n, bytes)
   | Probe.Msg_deliver { node; src; port; msg_id; epoch } ->
       fold t
-        (Printf.sprintf "%d/msg %d<-%d" t.sim_index node src)
-        (Printf.sprintf "port=%d id=%d ep=%d" port msg_id epoch)
+        (Printf.sprintf "%d/msg %d<-%d port %d" t.sim_index node src port)
+        (match Hashtbl.find_opt t.sends (src, epoch, msg_id) with
+        | Some (n, bytes) -> Printf.sprintf "n=%d bytes=%d ep=%d" n bytes epoch
+        | None -> Printf.sprintf "port=%d id=%d ep=%d" port msg_id epoch)
   | Probe.Chan_deliver { chan; node; peer; seq } ->
       fold t (chan_key t ~chan ~node ~peer) (Printf.sprintf "seq=%d" seq)
   | Probe.Chan_dead { chan; node; peer } ->

@@ -5,8 +5,12 @@
     message streams, channel deaths) while staying invariant under
     everything a same-instant tie-break permutation may legitimately
     change (process-global uids, wall-clock timing, cross-stream
-    interleaving).  The stream tables are internal: callers only compare
-    results. *)
+    interleaving).  An application delivery is hashed as its ordinal in
+    its (src, dst, port, epoch) flow and its size, both read from the
+    matching [Msg_send], so how a sender's flows interleaved is not part
+    of the hash; a delivery with no recorded send (a broadcast) is hashed
+    by its raw message id.  The stream tables are internal: callers only
+    compare results. *)
 
 type t
 

@@ -13,8 +13,9 @@ type t = {
           contract violations; [[]] for experiments without a contract. *)
   run : Format.formatter -> unit;
       (** The checker's trace-pinned run: the quick-size [report] with its
-          verdict discarded, except for [slo], whose echo panel cannot be
-          pinned and which runs {!Report.Figures.slo_trace} instead. *)
+          verdict discarded, except for [slo], which runs only the
+          quick-size {!Slo.run_contract} and prints its verdict (the whole
+          panel would cost the checker about five times the allocation). *)
 }
 
 val all : t list

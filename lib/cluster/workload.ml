@@ -231,12 +231,11 @@ let slo_of sb tally ~resp_size =
    Every CLIC send a node performs — its own requests and the responses
    it owes — issues from one worker process draining one inbox, so a
    node's sends are serialised: never two sender processes interleaving
-   on the same channel.  That does not make the logical trace invariant
-   under the checker's seeded same-instant permutations: the inbox order
-   itself still races the request pump against the dispatcher, so
-   per-node message ids can shift.  That race is why [open_loop_oneway]
-   and [Figures.slo_trace] exist (pinning this workload is an open item
-   in ROADMAP.md, "Pin the request-response workloads"). *)
+   on the same channel.  The inbox order still races the request pump
+   against the dispatcher at the same instant, which reorders a node's
+   sends across flows but never within one (requests and responses go
+   to different ports), so the checker's per-flow trace hash pins this
+   workload. *)
 let open_loop c ~seed ~arrival ?(requests_per_node = 100) ?(req_size = 512)
     ?(resp_size = 4096) ?(deadline = 0) ?(port = 73) () =
   validate_arrival arrival;
@@ -322,86 +321,6 @@ let open_loop c ~seed ~arrival ?(requests_per_node = 100) ?(req_size = 512)
   done;
   Net.run c;
   (stats_of tally, slo_of sb tally ~resp_size)
-
-(* One-way open-loop variant: same seeded arrival schedule, no response
-   leg.  Latency is delivery instant minus scheduled arrival, so client
-   backlog and everything the gray fabric does to the request still
-   lands in the tail.  Because the only send producer per node is its
-   own dispatcher, each node's send order equals its arrival schedule no
-   matter how same-instant contention resolves — the logical trace is
-   invariant under the checker's seeded tie-break permutations, which
-   makes this the variant the pinned `slo` scenario runs.  (The echo
-   variant's response ordering is inherently timing-coupled: a response
-   send order races a scheduled request whenever CPU contention shifts a
-   delivery, so its trace cannot be pinned.) *)
-let open_loop_oneway c ~seed ~arrival ?(requests_per_node = 100)
-    ?(req_size = 512) ?(deadline = 0) ?(port = 73) () =
-  validate_arrival arrival;
-  if requests_per_node <= 0 then
-    invalid_arg "Workload.open_loop_oneway: requests_per_node <= 0";
-  if req_size <= 0 then
-    invalid_arg "Workload.open_loop_oneway: message size <= 0";
-  if deadline < 0 then invalid_arg "Workload.open_loop_oneway: deadline < 0";
-  let n = Net.size c in
-  if n < 2 then invalid_arg "Workload.open_loop_oneway: need >= 2 nodes";
-  let tally = fresh_tally () in
-  let sb =
-    { sb_requests = 0; sb_completed = 0; sb_timeouts = 0; sb_samples = [] }
-  in
-  let pending = Array.init n (fun _ -> Array.init n (fun _ -> Queue.create ()))
-  in
-  let inbox = Array.init n (fun _ -> Mailbox.create ()) in
-  for i = 0 to n - 1 do
-    let node = Net.node c i in
-    (* Receiver: pure accounting, never sends.  Requests of one pair ride
-       one CLIC channel in order, so the oldest scheduled arrival is
-       always the one a delivery resolves. *)
-    Node.spawn node (fun () ->
-        let rec loop () =
-          let msg = Clic.Api.recv node.Node.clic ~port in
-          let now = Sim.now c.Net.sim in
-          (match Queue.take_opt pending.(msg.Clic.Clic_module.msg_src).(i)
-           with
-          | Some t0 ->
-              let lat = Time.diff now t0 in
-              sb.sb_completed <- sb.sb_completed + 1;
-              if deadline > 0 && lat > deadline then
-                sb.sb_timeouts <- sb.sb_timeouts + 1;
-              sb.sb_samples <- (t0, Time.to_us lat) :: sb.sb_samples;
-              note_delivery tally now msg.Clic.Clic_module.msg_bytes
-          | None -> ());
-          loop ()
-        in
-        loop ());
-    (* Send worker: drains the dispatcher's schedule, its only producer. *)
-    Node.spawn node (fun () ->
-        let rec work () =
-          let dst = Mailbox.recv inbox.(i) in
-          Clic.Api.send node.Node.clic ~dst ~port req_size;
-          work ()
-        in
-        work ())
-  done;
-  let root_rng = Rng.create ~seed in
-  for i = 0 to n - 1 do
-    let rng = Rng.split root_rng in
-    let node = Net.node c i in
-    Node.spawn node (fun () ->
-        for _ = 1 to requests_per_node do
-          Process.delay (draw_gap rng arrival);
-          let dst =
-            let d = Rng.int rng (n - 1) in
-            if d >= i then d + 1 else d
-          in
-          let now = Sim.now c.Net.sim in
-          sb.sb_requests <- sb.sb_requests + 1;
-          note_send tally now;
-          Queue.add now pending.(i).(dst);
-          Mailbox.send inbox.(i) dst
-        done)
-  done;
-  Net.run c;
-  (stats_of tally, slo_of sb tally ~resp_size:req_size)
 
 (* --------------------------------------------------------------- *)
 (* Gray-failure injection window *)

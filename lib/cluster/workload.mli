@@ -3,12 +3,14 @@
 
     Two families share this module.  The {e closed-loop} patterns
     ({!uniform_random}, {!hotspot}) inject a fixed message count and run
-    the cluster to quiescence.  The {e open-loop} patterns ({!open_loop},
-    {!open_loop_oneway}) model production traffic: request arrivals fire
-    on a seeded random schedule whether or not earlier requests have
-    completed, so a slow server or a sagging link builds a backlog
-    instead of silently slowing the offered load — which is where
-    p99/p999 tails actually come from.
+    the cluster to quiescence.  The {e open-loop} pattern ({!open_loop})
+    models production traffic: request arrivals fire on a seeded random
+    schedule whether or not earlier requests have completed, so a slow
+    server or a sagging link builds a backlog instead of silently slowing
+    the offered load — which is where p99/p999 tails actually come from.
+    Every pattern keeps each flow's send order under same-instant
+    reordering, which is what the checker's trace hash pins (it names a
+    message by its place in its flow, not by its node-global id).
 
     {b Drain semantics.}  Server and receiver processes are infinite
     loops; when traffic ends each is parked in one final blocking receive
@@ -126,26 +128,6 @@ val open_loop :
     than it as [slo_timeouts].
     @raise Invalid_argument for non-positive sizes or counts, a negative
     deadline, a bad [arrival], or fewer than 2 nodes. *)
-
-val open_loop_oneway :
-  Net.t ->
-  seed:int ->
-  arrival:arrival ->
-  ?requests_per_node:int ->
-  ?req_size:int ->
-  ?deadline:Time.span ->
-  ?port:int ->
-  unit ->
-  stats * slo
-(** One-way variant of {!open_loop}: the same seeded arrival schedule,
-    but no response leg — latency is the delivery instant minus the
-    scheduled arrival, so client backlog and everything the fabric does
-    to the request still land in the tail.  Each node's send order
-    equals its arrival schedule (the dispatcher is the only send
-    producer), which keeps the logical trace invariant under seeded
-    same-instant permutations; the pinned [slo] scenario runs this
-    variant.  Goodput counts request payload.
-    @raise Invalid_argument as {!open_loop}. *)
 
 (** {1 Gray-failure injection} *)
 

@@ -1680,41 +1680,3 @@ let slo ?(quick = false) fmt =
      purely in the latency tail — compare each system's p999 against \
      its healthy row.@.";
   rows
-
-(* The trace-pinned companion to [slo]: one-way open-loop CLIC traffic
-   under the same three conditions.  No response leg means each node's
-   send order is its arrival schedule, so the logical trace survives the
-   checker's seeded same-instant permutations — this is what scenario
-   "slo" hashes.  (The echo panel's response ordering is timing-coupled
-   and cannot be pinned; it stays behind `clic-sim run slo`.) *)
-let slo_trace ?(quick = false) fmt =
-  let requests_per_node = if quick then 40 else 120 in
-  let row condition =
-    let c = Net.create ~config:(slo_config ~quick ~condition) ~n:4 () in
-    slo_inject ~quick ~condition c;
-    let s, r =
-      Workload.open_loop_oneway c ~seed:30901
-        ~arrival:(Workload.Poisson { mean_gap = Time.us 200. })
-        ~requests_per_node ~req_size:512 ~deadline:(Time.ms 1.) ~port:9300
-        ()
-    in
-    ignore (s : Workload.stats);
-    (condition, r)
-  in
-  let rows = List.map row slo_conditions in
-  Render.section fmt
-    "SLO trace panel: one-way open-loop CLIC requests under gray failure";
-  Render.table fmt
-    ~header:[ "condition"; "done"; "timeouts"; "p50 (us)"; "p999 (us)" ]
-    ~rows:
-      (List.map
-         (fun (condition, r) ->
-           [ condition_name condition;
-             Printf.sprintf "%d/%d" r.Workload.slo_completed
-               r.Workload.slo_requests;
-             string_of_int r.Workload.slo_timeouts;
-             Printf.sprintf "%.1f" r.Workload.slo_p50_us;
-             Printf.sprintf "%.1f" r.Workload.slo_p999_us ])
-         rows)
-    ();
-  rows

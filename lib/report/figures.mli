@@ -247,11 +247,3 @@ val slo : ?quick:bool -> Format.formatter -> slo_row list
     its egress pump); and fail-slow plus 0.5% random frame loss.  The gray window
     drops nothing by itself, so the damage is visible only in the
     latency tail — six rows of p50/p99/p999 and goodput. *)
-
-val slo_trace :
-  ?quick:bool -> Format.formatter -> (condition * Cluster.Workload.slo) list
-(** Trace-pinned companion to {!slo}: one-way open-loop CLIC traffic
-    (no response leg) under the same three conditions.  Each node's send
-    order is its arrival schedule, so the logical trace is invariant
-    under seeded same-instant permutations — this is what the checker's
-    "slo" scenario hashes. *)

@@ -3,8 +3,9 @@
 # --quick really shrinks an experiment, an unknown id or soak template
 # exits 2, and an out-of-range numeric flag (NaN and infinity included)
 # is an argument error (exit 124) rather than a crash or a run with a
-# nonsense value.  (That every contract holds at quick size is checked
-# by the run_quick golden.)
+# nonsense value, and so is a `chaos --loss` its `--burst` channel cannot
+# average.  (That every contract holds at quick size is checked by the
+# run_quick golden.)
 set -eu
 sim=$1
 
@@ -55,6 +56,9 @@ done <<'CASES'
 124 chaos --jitter-us=nan
 124 chaos --jitter-us=-5
 124 chaos --burst 0
+124 chaos --messages 0 --loss 0.44 --burst 2
+124 chaos --loss 1 --burst 2
+124 chaos --loss 0.9 --burst 20
 124 metrics fig7 --bucket-us 0.0001
 124 metrics fig7 --bucket-us=inf
 124 metrics fig7 --bucket-us=nan
@@ -65,5 +69,6 @@ done <<'CASES'
 0 bandwidth --size 0 --reps 1
 0 chaos --messages 0
 0 chaos --messages 0 --loss 1 --dup 1 --burst 1 --jitter-us 0
+0 chaos --messages 0 --loss 0.3 --burst 2
 0 metrics fig7 --bucket-us 0.001 -o /dev/null
 CASES

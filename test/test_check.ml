@@ -681,7 +681,37 @@ let test_determinism_hash () =
   Alcotest.(check string)
     "channel keys do not depend on which channel shows first"
     (hash_of [ Probe.Sim_start; from_peer 23; from_peer 2 ])
-    (hash_of [ Probe.Sim_start; from_peer 2; from_peer 23 ])
+    (hash_of [ Probe.Sim_start; from_peer 2; from_peer 23 ]);
+  (* A delivery is named by its place in its own flow, so how node 0's
+     two flows (to node 1 on port 7, to node 2 on port 8) shared its
+     message-id counter does not matter. *)
+  let send ?(bytes = 64) ~dst ~port msg_id =
+    Probe.Msg_send { node = 0; dst; port; msg_id; bytes; epoch = 0 }
+  in
+  let recv ~node ~port msg_id =
+    Probe.Msg_deliver { node; src = 0; port; msg_id; epoch = 0 }
+  in
+  Alcotest.(check string)
+    "flows of one sender hash apart from its id counter"
+    (hash_of
+       [ send ~dst:1 ~port:7 0; send ~dst:2 ~port:8 1; send ~dst:1 ~port:7 2;
+         send ~dst:2 ~port:8 3; recv ~node:1 ~port:7 0; recv ~node:2 ~port:8 1;
+         recv ~node:1 ~port:7 2; recv ~node:2 ~port:8 3 ])
+    (hash_of
+       [ send ~dst:2 ~port:8 0; send ~dst:2 ~port:8 1; send ~dst:1 ~port:7 2;
+         send ~dst:1 ~port:7 3; recv ~node:2 ~port:8 0; recv ~node:1 ~port:7 2;
+         recv ~node:2 ~port:8 1; recv ~node:1 ~port:7 3 ]);
+  (* ...while a reorder, a duplicate or a size change within one flow
+     still moves the hash *)
+  let flow ?(bytes = 64) delivered =
+    hash_of
+      ([ send ~dst:1 ~port:7 0; send ~bytes ~dst:1 ~port:7 1 ]
+      @ List.map (recv ~node:1 ~port:7) delivered)
+  in
+  check_bool "per-flow reorder" true (flow [ 0; 1 ] <> flow [ 1; 0 ]);
+  check_bool "per-flow duplicate" true (flow [ 0; 1 ] <> flow [ 0; 1; 1 ]);
+  check_bool "per-flow size change" true
+    (flow [ 0; 1 ] <> flow ~bytes:128 [ 0; 1 ])
 
 (* ------------------------------------------------------------------ *)
 (* The full checker, end to end *)
@@ -713,12 +743,36 @@ let test_check_catches_race () =
         done;
         Sim.run sim)
   in
-  let r = Check.run_scenario ~seeds:3 sc in
-  check_bool "race detected" false (Check.ok r);
-  check_bool "as a trace divergence" true
-    (List.exists
-       (fun v -> v.Check.Violation.rule = "trace-divergence")
-       r.Check.violations)
+  let diverges sc =
+    List.exists
+      (fun v -> v.Check.Violation.rule = "trace-divergence")
+      (Check.run_scenario ~seeds:3 sc).Check.violations
+  in
+  check_bool "race detected as a trace divergence" true (diverges sc);
+  (* The same race inside one flow: eight same-instant sends of different
+     sizes from node 1 to node 0's port 1, delivered in send order, so
+     which size is the flow's k-th message depends on firing order. *)
+  let same_flow =
+    quiet_scenario "same-flow race" (fun () ->
+        let sim = Sim.create () in
+        let next = ref 0 in
+        for k = 1 to 8 do
+          ignore
+            (Sim.schedule sim ~after:50 (fun () ->
+                 let msg_id = !next in
+                 incr next;
+                 Probe.emit
+                   (Probe.Msg_send
+                      { node = 1; dst = 0; port = 1; msg_id; bytes = 64 * k;
+                        epoch = 0 });
+                 Probe.emit
+                   (Probe.Msg_deliver
+                      { node = 0; src = 1; port = 1; msg_id; epoch = 0 })))
+        done;
+        Sim.run sim)
+  in
+  check_bool "same-flow race detected as a trace divergence" true
+    (diverges same_flow)
 
 (* The same shape without the shared counter is order-independent and
    must pass clean under every permutation. *)

@@ -690,27 +690,6 @@ let test_workload_open_loop_pareto_and_deadline () =
   check_int "deadline counts timeouts" slo.Workload.slo_completed
     slo.Workload.slo_timeouts
 
-let test_workload_open_loop_oneway () =
-  let run () =
-    let c = Net.create ~n:4 () in
-    Workload.open_loop_oneway c ~seed:17
-      ~arrival:(Workload.Poisson { mean_gap = Time.us 20. })
-      ~requests_per_node:25 ()
-  in
-  let s, slo = run () in
-  check_int "all requests fired" 100 slo.Workload.slo_requests;
-  check_int "all requests delivered" 100 slo.Workload.slo_completed;
-  check_int "no stranded requests" 0 slo.Workload.slo_stranded;
-  check_int "no stranded messages" 0 s.Workload.stranded;
-  check_bool "quantiles ordered" true
-    (slo.Workload.slo_p50_us <= slo.Workload.slo_p99_us
-    && slo.Workload.slo_p99_us <= slo.Workload.slo_p999_us);
-  (* one-way latency has no response leg: cheaper than the echo variant *)
-  check_bool "latency measured" true (slo.Workload.slo_p50_us > 0.);
-  let _, slo2 = run () in
-  check_bool "same seed, same samples" true
-    (slo.Workload.slo_samples = slo2.Workload.slo_samples)
-
 let test_workload_arrival_validation () =
   Alcotest.check_raises "poisson gap"
     (Invalid_argument "Workload: Poisson mean_gap <= 0") (fun () ->
@@ -858,7 +837,6 @@ let suite =
     ("open-loop deterministic", `Quick, test_workload_open_loop_deterministic);
     ("open-loop pareto/deadline", `Quick,
       test_workload_open_loop_pareto_and_deadline);
-    ("open-loop one-way", `Quick, test_workload_open_loop_oneway);
     ("arrival validation", `Quick, test_workload_arrival_validation);
     ("quantile by hand", `Quick, test_workload_quantile_hand_computed);
     ("gray failures degrade tail", `Quick,
