@@ -314,8 +314,10 @@ let run_cmd =
    [--hashes] runs the baselines only and prints one `name hash' line per
    scenario, the format test/golden/scenario_hashes.txt pins (regenerate
    it with `clic-sim check --hashes > test/golden/scenario_hashes.txt');
-   a baseline with a finding still fails, its report on stderr. *)
+   a baseline with a finding still fails, its report on stderr.  Backtraces
+   are recorded, so a crash finding names its raise site. *)
 let run_check verbose scenarios seeds hashes =
+  Printexc.record_backtrace true;
   let names = if scenarios = [] then None else Some scenarios in
   let reports =
     try Check.run_all ~seeds:(if hashes then 0 else seeds) ?names ()
@@ -380,8 +382,10 @@ let check_cmd =
 
 (* The chaos soak: randomized fault schedules (link weather, pool
    pressure, interrupt storms, crash/reboot) under the sanitizer passes,
-   with evidence counters proving each stress axis actually fired. *)
+   with evidence counters proving each stress axis actually fired.  As in
+   `check', a crash finding names its raise site. *)
 let run_soak _verbose seeds trials quick only list =
+  Printexc.record_backtrace true;
   if list then
     List.iter print_endline Check.Soak.template_names
   else begin

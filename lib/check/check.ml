@@ -51,7 +51,8 @@ let render (sc : Scenario.t) =
   Buffer.contents buf
 
 (* One probed run; installs [sink], restores probe/tie-break state after.
-   Returns the rendered output, or the crash violation. *)
+   Returns the rendered output, or the exception that ended the run with
+   its backtrace. *)
 let probed_run ?tie_break (sc : Scenario.t) sink =
   Probe.install sink;
   Sim.set_default_tie_break tie_break;
@@ -59,7 +60,10 @@ let probed_run ?tie_break (sc : Scenario.t) sink =
     ~finally:(fun () ->
       Probe.uninstall ();
       Sim.set_default_tie_break None)
-    (fun () -> match render sc with s -> Ok s | exception e -> Error e)
+    (fun () ->
+      match render sc with
+      | s -> Ok s
+      | exception e -> Error (e, Printexc.get_raw_backtrace ()))
 
 type run_result = {
   r_violations : Violation.t list;  (* lifecycle + invariants + crash *)
@@ -77,13 +81,7 @@ let one_run ?tie_break (sc : Scenario.t) : run_result =
   let output, crash =
     match outcome with
     | Ok out -> (out, [])
-    | Error e ->
-        ( "",
-          [
-            Violation.make ~pass:"crash" ~rule:"uncaught-exception"
-              ~time_ns:(Sink.now sink)
-              (Printexc.to_string e);
-          ] )
+    | Error (e, bt) -> ("", [ Violation.crash ~time_ns:(Sink.now sink) e bt ])
   in
   {
     r_violations = Sink.finish sink @ crash;

@@ -505,8 +505,8 @@ let run_trial (tp : template) ~quick ~seed acc =
         | () -> None
         | exception e ->
             Some
-              (Violation.make ~pass:"crash" ~rule:"uncaught-exception"
-                 ~time_ns:(Sink.now sink) (Printexc.to_string e)))
+              (Violation.crash ~time_ns:(Sink.now sink) e
+                 (Printexc.get_raw_backtrace ())))
   in
   let crash = Option.to_list outcome in
   {

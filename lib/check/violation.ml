@@ -11,6 +11,24 @@ type t = {
 
 let make ~pass ~rule ~time_ns detail = { pass; rule; time_ns; detail }
 
+(* The first backtrace frame that has a source location: where the
+   exception was raised.  Empty unless backtraces are being recorded. *)
+let raise_site bt =
+  let located slot =
+    Option.map
+      (fun (l : Printexc.location) ->
+        Printf.sprintf ", raised at %s:%d" l.filename l.line_number)
+      (Printexc.Slot.location slot)
+  in
+  if not (Printexc.backtrace_status ()) then ""
+  else
+    Option.value ~default:""
+      (Option.bind (Printexc.backtrace_slots bt) (Array.find_map located))
+
+let crash ~time_ns exn bt =
+  make ~pass:"crash" ~rule:"uncaught-exception" ~time_ns
+    (Printexc.to_string exn ^ raise_site bt)
+
 let pp fmt v =
   Format.fprintf fmt "[%s] %s at t=%dns: %s" v.pass v.rule v.time_ns v.detail
 

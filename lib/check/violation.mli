@@ -13,6 +13,12 @@ type t = {
 
 val make : pass:string -> rule:string -> time_ns:int -> string -> t
 
+val crash : time_ns:int -> exn -> Printexc.raw_backtrace -> t
+(** The [crash]/[uncaught-exception] finding for an exception that ended a
+    run.  When backtraces are being recorded ({!Printexc.record_backtrace})
+    its detail names the raise site, the backtrace's first frame with a
+    source location, as [", raised at FILE:LINE"]. *)
+
 val pp : Format.formatter -> t -> unit
 val to_string : t -> string
 

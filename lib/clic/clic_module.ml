@@ -189,9 +189,16 @@ let rec drain_backlog t =
             try_post t ~eth:job.st_eth ~dst:job.st_dst ~skb ~needs_dma
               ~internal_copy ~on_complete:(on_complete t) job.st_pkt
           then begin
-            ignore (Queue.pop t.backlog);
-            if job.st_pkt.Wire.data_bytes > 0 then
-              Kmem.free (kmem t) job.st_pkt.Wire.data_bytes;
+            (* A crash while this drain was blocked in [prepare_skb] or
+               [try_post] ran [shutdown], which already freed and cleared
+               the backlog: pop only if the head is still the job peeked
+               at, never one queued since. *)
+            if (not (Queue.is_empty t.backlog)) && Queue.peek t.backlog == job
+            then begin
+              ignore (Queue.pop t.backlog);
+              if job.st_pkt.Wire.data_bytes > 0 then
+                Kmem.free (kmem t) job.st_pkt.Wire.data_bytes
+            end;
             go ()
           end
           else

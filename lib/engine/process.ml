@@ -20,7 +20,9 @@ let spawn sim ?(delay = 0) f =
     match_with body ()
       {
         retc = (fun () -> ());
-        exnc = (fun exn -> raise exn);
+        exnc =
+          (fun exn ->
+            Printexc.raise_with_backtrace exn (Printexc.get_raw_backtrace ()));
         effc =
           (fun (type a) (eff : a Effect.t) ->
             match eff with

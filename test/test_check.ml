@@ -792,6 +792,40 @@ let test_check_clean_synthetic () =
   check_bool "clean" true (Check.ok r);
   check_int "baseline + 3 seeded runs" 4 r.Check.runs
 
+(* A process that raises from a helper: with backtraces recorded, the
+   crash finding names the helper's raise site, through [Process.spawn]'s
+   re-raise and the checker's catch. *)
+let crash_line = ref 0
+
+let raise_from_helper () =
+  crash_line := __LINE__ + 1;
+  raise (Invalid_argument "helper gave up")
+
+let test_check_crash_names_raise_site () =
+  let sc =
+    quiet_scenario "crashing" (fun () ->
+        let sim = Sim.create () in
+        Process.spawn sim ~delay:10 raise_from_helper;
+        Sim.run sim)
+  in
+  let was = Printexc.backtrace_status () in
+  Printexc.record_backtrace true;
+  let r =
+    Fun.protect
+      ~finally:(fun () -> Printexc.record_backtrace was)
+      (fun () -> Check.run_scenario ~seeds:0 sc)
+  in
+  match r.Check.violations with
+  | [ v ] ->
+      Alcotest.(check string) "rule" "uncaught-exception" v.Check.Violation.rule;
+      Alcotest.(check string)
+        "detail names the raise site"
+        (Printf.sprintf
+           "Invalid_argument(\"helper gave up\"), raised at test/test_check.ml:%d"
+           !crash_line)
+        v.Check.Violation.detail
+  | vs -> Alcotest.failf "expected one crash finding, got %d" (List.length vs)
+
 (* A real two-node CLIC ping-pong through the whole stack: zero
    violations, zero leaks, stable logical trace across seeds. *)
 let test_check_real_scenario_clean () =
@@ -935,6 +969,29 @@ let test_soak_fabric_cut_focused () =
     (r.Check.Soak.s_switch_failures > 0);
   check_bool "a node crashed mid-trial" true (t.crashes > 0);
   check_bool "traffic actually flowed" true (t.delivered > 0)
+
+(* Regression: the fabric-cut template crashes a node while its CLIC
+   module drains a blocked backlog.  Under these seeds the drain used to
+   pop the backlog that [shutdown] had already freed and cleared: an
+   uncaught [Queue.Empty] (seed 38686) or a pool leak on kmem3 (seed
+   38888).  Duplicate deliveries after a reboot are a separate defect. *)
+let test_soak_fabric_cut_crash_drain () =
+  let r =
+    Check.Soak.run ~seeds:[ 38686; 38888 ] ~trials:1 ~only:[ "fabric-cut" ] ()
+  in
+  let bad =
+    List.filter
+      (fun v ->
+        List.mem v.Check.Violation.rule
+          [ "uncaught-exception"; "leak"; "pool-leak" ])
+      (Check.Soak.violations r)
+  in
+  List.iter
+    (fun v -> Printf.printf "unexpected: %s\n" (Check.Violation.to_string v))
+    bad;
+  check_int "no crash, leak or pool-leak finding" 0 (List.length bad);
+  check_bool "no trial crashed" false
+    (List.exists (fun t -> t.Check.Soak.tr_crashed) r.Check.Soak.s_trials)
 
 let test_soak_short_rotation () =
   (* Two trials rotate through only the first two templates: a narrowed
@@ -1367,6 +1424,8 @@ let suite =
       test_check_catches_race;
     Alcotest.test_case "check: clean synthetic scenario" `Quick
       test_check_clean_synthetic;
+    Alcotest.test_case "check: crash finding names its raise site" `Quick
+      test_check_crash_names_raise_site;
     Alcotest.test_case "check: real CLIC ping-pong end to end" `Quick
       test_check_real_scenario_clean;
     Alcotest.test_case "check: ext4 runs to the end, leak-checked" `Quick
@@ -1381,6 +1440,8 @@ let suite =
       test_soak_fabric_cut_focused;
     Alcotest.test_case "soak: short rotation waives evidence" `Quick
       test_soak_short_rotation;
+    Alcotest.test_case "soak: fabric-cut crash mid backlog drain" `Quick
+      test_soak_fabric_cut_crash_drain;
     Alcotest.test_case "slo: contract validation" `Quick test_slo_validate;
     Alcotest.test_case "slo: phase classification by arrival" `Quick
       test_slo_evaluate_phases;
