@@ -59,32 +59,31 @@ type msg_acc = {
   m_send : int;
   mutable m_deliver : int option;
   mutable m_recv : int option;
-  (* label -> intervals, per side *)
-  spans : (string, (int * int) list ref) Hashtbl.t;
+  spans : (int * int) list array;  (* intervals, by label index *)
 }
 
-let sender_labels = [ "clic:module-tx"; "driver:tx-routine" ]
+(* Indices of the attributed span labels. *)
+let copy_to_user = 0
+let module_rx = 1
+let module_tx = 2
+let bottom_half = 3
+let isr = 4
+let tx_routine = 5
 
-let receiver_labels =
-  [ "driver:isr"; "driver:bottom-half"; "clic:module-rx"; "clic:copy-to-user" ]
+let label_index = function
+  | "clic:copy-to-user" -> copy_to_user
+  | "clic:module-rx" -> module_rx
+  | "clic:module-tx" -> module_tx
+  | "driver:bottom-half" -> bottom_half
+  | "driver:isr" -> isr
+  | "driver:tx-routine" -> tx_routine
+  | _ -> -1
+
+let sender_side label = label = module_tx || label = tx_routine
 
 let us ns = float_of_int ns /. 1000.
 
-(* Accumulate per-key message lists; finalized to send-ordered arrays. *)
-let tbl_append tbl key v =
-  match Hashtbl.find_opt tbl key with
-  | Some r -> r := v :: !r
-  | None -> Hashtbl.add tbl key (ref [ v ])
-
-let add_span acc label iv =
-  match Hashtbl.find_opt acc.spans label with
-  | Some r -> r := iv :: !r
-  | None -> Hashtbl.add acc.spans label (ref [ iv ])
-
-let merged acc label =
-  match Hashtbl.find_opt acc.spans label with
-  | Some r -> us (Trace.merged_length !r)
-  | None -> 0.
+let merged acc label = us (Trace.merged_length acc.spans.(label))
 
 let finish_message acc =
   let t_end =
@@ -107,21 +106,53 @@ let finish_message acc =
     t_recv = acc.m_recv;
     stages =
       Report.Figures.fig7_stages
-        ~module_tx:(merged acc "clic:module-tx")
-        ~driver_tx:(merged acc "driver:tx-routine")
-        ~isr:(merged acc "driver:isr")
-        ~bottom_half:(merged acc "driver:bottom-half")
-        ~module_rx:
-          (merged acc "clic:module-rx" +. merged acc "clic:copy-to-user")
+        ~module_tx:(merged acc module_tx)
+        ~driver_tx:(merged acc tx_routine)
+        ~isr:(merged acc isr)
+        ~bottom_half:(merged acc bottom_half)
+        ~module_rx:(merged acc module_rx +. merged acc copy_to_user)
         ~total;
   }
+
+(* Per-node send-ordered message arrays, from the send-ordered list. *)
+let by_node node_of order =
+  let lists = Hashtbl.create 8 in
+  List.iter
+    (fun acc ->
+      let n = node_of acc in
+      Hashtbl.replace lists n
+        (acc :: Option.value (Hashtbl.find_opt lists n) ~default:[]))
+    order;
+  let arrays = Hashtbl.create (Hashtbl.length lists) in
+  Hashtbl.iter (fun n l -> Hashtbl.add arrays n (Array.of_list (List.rev l))) lists;
+  arrays
+
+(* The running maximum of the messages' receive times, [max_int] from the
+   first one not received. *)
+let received_marks msgs =
+  let latest = ref min_int in
+  Array.map
+    (fun m ->
+      latest := max !latest (Option.value m.m_recv ~default:max_int);
+      !latest)
+    msgs
 
 let messages recorder =
   let by_key = Hashtbl.create 64 in
   let order = ref [] in
-  (* First pass: the message population and its lifecycle stamps. *)
-  List.iter
-    (fun { Recorder.at; ev } ->
+  let nodes = Hashtbl.create 64 (* host -> node, -1 for the fabric *) in
+  let node_of_host host =
+    match Hashtbl.find nodes host with
+    | n -> n
+    | exception Not_found ->
+        let n = Option.value (Host.node_of host) ~default:(-1) in
+        Hashtbl.add nodes host n;
+        n
+  in
+  let spans = ref [] in
+  (* One read of the recording: the message population, its lifecycle
+     stamps, and the labelled spans to attribute once it is complete. *)
+  Recorder.iter recorder (fun at ev ->
       match ev with
       | Probe.Msg_send { node; dst; port; msg_id; bytes; epoch = _ } ->
           let acc =
@@ -134,7 +165,7 @@ let messages recorder =
               m_send = at;
               m_deliver = None;
               m_recv = None;
-              spans = Hashtbl.create 8;
+              spans = Array.make 6 [];
             }
           in
           (* A later send reusing the key (fresh [Sim] in the same run)
@@ -142,96 +173,67 @@ let messages recorder =
           Hashtbl.replace by_key (node, msg_id) acc;
           order := acc :: !order
       | Probe.Msg_deliver { src; msg_id; _ } -> (
-          match Hashtbl.find_opt by_key (src, msg_id) with
-          | Some acc when acc.m_deliver = None -> acc.m_deliver <- Some at
-          | _ -> ())
+          match Hashtbl.find by_key (src, msg_id) with
+          | acc when acc.m_deliver = None -> acc.m_deliver <- Some at
+          | _ | (exception Not_found) -> ())
       | Probe.Msg_recv { src; msg_id; _ } -> (
-          match Hashtbl.find_opt by_key (src, msg_id) with
-          | Some acc when acc.m_recv = None -> acc.m_recv <- Some at
-          | _ -> ())
-      | _ -> ())
-    (Recorder.events recorder);
+          match Hashtbl.find by_key (src, msg_id) with
+          | acc when acc.m_recv = None -> acc.m_recv <- Some at
+          | _ | (exception Not_found) -> ())
+      | Probe.Span { host; label; start; finish; _ } ->
+          let label = label_index label in
+          if label >= 0 then begin
+            let node = node_of_host host in
+            if node >= 0 then spans := (start, finish, node, label) :: !spans
+          end
+      | _ -> ());
   let order = List.rev !order in
-  (* Second pass: attribute labelled spans.  Sender side: the latest
-     message entered on that node at the span's start.  Receiver side:
-     the oldest message still undelivered to that node (fragments are
-     delivered in order).  Spans are processed in start order so both
-     picks reduce to per-node cursors over the send-ordered message
-     list — O(spans + messages) after the sort. *)
-  let spans =
-    List.filter_map
-      (fun { Recorder.ev; _ } ->
-        match ev with
-        | Probe.Span { host; label; start; finish; _ }
-          when List.mem label sender_labels || List.mem label receiver_labels
-          -> (
-            match Host.node_of host with
-            | Some node -> Some (start, finish, node, label)
-            | None -> None)
-        | _ -> None)
-      (Recorder.events recorder)
-    |> List.sort compare
-  in
-  let by_src = Hashtbl.create 8 and by_dst = Hashtbl.create 8 in
-  List.iter
-    (fun acc ->
-      tbl_append by_src acc.m_src acc;
-      tbl_append by_dst acc.m_dst acc)
-    order;
-  (* rev-accumulated lists -> send-ordered arrays *)
-  let freeze tbl =
-    let out = Hashtbl.create (Hashtbl.length tbl) in
-    Hashtbl.iter
-      (fun k r -> Hashtbl.replace out k (Array.of_list (List.rev !r)))
-      tbl;
-    out
-  in
-  let by_src = freeze by_src and by_dst = freeze by_dst in
-  let cursor tbl = (tbl, Hashtbl.create 8) in
-  let src_cur = cursor by_src and dst_cur = cursor by_dst in
-  let msgs_of (tbl, _) n =
-    match Hashtbl.find_opt tbl n with Some a -> a | None -> [||]
-  in
-  let cur_of (_, c) n = match Hashtbl.find_opt c n with Some i -> i | None -> 0 in
-  let set_cur (_, c) n i = Hashtbl.replace c n i in
-  let sender_pick node start =
-    let msgs = msgs_of src_cur node in
-    let i = ref (cur_of src_cur node) in
-    (* advance to the last message entered at or before [start] *)
-    while
-      !i + 1 < Array.length msgs && msgs.(!i + 1).m_send <= start
-    do
-      incr i
+  (* Sender side: the latest message entered on that node at the span's
+     start.  Receiver side: the oldest message to that node not yet
+     received by the span's start (fragments are delivered in order).
+     Sends are stamped in order, so both picks are binary searches over
+     the node's send-ordered messages: by send time, and by the running
+     maximum of receive times ([max_int] while not received). *)
+  let by_src = by_node (fun m -> m.m_src) order in
+  let by_dst = Hashtbl.create 8 in
+  Hashtbl.iter
+    (fun node msgs -> Hashtbl.add by_dst node (msgs, received_marks msgs))
+    (by_node (fun m -> m.m_dst) order);
+  (* The first index in [0, n) where [reached i] holds; [n] if none.
+     [reached] must be monotone. *)
+  let first n reached =
+    let lo = ref 0 and hi = ref n in
+    while !lo < !hi do
+      let mid = (!lo + !hi) / 2 in
+      if reached mid then hi := mid else lo := mid + 1
     done;
-    set_cur src_cur node !i;
-    if Array.length msgs > 0 && msgs.(!i).m_send <= start then Some msgs.(!i)
-    else None
+    !lo
+  in
+  let sender_pick node start =
+    match Hashtbl.find by_src node with
+    | exception Not_found -> None
+    | msgs ->
+        let i = first (Array.length msgs) (fun i -> msgs.(i).m_send > start) in
+        if i > 0 then Some msgs.(i - 1) else None
   in
   let receiver_pick node start =
-    let msgs = msgs_of dst_cur node in
-    let i = ref (cur_of dst_cur node) in
-    (* skip messages fully received before [start]: span starts are
-       non-decreasing, so they can never match again *)
-    while
-      !i < Array.length msgs
-      && (match msgs.(!i).m_recv with Some r -> r < start | None -> false)
-    do
-      incr i
-    done;
-    set_cur dst_cur node !i;
-    if !i < Array.length msgs && msgs.(!i).m_send <= start then Some msgs.(!i)
-    else None
+    match Hashtbl.find by_dst node with
+    | exception Not_found -> None
+    | msgs, marks ->
+        let i = first (Array.length msgs) (fun i -> marks.(i) >= start) in
+        if i < Array.length msgs && msgs.(i).m_send <= start then Some msgs.(i)
+        else None
   in
   List.iter
     (fun (start, finish, node, label) ->
       let target =
-        if List.mem label sender_labels then sender_pick node start
+        if sender_side label then sender_pick node start
         else receiver_pick node start
       in
       match target with
-      | Some acc -> add_span acc label (start, finish)
+      | Some acc -> acc.spans.(label) <- (start, finish) :: acc.spans.(label)
       | None -> ())
-    spans;
+    !spans;
   List.map finish_message order
 
 (* ------------------------------------------------------------------ *)

@@ -2,9 +2,10 @@
 
    The recorder is a plain [Probe] sink: every event is stamped with the
    simulation time current at emission (tracked from the engine's [Clock]
-   events) and appended to a growable buffer.  The exporters in this
-   library ([Timeline], [Metrics], [Attribution]) are pure functions over
-   the recorded stream, so one run can feed all of them. *)
+   events) and appended to two growable flat arrays, one of stamps and one
+   of events.  The exporters in this library ([Timeline], [Metrics],
+   [Attribution]) read the stream through [iter], so one run can feed all
+   of them and none of them copies it. *)
 
 open Engine
 
@@ -13,7 +14,8 @@ type stamped = { at : int; ev : Probe.event }
 type t = {
   mutable now : int;
   mutable base : int;  (* epoch offset of the current simulator *)
-  mutable rev : stamped list;
+  mutable ats : int array;
+  mutable evs : Probe.event array;  (* [count] events, then spare room *)
   mutable count : int;
   mutable horizon : int;  (* largest time seen, including span finishes *)
   chans : (int, int) Hashtbl.t;  (* channel uid -> dense recording-local id *)
@@ -23,7 +25,8 @@ let create () =
   {
     now = 0;
     base = 0;
-    rev = [];
+    ats = Array.make 1024 0;
+    evs = Array.make 1024 Probe.Sim_start;
     count = 0;
     horizon = 0;
     chans = Hashtbl.create 16;
@@ -46,6 +49,20 @@ let dense_chan t uid =
    re-basing their busy intervals would overlay and utilization would
    read > 1). *)
 let epoch_gap = 1_000
+
+let append t at ev =
+  let cap = Array.length t.evs in
+  if t.count = cap then begin
+    let ats = Array.make (2 * cap) 0
+    and evs = Array.make (2 * cap) Probe.Sim_start in
+    Array.blit t.ats 0 ats 0 cap;
+    Array.blit t.evs 0 evs 0 cap;
+    t.ats <- ats;
+    t.evs <- evs
+  end;
+  t.ats.(t.count) <- at;
+  t.evs.(t.count) <- ev;
+  t.count <- t.count + 1
 
 let on_event t ev =
   (match ev with
@@ -80,10 +97,19 @@ let on_event t ev =
   (match ev with
   | Probe.Span { finish; _ } -> t.horizon <- max t.horizon finish
   | _ -> t.horizon <- max t.horizon t.now);
-  t.rev <- { at = t.now; ev } :: t.rev;
-  t.count <- t.count + 1
+  append t t.now ev
 
-let events t = List.rev t.rev
+let iter t f =
+  for i = 0 to t.count - 1 do
+    f t.ats.(i) t.evs.(i)
+  done
+
+let events t =
+  let rec build i acc =
+    if i < 0 then acc else build (i - 1) ({ at = t.ats.(i); ev = t.evs.(i) } :: acc)
+  in
+  build (t.count - 1) []
+
 let count t = t.count
 let horizon t = t.horizon
 

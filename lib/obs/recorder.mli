@@ -1,16 +1,22 @@
 (** Captures a scenario's full probe stream for the exporters.
 
     A recorder is a plain {!Engine.Probe} sink: every event is stamped
-    with the simulation time current at emission and buffered.  The
-    timeline, metrics and attribution passes are pure functions over the
-    recording, so one run feeds all three. *)
+    with the simulation time current at emission and appended to two
+    growable flat arrays, stamps and events.  The timeline, metrics and
+    attribution passes are pure functions over the recording, read through
+    {!iter}, so one run feeds all three. *)
 
 type stamped = { at : int; ev : Engine.Probe.event }
 
 type t
 
+val iter : t -> (int -> Engine.Probe.event -> unit) -> unit
+(** [iter t f] calls [f at ev] on every recorded event, in emission order,
+    with its stamp [at] (ns).  It allocates nothing of its own. *)
+
 val events : t -> stamped list
-(** Recorded events, in emission order. *)
+(** Recorded events, in emission order, as a freshly built list for callers
+    that want one; {!iter} reads the recording without copying it. *)
 
 val count : t -> int
 

@@ -44,8 +44,12 @@ let track_rank = function
    returned as they are. *)
 let needs_escape c = c = '"' || c = '\\' || Char.code c < 0x20
 
+(* [String.exists] would allocate its loop's closure on every call. *)
+let rec plain s i =
+  i = String.length s || ((not (needs_escape s.[i])) && plain s (i + 1))
+
 let json_escape s =
-  if not (String.exists needs_escape s) then s
+  if plain s 0 then s
   else begin
     let buf = Buffer.create (String.length s + 8) in
     String.iter
@@ -61,51 +65,75 @@ let json_escape s =
     Buffer.contents buf
   end
 
-module Key = struct
-  type t = { pid : int; host : string; track : Probe.track }
+(* What the timeline needs of one host name, worked out on its first
+   appearance: the process it renders under and its thread per track. *)
+type host = {
+  name : string;
+  pid : int;
+  tids : int array;  (* by [track_rank]; 0 while unused on that track *)
+}
 
-  let compare a b =
-    let c = Int.compare a.pid b.pid in
-    if c <> 0 then c
-    else
-      let c = Int.compare (track_rank a.track) (track_rank b.track) in
-      if c <> 0 then c else String.compare a.host b.host
-end
+type hosts = {
+  by_name : (string, host) Hashtbl.t;
+  cpus : (int, host) Hashtbl.t;  (* node -> "cpuN", its messages' host *)
+}
 
-module KeyMap = Map.Make (Key)
+let host hosts name =
+  match Hashtbl.find hosts.by_name name with
+  | h -> h
+  | exception Not_found ->
+      let h = { name; pid = pid_of_host name; tids = Array.make 8 0 } in
+      Hashtbl.add hosts.by_name name h;
+      h
 
 (* Message endpoints are named by node; their tracks live on its CPU. *)
-let cpu_host node = "cpu" ^ string_of_int node
+let cpu hosts node =
+  match Hashtbl.find hosts.cpus node with
+  | h -> h
+  | exception Not_found ->
+      let h = host hosts ("cpu" ^ string_of_int node) in
+      Hashtbl.add hosts.cpus node h;
+      h
+
+let tracks =
+  [
+    Probe.Process; Probe.Module; Probe.Isr; Probe.Bh_track; Probe.Dma;
+    Probe.Link; Probe.Pause_t; Probe.Busy;
+  ]
 
 (* Thread ids: assigned per (host, track) in display order, so the
-   Perfetto track list reads sender-to-receiver. *)
-let assign_tids events =
-  let keys = ref KeyMap.empty in
-  let remember pid host track =
-    let k = { Key.pid; host; track } in
-    if not (KeyMap.mem k !keys) then keys := KeyMap.add k () !keys
-  in
-  List.iter
-    (fun { Recorder.ev; _ } ->
+   Perfetto track list reads sender-to-receiver.  A first read of the
+   recording marks the tracks each host uses; the ids are ranks over all
+   of them, and the metadata naming them precedes the events.  Returns
+   the (host, track) keys in tid order. *)
+let assign_tids hosts recorder =
+  let mark h track = h.tids.(track_rank track) <- 1 in
+  Recorder.iter recorder (fun _ ev ->
       match ev with
-      | Probe.Span { host; track; _ } -> remember (pid_of_host host) host track
-      | Probe.Sched_run { host } | Probe.Sched_block { host } ->
-          remember (pid_of_host host) host Probe.Process
-      | Probe.Irq { host } -> remember (pid_of_host host) host Probe.Isr
-      | Probe.Msg_send { node; _ } -> remember node (cpu_host node) Probe.Process
-      | Probe.Msg_deliver { node; _ } ->
-          remember node (cpu_host node) Probe.Module
-      | _ -> ())
-    events;
-  let next = ref 0 in
-  KeyMap.mapi
-    (fun _ () ->
-      incr next;
-      !next)
-    !keys
-
-let tid_exn tids pid host track =
-  KeyMap.find { Key.pid; host; track } tids
+      | Probe.Span { host = name; track; _ } -> mark (host hosts name) track
+      | Probe.Sched_run { host = name } | Probe.Sched_block { host = name } ->
+          mark (host hosts name) Probe.Process
+      | Probe.Irq { host = name } -> mark (host hosts name) Probe.Isr
+      | Probe.Msg_send { node; _ } -> mark (cpu hosts node) Probe.Process
+      | Probe.Msg_deliver { node; _ } -> mark (cpu hosts node) Probe.Module
+      | _ -> ());
+  let keys =
+    Hashtbl.fold
+      (fun _ h acc ->
+        List.fold_left
+          (fun acc track ->
+            if h.tids.(track_rank track) <> 0 then (h, track) :: acc else acc)
+          acc tracks)
+      hosts.by_name []
+    |> List.sort (fun (a, ta) (b, tb) ->
+           let c = Int.compare a.pid b.pid in
+           if c <> 0 then c
+           else
+             let c = Int.compare (track_rank ta) (track_rank tb) in
+             if c <> 0 then c else String.compare a.name b.name)
+  in
+  List.iteri (fun i (h, track) -> h.tids.(track_rank track) <- i + 1) keys;
+  keys
 
 (* A message's flow id must be unique across the run; sender msg_ids are
    per-node counters, so fold the node in. *)
@@ -173,8 +201,8 @@ let args buf k add v =
   Buffer.add_char buf '}'
 
 let export recorder =
-  let events = Recorder.events recorder in
-  let tids = assign_tids events in
+  let hosts = { by_name = Hashtbl.create 64; cpus = Hashtbl.create 16 } in
+  let keys = assign_tids hosts recorder in
   let buf = Buffer.create (1 lsl 16) in
   Buffer.add_string buf "{\"displayTimeUnit\":\"ns\",\"traceEvents\":[\n";
   (* Metadata: process and thread names, in sorted (deterministic) order. *)
@@ -186,22 +214,19 @@ let export recorder =
     args buf k add v;
     close_event buf
   in
-  let pids =
-    KeyMap.fold (fun k _ acc -> k.Key.pid :: acc) tids []
-    |> List.sort_uniq compare
-  in
   List.iter
     (fun pid ->
       meta ~name:"process_name" ~pid "name" add_str (process_label pid);
       meta ~name:"process_sort_index" ~pid "sort_index" add_int pid)
-    pids;
-  KeyMap.iter
-    (fun k tid ->
-      let pid = k.Key.pid in
-      meta ~name:"thread_name" ~pid ~tid "name" add_str
-        (k.Key.host ^ " " ^ Probe.track_name k.Key.track);
-      meta ~name:"thread_sort_index" ~pid ~tid "sort_index" add_int tid)
-    tids;
+    (List.sort_uniq Int.compare (List.map (fun (h, _) -> h.pid) keys));
+  List.iteri
+    (fun i (h, track) ->
+      let tid = i + 1 in
+      meta ~name:"thread_name" ~pid:h.pid ~tid "name" add_str
+        (h.name ^ " " ^ Probe.track_name track);
+      meta ~name:"thread_sort_index" ~pid:h.pid ~tid "sort_index" add_int tid)
+    keys;
+  let tid h track = h.tids.(track_rank track) in
   let slice ~name ~cat ~pid ~tid ~start ~finish =
     open_event buf name;
     str_field buf "cat" cat;
@@ -241,34 +266,27 @@ let export recorder =
     Option.iter (str_field buf "bp") bp;
     close_event buf
   in
-  List.iter
-    (fun { Recorder.at; ev } ->
+  Recorder.iter recorder (fun at ev ->
       match ev with
-      | Probe.Span { host; track; label; start; finish } ->
-          let pid = pid_of_host host in
+      | Probe.Span { host = name; track; label; start; finish } ->
+          let h = host hosts name in
           slice ~name:label
             ~cat:(Probe.track_name track)
-            ~pid
-            ~tid:(tid_exn tids pid host track)
-            ~start ~finish
-      | Probe.Irq { host } ->
-          let pid = pid_of_host host in
-          instant ~name:"irq" ~cat:"irq" ~pid
-            ~tid:(tid_exn tids pid host Probe.Isr)
-            ~at
-      | Probe.Sched_run { host } ->
-          let pid = pid_of_host host in
-          instant ~name:"sched-run" ~cat:"sched" ~pid
-            ~tid:(tid_exn tids pid host Probe.Process)
-            ~at
-      | Probe.Sched_block { host } ->
-          let pid = pid_of_host host in
-          instant ~name:"sched-block" ~cat:"sched" ~pid
-            ~tid:(tid_exn tids pid host Probe.Process)
-            ~at
+            ~pid:h.pid ~tid:(tid h track) ~start ~finish
+      | Probe.Irq { host = name } ->
+          let h = host hosts name in
+          instant ~name:"irq" ~cat:"irq" ~pid:h.pid ~tid:(tid h Probe.Isr) ~at
+      | Probe.Sched_run { host = name } ->
+          let h = host hosts name in
+          instant ~name:"sched-run" ~cat:"sched" ~pid:h.pid
+            ~tid:(tid h Probe.Process) ~at
+      | Probe.Sched_block { host = name } ->
+          let h = host hosts name in
+          instant ~name:"sched-block" ~cat:"sched" ~pid:h.pid
+            ~tid:(tid h Probe.Process) ~at
       | Probe.Queue_depth { queue; depth } ->
           open_event buf queue;
-          counter ~pid:(pid_of_host queue) ~at "depth" depth
+          counter ~pid:(host hosts queue).pid ~at "depth" depth
       | Probe.Window { chan; node; peer; outstanding; _ } ->
           (* name: "chan<chan>:<node>-><peer> window" *)
           Buffer.add_string buf "{\"name\":\"chan";
@@ -282,21 +300,20 @@ let export recorder =
       | Probe.Pool_alloc { pool; used; _ } | Probe.Pool_free { pool; used; _ }
         ->
           open_event buf pool;
-          counter ~pid:(pid_of_host pool) ~at "bytes" used
+          counter ~pid:(host hosts pool).pid ~at "bytes" used
       | Probe.Msg_send { node; msg_id; _ } ->
           flow ~ph:"s" ~pid:node
-            ~tid:(tid_exn tids node (cpu_host node) Probe.Process)
+            ~tid:(tid (cpu hosts node) Probe.Process)
             ~at
             ~id:(flow_id ~src:node ~msg_id)
             ()
       | Probe.Msg_deliver { node; src; msg_id; _ } ->
           flow ~ph:"f" ~pid:node
-            ~tid:(tid_exn tids node (cpu_host node) Probe.Module)
+            ~tid:(tid (cpu hosts node) Probe.Module)
             ~at
             ~id:(flow_id ~src ~msg_id)
             ~bp:"e" ()
-      | _ -> ())
-    events;
+      | _ -> ());
   (* Closing metadata sentinel avoids trailing-comma bookkeeping. *)
   Buffer.add_string buf
     "{\"name\":\"clic-sim\",\"ph\":\"M\",\"pid\":0,\"args\":{}}\n]}\n";
