@@ -104,11 +104,7 @@ let iter t f =
     f t.ats.(i) t.evs.(i)
   done
 
-let events t =
-  let rec build i acc =
-    if i < 0 then acc else build (i - 1) ({ at = t.ats.(i); ev = t.evs.(i) } :: acc)
-  in
-  build (t.count - 1) []
+let events t = List.init t.count (fun i -> { at = t.ats.(i); ev = t.evs.(i) })
 
 let count t = t.count
 let horizon t = t.horizon

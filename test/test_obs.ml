@@ -685,10 +685,10 @@ let test_attribution_matches_fig7 () =
     && p.Obs.Attribution.p90_us <= p.Obs.Attribution.p99_us)
 
 (* The exporters read the recording in place and work out each per-host,
-   per-node and per-channel fact once per key, so an event costs them
-   almost no allocation.  Budgets in minor words per recorded event on the
-   incast recording (4 simulators, 29 probe kinds); the list-based
-   exporters they replaced spent 34.5, 36.4 and 10.6. *)
+   per-node and per-channel fact once per key.  Budgets in minor words per
+   recorded event on the incast recording (4 simulators, 29 probe kinds):
+   they spend about 0.1, 11 and 1.8, while copying the recording or
+   rebuilding a key per event costs 34.5, 36.4 and 10.6. *)
 let test_export_allocation_budget () =
   let rec_ = record "incast" in
   let within what budget f =
