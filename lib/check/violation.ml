@@ -11,19 +11,37 @@ type t = {
 
 let make ~pass ~rule ~time_ns detail = { pass; rule; time_ns; detail }
 
-(* The first backtrace frame that has a source location: where the
-   exception was raised.  Empty unless backtraces are being recorded. *)
+(* A frame of the OCaml standard library: [Stdlib.failwith],
+   [Stdlib__Queue.take], [CamlinternalFormat.make_printf]. *)
+let in_stdlib slot =
+  match Printexc.Slot.name slot with
+  | Some name ->
+      List.exists
+        (fun prefix -> String.starts_with ~prefix name)
+        [ "Stdlib."; "Stdlib__"; "Camlinternal" ]
+  | None -> false
+
+(* Where the exception was raised: the first backtrace frame with a source
+   location outside the standard library, so a [Queue.Empty] names the
+   caller of [Queue.pop]; the first located frame if every one is inside
+   it.  Empty unless backtraces are being recorded. *)
 let raise_site bt =
-  let located slot =
-    Option.map
-      (fun (l : Printexc.location) ->
-        Printf.sprintf ", raised at %s:%d" l.filename l.line_number)
-      (Printexc.Slot.location slot)
+  let located =
+    match Printexc.backtrace_slots bt with
+    | Some slots when Printexc.backtrace_status () ->
+        List.filter_map
+          (fun slot ->
+            Option.map
+              (fun l -> (in_stdlib slot, l))
+              (Printexc.Slot.location slot))
+          (Array.to_list slots)
+    | _ -> []
   in
-  if not (Printexc.backtrace_status ()) then ""
-  else
-    Option.value ~default:""
-      (Option.bind (Printexc.backtrace_slots bt) (Array.find_map located))
+  match (List.find_opt (fun (std, _) -> not std) located, located) with
+  | Some (_, l), _ | None, (_, l) :: _ ->
+      Printf.sprintf ", raised at %s:%d" l.Printexc.filename
+        l.Printexc.line_number
+  | None, [] -> ""
 
 let crash ~time_ns exn bt =
   make ~pass:"crash" ~rule:"uncaught-exception" ~time_ns

@@ -41,9 +41,7 @@ let create_topo ?(config = Node.default_config) ~topo () =
                   ?fault:config.Node.link_fault
                   ?egress_frames:config.Node.switch_egress_frames
                   ?ingress_frames:config.Node.switch_ingress_frames
-                  ?buffer:config.Node.switch_buffer
-                  ~learning:(Topology.learning topo) ~ttl:(Topology.ttl topo)
-                  ()
+                  ?buffer:config.Node.switch_buffer ()
               in
               (prefix, sw))
             (Topology.switches topo)
@@ -58,7 +56,7 @@ let create_topo ?(config = Node.default_config) ~topo () =
           (Topology.trunks topo);
         instances)
   in
-  if not (Topology.learning topo) then compile_routes ~topo ~failed:[] fabric;
+  compile_routes ~topo ~failed:[] fabric;
   let nodes =
     Array.init n (fun id ->
         (* Each node is handed its own attach switch per NIC rank, so the
@@ -97,8 +95,7 @@ let set_failed t prefix flag =
   List.iter
     (fun instances -> Switch.set_down (List.assoc prefix instances) flag)
     t.fabric;
-  if not (Topology.learning t.topo) then
-    compile_routes ~topo:t.topo ~failed:t.failed t.fabric
+  compile_routes ~topo:t.topo ~failed:t.failed t.fabric
 
 let fail_switch t prefix = set_failed t prefix true
 let restore_switch t prefix = set_failed t prefix false

@@ -9,8 +9,8 @@
     [create_topo ~topo ()] instantiates any {!Topology}: one physical
     switch per (logical switch × NIC rank), trunks between them, each node
     attached to its own ToR per rank (so crash/reboot rewiring follows the
-    fabric), and — unless the topology is a learning one — the compiled
-    all-pairs ECMP routes installed on every switch. *)
+    fabric), and the compiled all-pairs ECMP routes installed on every
+    switch. *)
 
 open Engine
 open Hw
@@ -36,10 +36,10 @@ val switch : t -> ?rank:int -> string -> Switch.t
     @raise Invalid_argument on unknown prefixes or ranks. *)
 
 val fail_switch : t -> string -> unit
-(** Powers the named switch down at every rank ({!Switch.set_down}) and —
-    on static-routed fabrics — recompiles routes around the failure:
-    surviving equal-cost paths absorb the traffic, destinations with no
-    remaining path become unroutable.  Idempotent. *)
+(** Powers the named switch down at every rank ({!Switch.set_down}) and
+    recompiles routes around the failure: surviving equal-cost paths
+    absorb the traffic, destinations with no remaining path become
+    unroutable.  Idempotent. *)
 
 val restore_switch : t -> string -> unit
 (** Powers the switch back up and recompiles routes to use it again. *)

@@ -9,8 +9,6 @@ type t = {
   switches : string list;
   trunks : (string * string) list;
   hosts : string array;  (* node id -> switch prefix *)
-  learning : bool;
-  ttl : int;
 }
 
 let n t = t.n
@@ -20,9 +18,6 @@ let trunks t = t.trunks
 let attach t id =
   if id < 0 || id >= t.n then invalid_arg "Topology.attach: bad node id";
   t.hosts.(id)
-
-let learning t = t.learning
-let ttl t = t.ttl
 
 (* Trunk declaration order is preserved here, which keeps BFS visit order
    — and with it every ECMP next-hop list — deterministic. *)
@@ -64,7 +59,6 @@ let diameter t =
 let validate t =
   if t.n <= 0 then invalid_arg "Topology: n <= 0";
   if t.switches = [] then invalid_arg "Topology: no switches";
-  if t.ttl < 1 then invalid_arg "Topology: ttl < 1";
   let seen = Hashtbl.create 16 in
   List.iter
     (fun s ->
@@ -100,14 +94,12 @@ let validate t =
         invalid_arg (Printf.sprintf "Topology: switch %s is disconnected" s))
     t.switches;
   (* A frame crossing the longest shortest path traverses diameter + 1
-     switches; a tighter TTL would cut legitimate routes. *)
-  if t.ttl < diameter t + 1 then
-    invalid_arg "Topology: ttl below the fabric diameter"
+     switches; the switches' hop bound must let it. *)
+  if Hw.Switch.ttl < diameter t + 1 then
+    invalid_arg "Topology: fabric diameter exceeds the switch TTL"
 
-let make ?(learning = false) ?(ttl = 16) ~switches ~trunks ~hosts () =
-  let t =
-    { n = Array.length hosts; switches; trunks; hosts; learning; ttl }
-  in
+let make ~switches ~trunks ~hosts () =
+  let t = { n = Array.length hosts; switches; trunks; hosts } in
   validate t;
   t
 
@@ -148,19 +140,7 @@ let star ~n =
     ~hosts:(Array.make n "switch")
     ()
 
-let linear ?learning ?ttl ~racks ~per_rack () =
-  if racks <= 0 then invalid_arg "Topology.linear: racks <= 0";
-  if per_rack <= 0 then invalid_arg "Topology.linear: per_rack <= 0";
-  let name r = Printf.sprintf "s%d." r in
-  let switches = List.init racks name in
-  let trunks = List.init (racks - 1) (fun r -> (name r, name (r + 1))) in
-  let hosts =
-    Array.init (racks * per_rack) (fun id -> name (id / per_rack))
-  in
-  let ttl = match ttl with Some v -> v | None -> max 16 (racks + 1) in
-  make ?learning ~ttl ~switches ~trunks ~hosts ()
-
-let leaf_spine ?learning ?ttl ~racks ~per_rack ~spines () =
+let leaf_spine ~racks ~per_rack ~spines () =
   if racks <= 0 then invalid_arg "Topology.leaf_spine: racks <= 0";
   if per_rack <= 0 then invalid_arg "Topology.leaf_spine: per_rack <= 0";
   if spines <= 0 then invalid_arg "Topology.leaf_spine: spines <= 0";
@@ -175,39 +155,4 @@ let leaf_spine ?learning ?ttl ~racks ~per_rack ~spines () =
   let hosts =
     Array.init (racks * per_rack) (fun id -> tor (id / per_rack))
   in
-  make ?learning ?ttl ~switches ~trunks ~hosts ()
-
-(* The canonical k-ary fat tree (Al-Fahad et al. shape): k pods of k/2
-   edge and k/2 aggregation switches, (k/2)^2 cores, k/2 hosts per edge —
-   k^3/4 hosts with full bisection bandwidth and k/2-way ECMP at every
-   level. *)
-let fat_tree ?learning ?ttl ~k () =
-  if k < 2 || k mod 2 <> 0 then
-    invalid_arg "Topology.fat_tree: k must be even and >= 2";
-  let h = k / 2 in
-  let edge p e = Printf.sprintf "e%d_%d." p e in
-  let agg p a = Printf.sprintf "a%d_%d." p a in
-  let core c = Printf.sprintf "c%d." c in
-  let pods =
-    List.concat
-      (List.init k (fun p ->
-           List.init h (edge p) @ List.init h (agg p)))
-  in
-  let switches = pods @ List.init (h * h) core in
-  let trunks =
-    List.concat
-      (List.init k (fun p ->
-           List.concat
-             (List.init h (fun e -> List.init h (fun a -> (edge p e, agg p a))))
-           @ List.concat
-               (List.init h (fun a ->
-                    List.init h (fun j -> (agg p a, core ((a * h) + j)))))))
-  in
-  let hosts_per_pod = h * h in
-  let hosts =
-    Array.init (k * hosts_per_pod) (fun id ->
-        let p = id / hosts_per_pod in
-        let e = id mod hosts_per_pod / h in
-        edge p e)
-  in
-  make ?learning ?ttl ~switches ~trunks ~hosts ()
+  make ~switches ~trunks ~hosts ()

@@ -7,54 +7,33 @@
     therefore yields the historical ["switch0"], keeping the legacy
     single-switch wiring byte-identical.
 
-    Unless [learning] is set, {!Net.create_topo} compiles {!routes} —
-    all-pairs BFS shortest paths with equal-cost next-hop sets — into
-    static ECMP switch routes, which are loop-free by construction (the
-    distance to the destination strictly decreases at every hop). *)
+    {!Net.create_topo} compiles {!routes} — all-pairs BFS shortest paths
+    with equal-cost next-hop sets — into static ECMP switch routes, the
+    fabric's only unicast forwarding.  They are loop-free by construction
+    (the distance to the destination strictly decreases at every hop). *)
 
 type t
 
 val make :
-  ?learning:bool ->
-  ?ttl:int ->
   switches:string list ->
   trunks:(string * string) list ->
   hosts:string array ->
   unit ->
   t
 (** [hosts.(id)] names the switch node [id] attaches to; every trunk is an
-    unordered switch pair.  [learning] (default [false]) selects
-    MAC-learning flood-and-learn forwarding instead of compiled static
-    routes; [ttl] (default 16) bounds switch traversals per frame.
+    unordered switch pair.  {!star} and {!leaf_spine} are special cases.
     @raise Invalid_argument on duplicate switches or trunks, self-trunks,
-    references to unknown switches, a disconnected trunk graph, or a TTL
-    smaller than the fabric diameter allows. *)
+    references to unknown switches, a disconnected trunk graph, or a
+    diameter so large that a frame would cross more than
+    {!Hw.Switch.ttl} switches. *)
 
 val star : n:int -> t
 (** [n] hosts on one switch — the legacy cluster, and the compatibility
     baseline. *)
 
-val linear :
-  ?learning:bool -> ?ttl:int -> racks:int -> per_rack:int -> unit -> t
-(** A chain of [racks] switches, [per_rack] hosts each; the default TTL
-    stretches to cover the chain. *)
-
-val leaf_spine :
-  ?learning:bool ->
-  ?ttl:int ->
-  racks:int ->
-  per_rack:int ->
-  spines:int ->
-  unit ->
-  t
+val leaf_spine : racks:int -> per_rack:int -> spines:int -> unit -> t
 (** Every ToR trunked to every spine: [spines]-way ECMP between racks,
     oversubscribed whenever [per_rack] exceeds [spines]. *)
-
-val fat_tree : ?learning:bool -> ?ttl:int -> k:int -> unit -> t
-(** The canonical [k]-ary fat tree: [k] pods of [k/2] edge and [k/2]
-    aggregation switches, [(k/2)²] cores, [k³/4] hosts, [k/2]-way ECMP at
-    each level.
-    @raise Invalid_argument unless [k] is even and at least 2. *)
 
 val n : t -> int
 (** Host count; node ids run [0 .. n-1]. *)
@@ -66,9 +45,6 @@ val trunks : t -> (string * string) list
 
 val attach : t -> int -> string
 (** The switch prefix host [id] attaches to. *)
-
-val learning : t -> bool
-val ttl : t -> int
 
 val diameter : t -> int
 (** Longest shortest trunk path between any two switches. *)

@@ -35,8 +35,9 @@ type t = {
           count instead of being delivered *)
   hops : int;
       (** switch traversals so far — incremented by each switch that
-          forwards the frame, and dropped once it reaches the switch TTL.
-          Bookkeeping only: contributes nothing to the wire size. *)
+          forwards the frame, which is dropped once it reaches
+          {!Switch.ttl}.  Bookkeeping only: contributes nothing to the wire
+          size. *)
   ce : bool;
       (** congestion experienced — set by a switch whose ECN threshold
           was crossed while enqueuing this frame.  Models the switch

@@ -72,15 +72,10 @@ type t = {
   sim : Sim.t;
   name : string;
   bits_per_s : float;
-  forward_latency : Time.span;
-  propagation : Time.span;
   fault : unit -> Fault.t;
   egress_frames : int option;
   ingress_frames : int option;
   buffer : buffer option;
-  learning : bool;
-  ttl : int;
-  fdb : (int, port) Hashtbl.t;  (* learned node -> port *)
   routes : (int, port array) Hashtbl.t;  (* static node -> ECMP trunk set *)
   mutable trunk_count : int;
   mutable down : bool;
@@ -92,7 +87,6 @@ type t = {
   mutable frames_flooded : int;
   mutable frames_unroutable : int;
   mutable frames_ttl_dropped : int;
-  mutable unknown_floods : int;
   mutable down_drops : int;
   mutable pause_frames_tx : int;
   mutable pause_frames_rx : int;
@@ -101,28 +95,30 @@ type t = {
   mutable egress_stall_ns : int;
 }
 
-let create sim ~name ~bits_per_s ?(forward_latency = Time.us 2.)
-    ?(propagation = Time.ns 500) ?(fault = fun () -> Fault.none)
-    ?egress_frames ?ingress_frames ?buffer ?(learning = false) ?(ttl = 16) ()
-    =
+(* Switch traversals a frame may make before it is dropped; it ends
+   broadcast storms on cyclic fabrics. *)
+let ttl = 16
+
+(* Lookup plus internal transfer, paid by every frame a switch forwards. *)
+let forward_latency = Time.us 2.
+
+(* Propagation delay of every station and trunk link. *)
+let propagation = Time.ns 500
+
+let create sim ~name ~bits_per_s ?(fault = fun () -> Fault.none)
+    ?egress_frames ?ingress_frames ?buffer () =
   (match ingress_frames with
   | Some n when n <= 0 -> invalid_arg "Switch.create: ingress_frames <= 0"
   | _ -> ());
-  if ttl < 1 then invalid_arg "Switch.create: ttl < 1";
   Option.iter validate_buffer buffer;
   {
     sim;
     name;
     bits_per_s;
-    forward_latency;
-    propagation;
     fault;
     egress_frames;
     ingress_frames;
     buffer;
-    learning;
-    ttl;
-    fdb = Hashtbl.create 16;
     routes = Hashtbl.create 16;
     trunk_count = 0;
     down = false;
@@ -134,7 +130,6 @@ let create sim ~name ~bits_per_s ?(forward_latency = Time.us 2.)
     frames_flooded = 0;
     frames_unroutable = 0;
     frames_ttl_dropped = 0;
-    unknown_floods = 0;
     down_drops = 0;
     pause_frames_tx = 0;
     pause_frames_rx = 0;
@@ -392,23 +387,16 @@ let flood t ~ingress frame =
       end)
     t.port_list
 
-(* Forwarding decision, in priority order: local station port, static
-   ECMP route, learned FDB entry, unknown-unicast flood (learning
-   switches only), unroutable.  The hop count bounds any loop — static
-   shortest-path routes are loop-free by construction, but flooding on a
-   cyclic fabric is not, so the TTL is the backstop. *)
+(* Forwarding decision for unicast, in priority order: local station
+   port, static ECMP route, unroutable; group-addressed frames flood.  The
+   hop count bounds any loop — static shortest-path routes are loop-free
+   by construction, but flooding on a cyclic fabric is not, so the TTL is
+   the backstop. *)
 let forward t ~ingress frame =
   if t.down then t.down_drops <- t.down_drops + 1
-  else if frame.Eth_frame.hops >= t.ttl then
+  else if frame.Eth_frame.hops >= ttl then
     t.frames_ttl_dropped <- t.frames_ttl_dropped + 1
   else begin
-    (if t.learning then
-       match frame.Eth_frame.src with
-       | Mac.Node src -> (
-           match find_port t ingress with
-           | Some q -> Hashtbl.replace t.fdb src q
-           | None -> ())
-       | Mac.Broadcast | Mac.Multicast _ -> ());
     let frame = { frame with Eth_frame.hops = frame.Eth_frame.hops + 1 } in
     match frame.Eth_frame.dst with
     | Mac.Node node -> (
@@ -428,17 +416,7 @@ let forward t ~ingress frame =
                   | Mac.Broadcast | Mac.Multicast _ -> 0
                 in
                 unicast arr.(flow_hash ~src ~dst:node (Array.length arr))
-            | None -> (
-                match
-                  if t.learning then Hashtbl.find_opt t.fdb node else None
-                with
-                | Some port -> unicast port
-                | None ->
-                    if t.learning then begin
-                      t.unknown_floods <- t.unknown_floods + 1;
-                      flood t ~ingress frame
-                    end
-                    else t.frames_unroutable <- t.frames_unroutable + 1)))
+            | None -> t.frames_unroutable <- t.frames_unroutable + 1))
     | Mac.Broadcast | Mac.Multicast _ -> flood t ~ingress frame
   end
 
@@ -479,7 +457,7 @@ let on_ingress t p frame =
            serialization already accounts for that) and admitted to the
            buffer now; lookup plus internal transfer take the forwarding
            latency before it joins the egress queue. *)
-        Sim.post t.sim ~after:t.forward_latency (fun () ->
+        Sim.post t.sim ~after:forward_latency (fun () ->
             forward t ~ingress:p.node frame)
 
 let check_reserves t what =
@@ -519,13 +497,13 @@ let add_port t ~node =
   let uplink =
     Link.create t.sim
       ~name:(Printf.sprintf "%s<-n%d" t.name node)
-      ~bits_per_s:t.bits_per_s ~propagation:t.propagation ~fault:(t.fault ())
+      ~bits_per_s:t.bits_per_s ~propagation ~fault:(t.fault ())
       ?queue_limit:t.ingress_frames ()
   in
   let downlink =
     Link.create t.sim
       ~name:(Printf.sprintf "%s->n%d" t.name node)
-      ~bits_per_s:t.bits_per_s ~propagation:t.propagation ~fault:(t.fault ())
+      ~bits_per_s:t.bits_per_s ~propagation ~fault:(t.fault ())
       ()
   in
   let port =
@@ -561,7 +539,7 @@ let add_trunk ?bits_per_s a b =
   let mk_link t peer =
     Link.create t.sim
       ~name:(Printf.sprintf "%s=>%s" t.name peer.name)
-      ~bits_per_s:rate ~propagation:t.propagation ~fault:(t.fault ()) ()
+      ~bits_per_s:rate ~propagation ~fault:(t.fault ()) ()
   in
   let la = mk_link a b and lb = mk_link b a in
   let mk_port t peer ~uplink ~downlink =
@@ -598,10 +576,6 @@ let set_route t ~dst ~via =
         (Array.of_list (List.map (get_trunk t ~what:"Switch.set_route") via))
 
 let clear_routes t = Hashtbl.reset t.routes
-let flush_fdb t = Hashtbl.reset t.fdb
-
-let fdb_lookup t ~node =
-  Option.map (fun p -> p.label) (Hashtbl.find_opt t.fdb node)
 
 (* Release one drained frame's ledger charges without the XON side effect
    (a powered-off switch must not transmit). *)
@@ -657,13 +631,7 @@ let is_down t = t.down
 let uplink t ~node = (get_port t node).uplink
 let connect_node t ~node rx = Link.connect (get_port t node).downlink rx
 
-let rewire_node t ~node rx =
-  (* The rebooted node's NIC is new hardware: any learned entry for it is
-     stale the instant the old NIC dies, so withdraw it and let the fabric
-     relearn (remote switches keep their entries — they can't see a
-     reboot, a documented blind spot of flooding-based learning). *)
-  Hashtbl.remove t.fdb node;
-  Link.reconnect (get_port t node).downlink rx
+let rewire_node t ~node rx = Link.reconnect (get_port t node).downlink rx
 
 let ports t =
   List.filter_map (fun p -> if p.node >= 0 then Some p.node else None)
@@ -680,7 +648,6 @@ let frames_forwarded t = t.frames_forwarded
 let frames_flooded t = t.frames_flooded
 let frames_unroutable t = t.frames_unroutable
 let frames_ttl_dropped t = t.frames_ttl_dropped
-let unknown_floods t = t.unknown_floods
 let down_drops t = t.down_drops
 
 let egress_drops t =

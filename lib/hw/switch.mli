@@ -1,20 +1,19 @@
 (** A shared-buffer store-and-forward Ethernet switch with 802.3x PAUSE
     and multi-hop fabric support.
 
-    Each port is a full-duplex pair of {!Link}s.  Station ports
-    (node→switch, switch→node) attach NICs; trunk ports ({!add_trunk})
-    attach peer switches, so fabrics — linear chains, leaf/spine, fat
-    trees — compose from the same switch.  Unicast frames are forwarded to
-    the local port owning the destination MAC, else along a static ECMP
-    route set ({!set_route}, hashed per flow), else to a learned FDB entry
-    (when [learning] is on), else flooded (learning) or counted
-    unroutable.  Broadcast and multicast frames are flooded to every port
-    except the ingress one — the data-link multicast capability CLIC's
-    broadcast primitives exploit.  Every switch traversal increments the
-    frame's hop count; frames at the [ttl] bound are dropped, the backstop
-    against forwarding loops.  Forwarding adds a fixed per-frame latency
-    modelling lookup plus internal transfer; output contention arises from
-    the egress queues draining at the line rate.
+    Each port is a full-duplex pair of {!Link}s with 500 ns propagation.
+    Station ports (node→switch, switch→node) attach NICs; trunk ports
+    ({!add_trunk}) attach peer switches, so fabrics such as a leaf/spine
+    compose from the same switch.  Unicast frames are forwarded to the
+    local port owning the destination MAC, else along a static ECMP route
+    set ({!set_route}, hashed per flow), else counted unroutable.
+    Broadcast and multicast frames are flooded to every port except the
+    ingress one — the data-link multicast capability CLIC's broadcast
+    primitives exploit.  Every switch traversal increments the frame's hop
+    count; frames at the {!ttl} bound are dropped, which is what ends a
+    broadcast storm on a fabric with loops.  Forwarding adds a fixed 2 us
+    per frame, modelling lookup plus internal transfer; output contention
+    arises from the egress queues draining at the line rate.
 
     Buffering: each egress port owns a FIFO drawing on a shared byte pool
     ({!buffer}) — a per-port reserve is always available, the remainder is
@@ -50,20 +49,20 @@ val default_buffer : buffer
 (** 256 KiB total, 8 KiB reserve, 16/8 KiB watermarks, PAUSE on with
     maximum quanta, 1518-byte frames, ECN marking off. *)
 
+val ttl : int
+(** 16: the switch traversals a frame may make.  A frame arriving with
+    this many hops is dropped into {!frames_ttl_dropped}. *)
+
 type t
 
 val create :
   Engine.Sim.t ->
   name:string ->
   bits_per_s:float ->
-  ?forward_latency:Engine.Time.span ->
-  ?propagation:Engine.Time.span ->
   ?fault:(unit -> Fault.t) ->
   ?egress_frames:int ->
   ?ingress_frames:int ->
   ?buffer:buffer ->
-  ?learning:bool ->
-  ?ttl:int ->
   unit ->
   t
 (** [fault] is called once per created link to give each direction its own
@@ -71,10 +70,9 @@ val create :
     excess frames are tail-dropped into {!egress_drops}.  [ingress_frames]
     bounds each uplink's transmit queue, making blind-dumping stations
     lose frames to {!ingress_drops}.  [buffer] enables the shared-buffer
-    ledger and PAUSE generation.  [learning] (default [false]) enables the
-    MAC-learning FDB and unknown-unicast flooding; [ttl] (default 16)
-    bounds switch traversals per frame.
-    @raise Invalid_argument on nonsensical buffer parameters or [ttl < 1]. *)
+    ledger and PAUSE generation.
+    @raise Invalid_argument on nonsensical buffer parameters or
+    [ingress_frames <= 0]. *)
 
 val add_port : t -> node:int -> unit
 (** Declares a station port for [node].
@@ -100,14 +98,6 @@ val set_route : t -> dst:int -> via:string list -> unit
 
 val clear_routes : t -> unit
 
-val flush_fdb : t -> unit
-(** Forgets every learned MAC (an operator clearing the FDB); subsequent
-    unknown destinations flood and relearn. *)
-
-val fdb_lookup : t -> node:int -> string option
-(** The port label ("n<id>" or a peer switch name) the FDB currently maps
-    [node] to, if learned. *)
-
 val set_down : t -> bool -> unit
 (** Powers the switch down ([true]) or back up ([false]).  Down: ingress
     frames are refused into {!down_drops}, buffered frames drain with
@@ -125,9 +115,8 @@ val connect_node : t -> node:int -> (Eth_frame.t -> unit) -> unit
 
 val rewire_node : t -> node:int -> (Eth_frame.t -> unit) -> unit
 (** Replaces the receive function on an existing port: a rebooted node
-    reattaching its freshly created NIC.  Also withdraws the node's own
-    FDB entry (its old NIC is gone); remote switches keep theirs until
-    traffic relearns them. *)
+    reattaching its freshly created NIC.  Routes are unchanged, since they
+    name nodes, not NICs. *)
 
 val ports : t -> int list
 (** Station node ids, in port order (trunks excluded). *)
@@ -143,16 +132,13 @@ val trunk_tx_frames : t -> peer:string -> int
 val frames_forwarded : t -> int
 
 val frames_flooded : t -> int
-(** Copies emitted for group-addressed or unknown-unicast frames. *)
+(** Copies emitted for group-addressed frames. *)
 
 val frames_unroutable : t -> int
 
 val frames_ttl_dropped : t -> int
-(** Frames dropped at the hop-count bound — nonzero means a forwarding
-    loop (or a fabric deeper than [ttl]). *)
-
-val unknown_floods : t -> int
-(** Unicast frames flooded because the FDB had no entry (learning mode). *)
+(** Frames dropped at the {!ttl} bound — nonzero means a forwarding loop
+    or a broadcast circling a fabric with loops. *)
 
 val down_drops : t -> int
 (** Frames refused while the switch was powered down. *)

@@ -92,6 +92,9 @@ let on_event t ev =
         Probe.Chan_deliver { e with chan = dense_chan t e.chan }
     | Probe.Chan_dead e -> Probe.Chan_dead { e with chan = dense_chan t e.chan }
     | Probe.Rto_armed e -> Probe.Rto_armed { e with chan = dense_chan t e.chan }
+    | Probe.Sack_tx e -> Probe.Sack_tx { e with chan = dense_chan t e.chan }
+    | Probe.Sack_rx e -> Probe.Sack_rx { e with chan = dense_chan t e.chan }
+    | Probe.Chan_retx e -> Probe.Chan_retx { e with chan = dense_chan t e.chan }
     | ev -> ev
   in
   (match ev with

@@ -792,39 +792,58 @@ let test_check_clean_synthetic () =
   check_bool "clean" true (Check.ok r);
   check_int "baseline + 3 seeded runs" 4 r.Check.runs
 
-(* A process that raises from a helper: with backtraces recorded, the
-   crash finding names the helper's raise site, through [Process.spawn]'s
-   re-raise and the checker's catch. *)
+(* Processes that raise from a helper: with backtraces recorded, the
+   crash finding names the helper's line, through [Process.spawn]'s
+   re-raise and the checker's catch, also when the raise itself happens
+   inside the standard library. *)
 let crash_line = ref 0
 
 let raise_from_helper () =
   crash_line := __LINE__ + 1;
   raise (Invalid_argument "helper gave up")
 
+let pop_line = ref 0
+
+let pop_from_empty_queue () =
+  let q : int Queue.t = Queue.create () in
+  pop_line := __LINE__ + 1;
+  ignore (Queue.pop q)
+
 let test_check_crash_names_raise_site () =
-  let sc =
-    quiet_scenario "crashing" (fun () ->
-        let sim = Sim.create () in
-        Process.spawn sim ~delay:10 raise_from_helper;
-        Sim.run sim)
-  in
-  let was = Printexc.backtrace_status () in
-  Printexc.record_backtrace true;
-  let r =
-    Fun.protect
-      ~finally:(fun () -> Printexc.record_backtrace was)
-      (fun () -> Check.run_scenario ~seeds:0 sc)
-  in
-  match r.Check.violations with
-  | [ v ] ->
-      Alcotest.(check string) "rule" "uncaught-exception" v.Check.Violation.rule;
-      Alcotest.(check string)
-        "detail names the raise site"
-        (Printf.sprintf
-           "Invalid_argument(\"helper gave up\"), raised at test/test_check.ml:%d"
-           !crash_line)
+  let crash_detail helper =
+    let sc =
+      quiet_scenario "crashing" (fun () ->
+          let sim = Sim.create () in
+          Process.spawn sim ~delay:10 helper;
+          Sim.run sim)
+    in
+    let was = Printexc.backtrace_status () in
+    Printexc.record_backtrace true;
+    let r =
+      Fun.protect
+        ~finally:(fun () -> Printexc.record_backtrace was)
+        (fun () -> Check.run_scenario ~seeds:0 sc)
+    in
+    match r.Check.violations with
+    | [ v ] ->
+        Alcotest.(check string)
+          "rule" "uncaught-exception" v.Check.Violation.rule;
         v.Check.Violation.detail
-  | vs -> Alcotest.failf "expected one crash finding, got %d" (List.length vs)
+    | vs -> Alcotest.failf "expected one crash finding, got %d" (List.length vs)
+  in
+  let detail = crash_detail raise_from_helper in
+  Alcotest.(check string)
+    "detail names the raise site"
+    (Printf.sprintf
+       "Invalid_argument(\"helper gave up\"), raised at test/test_check.ml:%d"
+       !crash_line)
+    detail;
+  let detail = crash_detail pop_from_empty_queue in
+  Alcotest.(check string)
+    "a raise inside the standard library names its caller"
+    (Printf.sprintf "Stdlib.Queue.Empty, raised at test/test_check.ml:%d"
+       !pop_line)
+    detail
 
 (* A real two-node CLIC ping-pong through the whole stack: zero
    violations, zero leaks, stable logical trace across seeds. *)

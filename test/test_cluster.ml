@@ -297,9 +297,18 @@ let test_topology_star_compat () =
   check_int "diameter" 0 (Topology.diameter t);
   check_int "no routes to compile" 0 (List.length (Topology.routes t))
 
+(* A chain of [racks] switches, [per_rack] hosts each: every route
+   between the end racks crosses transit switches. *)
+let chain ~racks ~per_rack =
+  let name r = Printf.sprintf "s%d." r in
+  Topology.make ~switches:(List.init racks name)
+    ~trunks:(List.init (racks - 1) (fun r -> (name r, name (r + 1))))
+    ~hosts:(Array.init (racks * per_rack) (fun id -> name (id / per_rack)))
+    ()
+
 let test_topology_validation () =
-  let mk ?ttl ~switches ~trunks ~hosts () =
-    ignore (Topology.make ?ttl ~switches ~trunks ~hosts ())
+  let mk ~switches ~trunks ~hosts () =
+    ignore (Topology.make ~switches ~trunks ~hosts ())
   in
   Alcotest.check_raises "duplicate switch"
     (Invalid_argument "Topology: duplicate switch s") (fun () ->
@@ -313,18 +322,15 @@ let test_topology_validation () =
   Alcotest.check_raises "disconnected fabric"
     (Invalid_argument "Topology: switch t is disconnected") (fun () ->
       mk ~switches:[ "s"; "t" ] ~trunks:[] ~hosts:[| "s" |] ());
-  Alcotest.check_raises "ttl below the diameter"
-    (Invalid_argument "Topology: ttl below the fabric diameter") (fun () ->
-      mk ~ttl:2
-        ~switches:[ "s"; "t"; "u" ]
-        ~trunks:[ ("s", "t"); ("t", "u") ]
-        ~hosts:[| "s"; "u" |] ());
-  Alcotest.check_raises "fat tree wants even k"
-    (Invalid_argument "Topology.fat_tree: k must be even and >= 2") (fun () ->
-      ignore (Topology.fat_tree ~k:3 ()))
+  (* 16 switches end to end is the most the 16-hop bound lets through *)
+  check_int "a 16-switch chain fits the hop bound" 15
+    (Topology.diameter (chain ~racks:16 ~per_rack:1));
+  Alcotest.check_raises "deeper than the hop bound"
+    (Invalid_argument "Topology: fabric diameter exceeds the switch TTL")
+    (fun () -> ignore (chain ~racks:17 ~per_rack:1))
 
 let test_topology_linear_routes () =
-  let t = Topology.linear ~racks:3 ~per_rack:2 () in
+  let t = chain ~racks:3 ~per_rack:2 in
   check_int "hosts" 6 (Topology.n t);
   check_int "diameter of the chain" 2 (Topology.diameter t);
   Alcotest.(check string) "host 5 in the last rack" "s2." (Topology.attach t 5);
@@ -358,23 +364,6 @@ let test_topology_leaf_spine_shape () =
           2 (List.length via))
     (List.filter (fun (_, _, via) -> via <> []) (Topology.routes t))
 
-let test_topology_fat_tree_shape () =
-  let t = Topology.fat_tree ~k:4 () in
-  check_int "k^3/4 hosts" 16 (Topology.n t);
-  check_int "edge + aggregation + core" 20 (List.length (Topology.switches t));
-  (* k pods x (k/2 edge x k/2 agg) + (k/2)^2 cores x k pods *)
-  check_int "trunks" 32 (List.length (Topology.trunks t));
-  check_int "diameter edge-agg-core-agg-edge" 4 (Topology.diameter t);
-  check_bool "default ttl clears the diameter" true
-    (Topology.ttl t >= Topology.diameter t + 1);
-  (* same-pod, different-edge traffic has k/2 equal-cost aggregations *)
-  let routes = Topology.routes t in
-  match
-    List.find_opt (fun (at, dst, _) -> at = "e0_0." && dst = 2) routes
-  with
-  | Some (_, _, via) -> check_int "in-pod ECMP width" 2 (List.length via)
-  | None -> Alcotest.fail "no route from e0_0. to host 2"
-
 let test_topology_reroute_excluding () =
   let t = Topology.leaf_spine ~racks:2 ~per_rack:1 ~spines:2 () in
   let via excluding =
@@ -403,8 +392,7 @@ let build_fabric sim topo =
     List.map
       (fun p ->
         ( p,
-          Hw.Switch.create sim ~name:(phys p) ~bits_per_s:1e9
-            ~learning:(Topology.learning topo) ~ttl:(Topology.ttl topo) () ))
+          Hw.Switch.create sim ~name:(phys p) ~bits_per_s:1e9 () ))
       (Topology.switches topo)
   in
   let sw p = List.assoc p sws in
@@ -414,36 +402,28 @@ let build_fabric sim topo =
   for id = 0 to Topology.n topo - 1 do
     Hw.Switch.add_port (sw (Topology.attach topo id)) ~node:id
   done;
-  if not (Topology.learning topo) then
-    List.iter
-      (fun (at, dst, via) ->
-        Hw.Switch.set_route (sw at) ~dst ~via:(List.map phys via))
-      (Topology.routes topo);
+  List.iter
+    (fun (at, dst, via) ->
+      Hw.Switch.set_route (sw at) ~dst ~via:(List.map phys via))
+    (Topology.routes topo);
   sws
 
 let topo_arb =
   let print t =
-    Printf.sprintf "{n=%d; switches=%s%s}" (Topology.n t)
+    Printf.sprintf "{n=%d; switches=%s}" (Topology.n t)
       (String.concat "," (Topology.switches t))
-      (if Topology.learning t then "; learning" else "")
   in
   QCheck.make ~print
     QCheck.Gen.(
       oneof
         [
           map2
-            (fun racks per_rack -> Topology.linear ~racks ~per_rack ())
+            (fun racks per_rack -> chain ~racks ~per_rack)
             (int_range 1 4) (int_range 1 3);
-          map2
-            (fun racks per_rack ->
-              Topology.linear ~learning:true ~racks ~per_rack ())
-            (int_range 1 3) (int_range 1 2);
           map3
             (fun racks per_rack spines ->
               Topology.leaf_spine ~racks ~per_rack ~spines ())
             (int_range 2 4) (int_range 1 3) (int_range 1 3);
-          return (Topology.fat_tree ~k:2 ());
-          return (Topology.fat_tree ~k:4 ());
           return (Topology.star ~n:5);
         ])
 
@@ -458,8 +438,7 @@ let prop_fabric_all_pairs_delivery =
       for id = 0 to n - 1 do
         let sw = List.assoc (Topology.attach topo id) sws in
         Hw.Switch.connect_node sw ~node:id (fun f ->
-            (* learning fabrics flood unknown destinations to every
-               station: count only frames addressed to this one *)
+            (* count only frames addressed to this station *)
             if Hw.Mac.equal f.Hw.Eth_frame.dst (Hw.Mac.of_node id) then
               got.(id) <- got.(id) + 1)
       done;
@@ -849,7 +828,6 @@ let suite =
     ("topology validation", `Quick, test_topology_validation);
     ("topology linear routes", `Quick, test_topology_linear_routes);
     ("topology leaf/spine shape", `Quick, test_topology_leaf_spine_shape);
-    ("topology fat tree shape", `Quick, test_topology_fat_tree_shape);
     ("topology reroute excluding", `Quick, test_topology_reroute_excluding);
     ("net fail/restore switch", `Quick, test_net_fail_switch_reroutes);
     ("fabric crash/reboot rewire", `Quick, test_fabric_crash_reboot_rewires);

@@ -643,6 +643,22 @@ let test_metrics_congestion_families () =
   check_bool "congestion metrics JSON valid" true
     (Json_check.ok (Obs.Metrics.to_json m))
 
+(* Channel uids are process-global, so a second recording of one
+   experiment in the same process meets new raw uids; the series names
+   must come out the same, because the recorder renumbers every channel
+   event by first appearance. *)
+let test_metrics_series_names_stable () =
+  let names () =
+    List.map
+      (fun s -> s.Obs.Metrics.s_name)
+      (Obs.Metrics.build (record "congestion")).Obs.Metrics.series
+  in
+  let first = names () in
+  check_bool "congestion exports per-channel sack series" true
+    (List.exists (fun n -> String.starts_with ~prefix:"sack/chan" n) first);
+  Alcotest.(check (list string)) "series names of a second recording" first
+    (names ())
+
 let test_attribution_matches_fig7 () =
   let expected = Report.Figures.fig7 null_fmt in
   let rec_ = record "fig7" in
@@ -771,6 +787,8 @@ let suite =
     ("timeline determinism", `Quick, test_timeline_deterministic);
     ("metrics families + determinism", `Quick, test_metrics_families_and_determinism);
     ("metrics congestion families", `Slow, test_metrics_congestion_families);
+    ("metrics series names stable across recordings", `Slow,
+      test_metrics_series_names_stable);
     ("attribution reproduces fig7", `Quick, test_attribution_matches_fig7);
     ("exporter allocation budget", `Quick, test_export_allocation_budget);
     ("host name attribution", `Quick, test_host_attribution);

@@ -155,8 +155,11 @@ let finding x =
        (Filename.basename x.x_own)
        (List.hd x.x_path))
 
-(* R6 over the interfaces [mlis] against the reader sources [readers]. *)
-let check ~mlis ~readers =
+(* The exports of [mlis] that no reader in [readers] other than their
+   own implementation reads, with the parse failures of either side.  A
+   reader that does not parse suppresses the answer: it could read any
+   export. *)
+let unread ~mlis ~readers =
   let parsed parse files =
     List.fold_left
       (fun (ok, bad) f ->
@@ -167,7 +170,7 @@ let check ~mlis ~readers =
   in
   let exports, bad_mlis = parsed exports_of_mli mlis in
   let readers, bad_readers = parsed reads_of_ml readers in
-  if bad_readers <> [] then bad_mlis @ bad_readers
+  if bad_readers <> [] then ([], bad_mlis @ bad_readers)
   else
     (* index value reads by their last component *)
     let by_name = Hashtbl.create 4096 in
@@ -187,10 +190,12 @@ let check ~mlis ~readers =
                   (module_prefixes x.x_path))
            readers
     in
-    bad_mlis
-    @ List.concat_map
-        (fun (_, xs) ->
-          List.filter_map
-            (fun x -> if read_elsewhere x then None else Some (finding x))
-            xs)
-        exports
+    ( List.concat_map
+        (fun (_, xs) -> List.filter (fun x -> not (read_elsewhere x)) xs)
+        exports,
+      bad_mlis )
+
+(* R6 over the interfaces [mlis] against the reader sources [readers]. *)
+let check ~mlis ~readers =
+  let xs, bad = unread ~mlis ~readers in
+  bad @ List.map finding xs

@@ -46,15 +46,28 @@ let mli_coverage ~root =
                     under lib/ must hide its internals behind an .mli)"
                    (Filename.basename mli))))
 
+let lib_mlis ~root =
+  under ~root [ "lib" ]
+  |> List.map (fun ml -> ml ^ "i")
+  |> List.filter Sys.file_exists
+
 (* R6: every value a [lib/] interface exports is read from another
    compilation unit (see Lint_exports). *)
 let export_readers ~root =
-  Lint_exports.check
-    ~mlis:
-      (under ~root [ "lib" ]
-      |> List.map (fun ml -> ml ^ "i")
-      |> List.filter Sys.file_exists)
+  Lint_exports.check ~mlis:(lib_mlis ~root)
     ~readers:(under ~root reader_subdirs)
+
+(* The [lib/] exports that only [test/] reads, as sorted "Module.value"
+   names, with any parse failures: R6 with every reader tree but
+   [test/]. *)
+let test_only_exports ~root =
+  let xs, bad =
+    Lint_exports.unread ~mlis:(lib_mlis ~root)
+      ~readers:(under ~root (List.filter (( <> ) "test") reader_subdirs))
+  in
+  ( List.sort compare
+      (List.map (fun x -> String.concat "." x.Lint_exports.x_path) xs),
+    bad )
 
 type report = {
   r_findings : Lint_diag.t list;  (* sorted by position *)
