@@ -163,16 +163,15 @@ type slo = {
   slo_samples : (Time.t * float) array;
 }
 
-let quantile samples p =
-  if p < 0. || p > 100. then
-    invalid_arg "Workload.quantile: percentile outside [0,100]";
-  let n = Array.length samples in
-  if n = 0 then 0.
-  else begin
-    let a = Array.copy samples in
-    Array.sort Float.compare a;
-    a.(Stdlib.min (n - 1) (int_of_float (p /. 100. *. float_of_int n)))
-  end
+let quantile samples =
+  let sorted = Array.copy samples in
+  Array.sort Float.compare sorted;
+  let n = Array.length sorted in
+  fun p ->
+    if p < 0. || p > 100. then
+      invalid_arg "Workload.quantile: percentile outside [0,100]";
+    if n = 0 then 0.
+    else sorted.(Stdlib.min (n - 1) (int_of_float (p /. 100. *. float_of_int n)))
 
 (* Mutable scoreboard shared by the dispatcher, pair senders and response
    listeners of one open-loop run. *)
@@ -191,6 +190,7 @@ let slo_of sb tally ~resp_size =
     if n = 0 then 0. else Array.fold_left ( +. ) 0. lats /. float_of_int n
   in
   let max_ = Array.fold_left Float.max 0. lats in
+  let rank = quantile lats in
   let elapsed =
     match tally.t_first with
     | Some first -> Time.diff tally.t_last first
@@ -207,9 +207,9 @@ let slo_of sb tally ~resp_size =
     slo_completed = sb.sb_completed;
     slo_timeouts = sb.sb_timeouts;
     slo_stranded = sb.sb_requests - sb.sb_completed;
-    slo_p50_us = quantile lats 50.;
-    slo_p99_us = quantile lats 99.;
-    slo_p999_us = quantile lats 99.9;
+    slo_p50_us = rank 50.;
+    slo_p99_us = rank 99.;
+    slo_p999_us = rank 99.9;
     slo_mean_us = mean;
     slo_max_us = max_;
     slo_goodput_mbps = goodput;

@@ -105,7 +105,9 @@ val quantile : float array -> float -> float
 (** [quantile samples p] is the nearest-rank [p]-th percentile of
     [samples] (not modified; sorted internally): index
     [min (n-1) (floor (p/100 * n))] of the sorted array.  0 on an empty
-    array.
+    array.  [quantile samples] alone sorts a copy once and returns the
+    reader of its ranks, so [let q = quantile samples in (q 50., q 99.)]
+    sorts once.
     @raise Invalid_argument if [p] is outside [\[0, 100\]]. *)
 
 val open_loop :

@@ -1,18 +1,21 @@
-type 'a t = { items : 'a Queue.t; blocked : ('a -> unit) Queue.t }
+(* A receiver blocks only on an empty [items], and a send to a mailbox
+   with blocked receivers wakes the first at once, so [items] is empty
+   whenever [blocked] is not. *)
+type 'a t = { items : 'a Queue.t; blocked : (unit -> unit) Queue.t }
 
 let create () = { items = Queue.create (); blocked = Queue.create () }
 
+(* The woken receiver resumes inside this call and takes [v], the only
+   item, before anything else can. *)
 let send t v =
-  match Queue.take_opt t.blocked with
-  | Some resume -> resume v
-  | None -> Queue.add v t.items
+  Queue.add v t.items;
+  if not (Queue.is_empty t.blocked) then Queue.take t.blocked ()
 
 let try_recv t = Queue.take_opt t.items
 
 let recv t =
-  match Queue.take_opt t.items with
-  | Some v -> v
-  | None -> Process.await (fun resume -> Queue.add resume t.blocked)
+  if Queue.is_empty t.items then Process.wait_in t.blocked;
+  Queue.take t.items
 
 let length t = Queue.length t.items
 let waiters t = Queue.length t.blocked

@@ -23,19 +23,16 @@ let create sim ~name =
 
 let is_busy t = t.busy
 
+(* A release hands the resource straight to the next waiter, which
+   resumes inside this call; [busy] stays set across the handoff. *)
 let release t =
-  match Queue.take_opt t.high with
-  | Some next -> next ()
-  | None -> (
-      match Queue.take_opt t.low with
-      | Some next -> next ()
-      | None -> t.busy <- false)
+  if not (Queue.is_empty t.high) then Queue.take t.high ()
+  else if not (Queue.is_empty t.low) then Queue.take t.low ()
+  else t.busy <- false
 
 let acquire ?(priority = `Low) t =
   if t.busy then
-    Process.await (fun resume ->
-        let q = match priority with `High -> t.high | `Low -> t.low in
-        Queue.add resume q)
+    Process.wait_in (match priority with `High -> t.high | `Low -> t.low)
   else t.busy <- true
 
 (* Positive-duration grants double as occupancy spans for the
@@ -49,25 +46,33 @@ let probe_span t started =
          { host = t.name; track = Probe.Busy; label = "busy"; start = started;
            finish })
 
-let use_f ?priority t f =
+let grant ?priority t =
   acquire ?priority t;
-  let started = Sim.now t.sim in
   t.grants <- t.grants + 1;
+  Sim.now t.sim
+
+let finish t started =
+  t.busy_time <- t.busy_time + Time.diff (Sim.now t.sim) started;
+  probe_span t started;
+  release t
+
+let use_f ?priority t f =
+  let started = grant ?priority t in
   match f () with
   | v ->
-      t.busy_time <- t.busy_time + Time.diff (Sim.now t.sim) started;
-      probe_span t started;
-      release t;
+      finish t started;
       v
   | exception exn ->
-      t.busy_time <- t.busy_time + Time.diff (Sim.now t.sim) started;
-      probe_span t started;
-      release t;
+      finish t started;
       raise exn
 
+(* No closure and no exception handler: [Process.delay] only returns,
+   since nothing discontinues a process. *)
 let use ?priority t span =
   if span < 0 then invalid_arg "Resource.use: negative span";
-  use_f ?priority t (fun () -> Process.delay span)
+  let started = grant ?priority t in
+  Process.delay span;
+  finish t started
 
 let busy_time t = t.busy_time
 let grants t = t.grants

@@ -1,21 +1,31 @@
-type t = { mutable state : int64 }
+(* The SplitMix64 state lives unboxed in 8 bytes: a [mutable int64]
+   field would box two int64s per draw and pay a write barrier to store
+   one.  [bits64] and [mix64] inline into the draws, so a draw that
+   returns an [int], [float] or [bool] allocates nothing. *)
+type t = Bytes.t
 
 let golden_gamma = 0x9E3779B97F4A7C15L
 
-let mix64 z =
+let[@inline] mix64 z =
   let z = Int64.mul (Int64.logxor z (Int64.shift_right_logical z 30))
       0xBF58476D1CE4E5B9L in
   let z = Int64.mul (Int64.logxor z (Int64.shift_right_logical z 27))
       0x94D049BB133111EBL in
   Int64.logxor z (Int64.shift_right_logical z 31)
 
-let create ~seed = { state = mix64 (Int64.of_int seed) }
+let of_state s =
+  let t = Bytes.create 8 in
+  Bytes.set_int64_le t 0 s;
+  t
 
-let bits64 t =
-  t.state <- Int64.add t.state golden_gamma;
-  mix64 t.state
+let create ~seed = of_state (mix64 (Int64.of_int seed))
 
-let split t = { state = bits64 t }
+let[@inline] bits64 t =
+  let s = Int64.add (Bytes.get_int64_le t 0) golden_gamma in
+  Bytes.set_int64_le t 0 s;
+  mix64 s
+
+let split t = of_state (bits64 t)
 
 let int t bound =
   if bound <= 0 then invalid_arg "Rng.int: bound <= 0";

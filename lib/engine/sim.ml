@@ -258,12 +258,7 @@ let clear_free_thunks sim =
 let default_tie_break : int option ref = ref None
 let set_default_tie_break seed = default_tie_break := seed
 
-let create ?tie_break () =
-  let seed =
-    match tie_break with Some s -> Some s | None -> !default_tie_break
-  in
-  if !Probe.on then Probe.emit Probe.Sim_start;
-  let tie_rng = Option.map (fun seed -> Rng.create ~seed) seed in
+let empty tie_rng =
   {
     clock = Time.zero;
     keys = [||];
@@ -284,6 +279,28 @@ let create ?tie_break () =
     executed = 0;
     live = 0;
   }
+
+let create ?tie_break () =
+  let seed =
+    match tie_break with Some s -> Some s | None -> !default_tie_break
+  in
+  if !Probe.on then Probe.emit Probe.Sim_start;
+  empty (Option.map (fun seed -> Rng.create ~seed) seed)
+
+(* The simulator whose run loop is dispatching, for code that runs
+   inside an event with no simulator in hand: {!Process}'s one shared
+   effect handler posts every wakeup through it.  [idle] (never run)
+   stands for "no run in progress", so entering a run stores a pointer
+   and allocates nothing.  Runs nest: each entry point restores the slot
+   it found, on a raise too.  One slot serves the program because
+   simulators are single-domain. *)
+let idle = empty None
+let current = ref idle
+
+let running () =
+  let sim = !current in
+  if sim == idle then invalid_arg "Sim.running: no simulator is running";
+  sim
 
 let now sim = sim.clock
 
@@ -428,20 +445,36 @@ let[@clic.hot] rec step sim =
     end
   end
 
-let run sim =
-  while step sim do () done;
-  clear_free_thunks sim
+(* Runs [loop sim arg] as [sim]'s dispatch, with [sim] in the running
+   slot, and sweeps the free stack's fired closures once it returns. *)
+let dispatching sim loop arg =
+  let outer = !current in
+  current := sim;
+  match loop sim arg with
+  | r ->
+      current := outer;
+      clear_free_thunks sim;
+      r
+  | exception exn ->
+      current := outer;
+      Printexc.raise_with_backtrace exn (Printexc.get_raw_backtrace ())
 
-let run_n sim n =
-  if n < 0 then invalid_arg "Sim.run_n: negative count";
+let drain sim () = while step sim do () done
+
+let run sim = dispatching sim drain ()
+
+let drain_n sim n =
   let i = ref 0 in
   while !i < n && step sim do
     incr i
   done;
-  clear_free_thunks sim;
   !i
 
-let run_until sim ~limit =
+let run_n sim n =
+  if n < 0 then invalid_arg "Sim.run_n: negative count";
+  dispatching sim drain_n n
+
+let drain_until sim limit =
   let continue_ = ref true in
   while !continue_ do
     if sim.hsize = 0 then continue_ := false
@@ -455,8 +488,9 @@ let run_until sim ~limit =
       else continue_ := false
     end
   done;
-  if sim.clock < limit then sim.clock <- limit;
-  clear_free_thunks sim
+  if sim.clock < limit then sim.clock <- limit
+
+let run_until sim ~limit = dispatching sim drain_until limit
 
 let pending sim = sim.live
 let events_executed sim = sim.executed

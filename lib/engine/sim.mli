@@ -13,7 +13,9 @@
     event is never cancelled.
 
     Higher-level blocking-style code is built on top of this in
-    {!Process}. *)
+    {!Process}.  Processes run only inside their simulator's run loop
+    ({!run}, {!run_n}, {!run_until}): that loop is what they post their
+    wakeups to, through {!running}. *)
 
 type t
 
@@ -68,6 +70,13 @@ val run : t -> unit
 (** Runs events until the queue is empty.  Uncaught exceptions from event
     thunks propagate out of [run] (with the clock left at the failure
     instant). *)
+
+val running : unit -> t
+(** The simulator whose {!run}, {!run_n} or {!run_until} is dispatching
+    the current event.  Each entry point sets it on entry and restores
+    the previous one on exit, a raise included, so an event may run a
+    second simulator to completion and find its own again afterwards.
+    @raise Invalid_argument outside any run. *)
 
 val run_until : t -> limit:Time.t -> unit
 (** Runs events with timestamp [<= limit]; the clock is advanced to [limit]

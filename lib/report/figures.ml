@@ -753,11 +753,9 @@ let ext4 fmt =
   in
   let idle = run ~loaded:false and loaded = run ~loaded:true in
   let row name samples =
-    let us = Array.of_list (List.map Time.to_us samples) in
+    let rank = Workload.quantile (Array.of_list (List.map Time.to_us samples)) in
     name
-    :: List.map
-         (fun p -> Printf.sprintf "%.1f" (Workload.quantile us p))
-         [ 50.; 95.; 99. ]
+    :: List.map (fun p -> Printf.sprintf "%.1f" (rank p)) [ 50.; 95.; 99. ]
   in
   Render.section fmt
     "Extension: CLIC latency under competing TCP bulk load (64B ping-pong)";
@@ -1637,6 +1635,7 @@ let slo ?(quick = false) fmt =
       tcp_open_loop c ~seed ~mean_gap:(float_of_int mean_gap)
         ~requests_per_node ~req_size ~resp_size ~deadline ~port
     in
+    let rank = Workload.quantile arr in
     {
       sl_system = `Tcp;
       sl_condition = condition;
@@ -1644,9 +1643,9 @@ let slo ?(quick = false) fmt =
       sl_completed = completed;
       sl_stranded = fired - completed;
       sl_timeouts = timeouts;
-      sl_p50_us = Workload.quantile arr 50.;
-      sl_p99_us = Workload.quantile arr 99.;
-      sl_p999_us = Workload.quantile arr 99.9;
+      sl_p50_us = rank 50.;
+      sl_p99_us = rank 99.;
+      sl_p999_us = rank 99.9;
       sl_goodput_mbps = goodput;
     }
   in

@@ -1253,6 +1253,7 @@ let test_lint_bad_fixtures () =
           findings
   in
   expect "bad_sleep_in_isr.ml" "R1";
+  expect "bad_wait_in_bh.ml" "R1";
   expect "bad_unguarded_magic.ml" "R2";
   expect "bad_hot_alloc.ml" "R3";
   expect "bad_unguarded_probe.ml" "R4";

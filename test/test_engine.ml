@@ -318,6 +318,170 @@ let test_process_double_resume_raises () =
          | exception Invalid_argument _ -> ()));
   Sim.run sim
 
+(* The running-simulator rule: processes post their wakeups to the
+   simulator whose run loop dispatches them. *)
+
+let test_sim_running_only_inside_a_run () =
+  let raises () =
+    match Sim.running () with
+    | _ -> false
+    | exception Invalid_argument _ -> true
+  in
+  check_bool "outside any run" true (raises ());
+  let sim = Sim.create () in
+  let seen = ref false in
+  Sim.post sim ~after:3 (fun () -> seen := Sim.running () == sim);
+  Sim.run sim;
+  check_bool "the dispatching simulator" true !seen;
+  check_bool "cleared when the run returns" true (raises ());
+  Sim.post sim ~after:1 (fun () -> failwith "boom");
+  (match Sim.run sim with
+  | () -> Alcotest.fail "the raise should escape the run"
+  | exception Failure _ -> ());
+  check_bool "cleared when the run raises" true (raises ())
+
+let test_fork_starts_on_dispatching_sim () =
+  let outer = Sim.create () and inner = Sim.create () in
+  let child_on = ref None in
+  Process.spawn inner (fun () ->
+      Process.delay 7;
+      Process.fork (fun () ->
+          child_on := Some (Sim.running () == inner, Sim.now inner)));
+  Sim.post outer ~after:2 (fun () -> Sim.run inner);
+  Sim.run outer;
+  Alcotest.(check (option (pair bool int)))
+    "child ran on the inner simulator at its fork instant"
+    (Some (true, 7)) !child_on;
+  check_int "the outer simulator ran its one event" 1
+    (Sim.events_executed outer)
+
+let test_nested_run_keeps_outer_process () =
+  let outer = Sim.create () and inner = Sim.create () in
+  let inner_done = ref (-1) and log = ref [] in
+  Process.spawn inner (fun () ->
+      Process.delay 1_000;
+      inner_done := Sim.now inner);
+  Process.spawn outer (fun () ->
+      Process.delay 10;
+      Sim.run inner;
+      log := ("after inner run", Sim.now outer) :: !log;
+      Process.delay 5;
+      log := ("next delay", Sim.now outer) :: !log);
+  Sim.run outer;
+  check_int "inner simulator ran to completion" 1_000 !inner_done;
+  Alcotest.(check (list (pair string int)))
+    "outer delays fire on the outer simulator"
+    [ ("after inner run", 10); ("next delay", 15) ]
+    (List.rev !log);
+  check_int "outer clock" 15 (Sim.now outer);
+  check_int "inner clock untouched since" 1_000 (Sim.now inner)
+
+(* ------------------------------------------------------------------ *)
+(* Allocation budgets.  [Gc.minor_words] is exact for the calling
+   domain, so each budget is a word count per operation over 10^5
+   operations.  [budget_fixed] words cover a measurement's own fixed
+   cost (its two readings' boxes, the setup of a process or two), which
+   is under 0.001 words per operation at this count. *)
+
+let budget_ops = 100_000
+let budget_fixed = 64.
+
+let within what ~budget f =
+  let before = Gc.minor_words () in
+  f ();
+  let words = Gc.minor_words () -. before in
+  if words > (budget *. float_of_int budget_ops) +. budget_fixed then
+    Alcotest.failf "%s: %.2f minor words per op, budget %g" what
+      (words /. float_of_int budget_ops) budget
+
+(* A simulator whose slot arena has already grown to its first size
+   (256 slots), so no measurement pays for the arena. *)
+let warm_sim () =
+  let sim = Sim.create () in
+  Sim.post sim ~after:0 ignore;
+  Sim.run sim;
+  sim
+
+let test_engine_allocation_budget () =
+  let sim = warm_sim () in
+  let left = ref 0 in
+  let rec tick () =
+    decr left;
+    if !left > 0 then Sim.post sim ~after:1 tick
+  in
+  within "Sim.post self-chain" ~budget:0. (fun () ->
+      left := budget_ops;
+      Sim.post sim ~after:1 tick;
+      Sim.run sim);
+  check_int "the chain ran" 0 !left;
+  let sim = warm_sim () in
+  within "Process.delay" ~budget:8. (fun () ->
+      Process.spawn sim (fun () ->
+          for _ = 1 to budget_ops do
+            Process.delay 1
+          done);
+      Sim.run sim);
+  let sim = warm_sim () in
+  let r = Resource.create sim ~name:"r" in
+  within "Resource.use, uncontended" ~budget:8. (fun () ->
+      Process.spawn sim (fun () ->
+          for _ = 1 to budget_ops do
+            Resource.use r 1
+          done);
+      Sim.run sim);
+  check_int "uncontended grants" budget_ops (Resource.grants r);
+  let sim = warm_sim () in
+  let r = Resource.create sim ~name:"r" in
+  let contender () =
+    for _ = 1 to budget_ops / 2 do
+      Resource.use r 1
+    done
+  in
+  within "Resource.use, two contenders" ~budget:28. (fun () ->
+      Process.spawn sim contender;
+      Process.spawn sim contender;
+      Sim.run sim);
+  check_int "contended grants" budget_ops (Resource.grants r);
+  (* Spawns in batches of 100, so the arena never grows.  The call is
+     measured apart from the event that starts the process. *)
+  let sim = warm_sim () in
+  let started = ref 0 in
+  let body () = incr started in
+  let call_words = ref 0. and start_words = ref 0. in
+  for _ = 1 to budget_ops / 100 do
+    let before = Gc.minor_words () in
+    for _ = 1 to 100 do
+      Process.spawn sim body
+    done;
+    let mid = Gc.minor_words () in
+    Sim.run sim;
+    let after = Gc.minor_words () in
+    call_words := !call_words +. (mid -. before);
+    start_words := !start_words +. (after -. mid)
+  done;
+  check_int "every spawned process started" budget_ops !started;
+  let per_op w = w /. float_of_int budget_ops in
+  (* Each pair of readings boxes two floats: 4 words per batch. *)
+  if per_op !call_words > 4. +. 0.04 then
+    Alcotest.failf "Process.spawn call: %.2f minor words per op, budget 4"
+      (per_op !call_words);
+  if per_op !start_words > 8. +. 0.04 then
+    Alcotest.failf "Process.spawn start: %.2f minor words per op, budget 8"
+      (per_op !start_words);
+  let sim = warm_sim () in
+  let forked = ref 0 in
+  let child () = incr forked in
+  within "Process.fork" ~budget:12. (fun () ->
+      Process.spawn sim (fun () ->
+          for _ = 1 to budget_ops / 100 do
+            for _ = 1 to 100 do
+              Process.fork child
+            done;
+            Process.delay 1
+          done);
+      Sim.run sim);
+  check_int "every forked process ran" budget_ops !forked
+
 (* ------------------------------------------------------------------ *)
 (* Ivar / Mailbox / Semaphore *)
 
@@ -748,6 +912,12 @@ let suite =
     ("process fork", `Quick, test_process_fork);
     ("process await/wake", `Quick, test_process_await_wake);
     ("process double resume", `Quick, test_process_double_resume_raises);
+    ("sim running only inside a run", `Quick, test_sim_running_only_inside_a_run);
+    ("fork starts on the dispatching sim", `Quick,
+     test_fork_starts_on_dispatching_sim);
+    ("nested run keeps the outer process", `Quick,
+     test_nested_run_keeps_outer_process);
+    ("engine allocation budget", `Quick, test_engine_allocation_budget);
     ("ivar blocking", `Quick, test_ivar_blocks_until_filled);
     ("ivar instant read", `Quick, test_ivar_read_after_fill);
     ("mailbox fifo", `Quick, test_mailbox_fifo);

@@ -718,7 +718,7 @@ let test_export_allocation_budget () =
         budget
   in
   within "Timeline.export" 4. (fun () -> Obs.Timeline.export rec_);
-  within "Metrics.build + to_csv" 20. (fun () ->
+  within "Metrics.build + to_csv" 6. (fun () ->
       Obs.Metrics.to_csv (Obs.Metrics.build rec_));
   within "Attribution.messages" 4. (fun () -> Obs.Attribution.messages rec_)
 

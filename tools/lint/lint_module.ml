@@ -58,7 +58,7 @@ let blocking_primitives =
   [
     "Semaphore.acquire";
     "Process.delay";
-    "Process.sleep";
+    "Process.wait_in";
     "Process.await";
     "Mailbox.recv";
     "Ivar.read";
