@@ -171,7 +171,8 @@ let quantile samples =
     if p < 0. || p > 100. then
       invalid_arg "Workload.quantile: percentile outside [0,100]";
     if n = 0 then 0.
-    else sorted.(Stdlib.min (n - 1) (int_of_float (p /. 100. *. float_of_int n)))
+    else
+      sorted.(Stdlib.min (n - 1) (int_of_float (p /. 100. *. float_of_int n)))
 
 (* Mutable scoreboard shared by the dispatcher, pair senders and response
    listeners of one open-loop run. *)

@@ -753,7 +753,9 @@ let ext4 fmt =
   in
   let idle = run ~loaded:false and loaded = run ~loaded:true in
   let row name samples =
-    let rank = Workload.quantile (Array.of_list (List.map Time.to_us samples)) in
+    let rank =
+      Workload.quantile (Array.of_list (List.map Time.to_us samples))
+    in
     name
     :: List.map (fun p -> Printf.sprintf "%.1f" (rank p)) [ 50.; 95.; 99. ]
   in

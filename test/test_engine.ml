@@ -912,7 +912,8 @@ let suite =
     ("process fork", `Quick, test_process_fork);
     ("process await/wake", `Quick, test_process_await_wake);
     ("process double resume", `Quick, test_process_double_resume_raises);
-    ("sim running only inside a run", `Quick, test_sim_running_only_inside_a_run);
+    ("sim running only inside a run", `Quick,
+     test_sim_running_only_inside_a_run);
     ("fork starts on the dispatching sim", `Quick,
      test_fork_starts_on_dispatching_sim);
     ("nested run keeps the outer process", `Quick,
