@@ -38,7 +38,6 @@ type t = {
   env : Hostenv.t;
   p : Params.t;
   epoch : int;  (* this kernel's boot epoch, stamped into every packet *)
-  trace : Trace.t option;
   eths : Ethernet.t array;
   mutable rr : int;
   channels : (int, Channel.t) Hashtbl.t;
@@ -69,26 +68,6 @@ let cpu t = t.env.Hostenv.cpu
 let sim t = t.env.Hostenv.sim
 let membus t = t.env.Hostenv.membus
 let kmem t = t.env.Hostenv.kmem
-
-(* Stage work is reported to the node's [Trace] (when attached) for the
-   Figure 7 table and to [Probe] as a timeline span for the observability
-   layer. *)
-let traced t ~track label f =
-  let f =
-    match t.trace with
-    | Some tr -> fun () -> Trace.run tr label f
-    | None -> f
-  in
-  if !Probe.on then begin
-    let start = Sim.now (sim t) in
-    let v = f () in
-    Probe.emit
-      (Probe.Span
-         { host = Cpu.name (cpu t); track; label; start;
-           finish = Sim.now (sim t) });
-    v
-  end
-  else f ()
 
 let link_mtu t =
   Nic.mtu (Driver.nic (Ethernet.env t.eths.(0)).Hostenv.driver)
@@ -346,7 +325,7 @@ and[@clic.atomic] deliver_message t msg =
          any remainder and wake it. *)
       port.waiter <- None;
       if msg.msg_uncopied > 0 then begin
-        traced t ~track:Probe.Module "clic:copy-to-user" (fun () ->
+        Cpu.traced (cpu t) ~track:Probe.Module "clic:copy-to-user" (fun () ->
             Cpu.copy ~priority:`High (cpu t) ~membus:(membus t)
               msg.msg_uncopied);
         msg.msg_uncopied <- 0
@@ -386,7 +365,7 @@ and[@clic.atomic] handle_fragment t ~src ~epoch ~sync ~broadcast ~port ~bytes
      goes straight to user memory (the paper's Figure 3, step 7); only a
      process that asks later pays the copy in its own receive call. *)
   if (get_port t port).waiter <> None && bytes > 0 then begin
-    traced t ~track:Probe.Module "clic:copy-to-user" (fun () ->
+    Cpu.traced (cpu t) ~track:Probe.Module "clic:copy-to-user" (fun () ->
         Cpu.copy ~priority:`High (cpu t) ~membus:(membus t) bytes);
     slot.copied_bytes <- slot.copied_bytes + bytes
   end;
@@ -407,7 +386,7 @@ and[@clic.atomic] handle_fragment t ~src ~epoch ~sync ~broadcast ~port ~bytes
   end
 
 and[@clic.atomic] handle_reliable t (pkt : Wire.packet) =
-  traced t ~track:Probe.Module "clic:module-rx" (fun () ->
+  Cpu.traced (cpu t) ~track:Probe.Module "clic:module-rx" (fun () ->
       Cpu.work ~priority:`High (cpu t) t.p.Params.module_rx);
   match pkt.kind with
   | Wire.Data { port; sync; frag } ->
@@ -426,7 +405,7 @@ and[@clic.atomic] handle_reliable t (pkt : Wire.packet) =
 and handle_rwrite_fragment t ~src ~region ~bytes frag =
   (* Remote write: data goes straight to the target user memory, fragment
      by fragment, with no receive call involved. *)
-  traced t ~track:Probe.Module "clic:copy-to-user" (fun () ->
+  Cpu.traced (cpu t) ~track:Probe.Module "clic:copy-to-user" (fun () ->
       Cpu.copy ~priority:`High (cpu t) ~membus:(membus t) bytes);
   (match Hashtbl.find_opt t.regions region with
   | Some (count, notify) ->
@@ -495,7 +474,7 @@ let[@clic.atomic] rx t (desc : Nic.rx_desc) =
                   Channel.rx_ack c ~window ~sacks ~ce_echo cum_seq
               | Some _ | None -> ())
           | Wire.Bcast { port; frag } ->
-              traced t ~track:Probe.Module "clic:module-rx" (fun () ->
+              Cpu.traced (cpu t) ~track:Probe.Module "clic:module-rx" (fun () ->
                   Cpu.work ~priority:`High (cpu t) t.p.Params.module_rx);
               handle_fragment t ~src:pkt.src ~epoch:pkt.Wire.epoch
                 ~sync:false ~broadcast:true ~port ~bytes:pkt.data_bytes frag
@@ -506,7 +485,7 @@ let[@clic.atomic] rx t (desc : Nic.rx_desc) =
 (* ------------------------------------------------------------------ *)
 (* Construction *)
 
-let create env ?(params = Params.default) ?(epoch = 0) ?trace eths =
+let create env ?(params = Params.default) ?(epoch = 0) eths =
   if eths = [] then invalid_arg "Clic_module.create: no ethernet attachments";
   if epoch < 0 then invalid_arg "Clic_module.create: negative epoch";
   let params = Params.validate params in
@@ -515,7 +494,6 @@ let create env ?(params = Params.default) ?(epoch = 0) ?trace eths =
       env;
       p = params;
       epoch;
-      trace;
       eths = Array.of_list eths;
       rr = 0;
       channels = Hashtbl.create 8;
@@ -613,7 +591,7 @@ let send_message t ~dst ~port ?(sync = false) ?(sync_failed = fun _ -> ())
     let chan = get_channel t dst in
     List.iter
       (fun (frag_index, frag_count, len) ->
-        traced t ~track:Probe.Process "clic:module-tx" (fun () ->
+        Cpu.traced (cpu t) ~track:Probe.Process "clic:module-tx" (fun () ->
             Cpu.work (cpu t) t.p.Params.module_tx);
         let frag =
           { Wire.msg_id; frag_index; frag_count; msg_bytes = bytes }

@@ -38,7 +38,6 @@ val create :
   Hostenv.t ->
   ?params:Params.t ->
   ?epoch:int ->
-  ?trace:Trace.t ->
   Ethernet.t list ->
   t
 (** [create env eths] registers the CLIC ethertype on every given Ethernet

@@ -20,7 +20,6 @@ type config = {
   clic_params : Clic.Params.t;
   driver_params : Driver.params;
   tcp_params : Tcp.params;
-  trace : bool;
   link_fault : (unit -> Fault.t) option;
       (* per-link fault injection (tests of the reliability layers) *)
   pci_per_nic : bool;
@@ -54,7 +53,6 @@ let default_config =
     clic_params = Clic.Params.default;
     driver_params = Driver.default_params;
     tcp_params = Tcp.default_params;
-    trace = false;
     link_fault = None;
     pci_per_nic = false;
     switch_egress_frames = None;
@@ -80,7 +78,6 @@ type t = {
   mutable tcp : Tcp.t;
   mutable udp : Udp.t;
   mutable clic : Clic.Api.t;
-  trace : Trace.t option;
   mutable epoch : int;
   mutable up : bool;
   mutable crashes : int;
@@ -92,8 +89,7 @@ type t = {
    boot (switch ports are created); later epochs re-point the existing
    downlinks at the fresh NICs and suffix the kernel pool's name so the
    per-boot accounting streams stay distinct. *)
-let boot sim ~id ~switches ~epoch ~cpu ~membus ~pci_for ~trace
-    (config : config) =
+let boot sim ~id ~switches ~epoch ~cpu ~membus ~pci_for (config : config) =
   let sched = Sched.create sim ~cpu () in
   let syscall = Syscall.create cpu in
   let soft_mark =
@@ -134,8 +130,7 @@ let boot sim ~id ~switches ~epoch ~cpu ~membus ~pci_for ~trace
        the channels' retransmission covers the loss. *)
     Nic.set_rx_admission nic (fun ~bytes:_ -> Kmem.level kmem <> `Hard);
     let driver =
-      Driver.create sim ~cpu ~intr ~bh ~nic ~params:config.driver_params
-        ?trace ()
+      Driver.create sim ~cpu ~intr ~bh ~nic ~params:config.driver_params ()
     in
     let env =
       Hostenv.make ~sim ~node:id ~cpu ~membus ~sched ~syscall ~driver ~kmem
@@ -153,7 +148,7 @@ let boot sim ~id ~switches ~epoch ~cpu ~membus ~pci_for ~trace
   let tcp = Tcp.create ip ~params:config.tcp_params () in
   let udp = Udp.create ip () in
   let clic_module =
-    Clic.Clic_module.create env ~params:config.clic_params ~epoch ?trace eths
+    Clic.Clic_module.create env ~params:config.clic_params ~epoch eths
   in
   let clic = Clic.Api.create clic_module in
   (env, nics, eths, intr, ip, tcp, udp, clic)
@@ -194,9 +189,8 @@ let create sim ~id ~switches (config : config) =
           pci)
     else shared_pci
   in
-  let trace = if config.trace then Some (Trace.create sim) else None in
   let env, nics, eths, intr, ip, tcp, udp, clic =
-    boot sim ~id ~switches ~epoch:0 ~cpu ~membus ~pci_for ~trace config
+    boot sim ~id ~switches ~epoch:0 ~cpu ~membus ~pci_for config
   in
   {
     id;
@@ -213,7 +207,6 @@ let create sim ~id ~switches (config : config) =
     tcp;
     udp;
     clic;
-    trace;
     epoch = 0;
     up = true;
     crashes = 0;
@@ -249,7 +242,7 @@ let reboot t =
   t.epoch <- t.epoch + 1;
   let env, nics, eths, intr, ip, tcp, udp, clic =
     boot sim ~id:t.id ~switches:t.switches ~epoch:t.epoch ~cpu:t.cpu_
-      ~membus:t.membus ~pci_for:t.pci_for ~trace:t.trace t.config
+      ~membus:t.membus ~pci_for:t.pci_for t.config
   in
   t.env <- env;
   t.nics <- nics;

@@ -219,6 +219,16 @@ let uninstall () =
   sink := None;
   on := false
 
+let tap f =
+  let prev = !sink in
+  (match prev with
+  | None -> install f
+  | Some g ->
+      install (fun ev ->
+          f ev;
+          g ev));
+  fun () -> match prev with Some g -> install g | None -> uninstall ()
+
 let owner_name = function
   | App -> "app"
   | Channel -> "channel"

@@ -210,6 +210,16 @@ val install : (event -> unit) -> unit
 
 val uninstall : unit -> unit
 
+val tap : (event -> unit) -> unit -> unit
+(** [tap f] puts [f] in front of whatever sink is installed: until the
+    returned function is called, every event goes to [f] and then to that
+    sink (to [f] alone when there was none).  The returned function puts
+    the previous sink back, or uninstalls when there was none; call it
+    under [Fun.protect ~finally] so a raise cannot leave [f] listening.
+    A reader that needs a few event kinds from one run (Figure 7's stage
+    spans) uses it without hiding the stream from an installed
+    recorder or checker. *)
+
 val owner_name : owner -> string
 val kind_name : obj_kind -> string
 val track_name : track -> string

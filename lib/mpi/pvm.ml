@@ -80,21 +80,25 @@ let daemon_tx t () =
       (* bounded retransmission: a daemon that never acknowledges is
          eventually declared unreachable, keeping the simulation live *)
       let attempts = ref 0 in
+      let timer = ref None in
       let rec send_once () =
         incr attempts;
         Proto.Udp.sendto t.udp ~dst:msg.o_dst ~dst_port:pvmd_port
           ~src_port:pvmd_port ~bytes:(bytes + 24) ~app ();
-        let timer =
-          Ktimer.after t.env.Proto.Hostenv.sim t.p.retransmit_timeout
-            (fun () ->
-              if (not (Ivar.is_filled ack)) && !attempts < 20 then
-                Process.spawn t.env.Proto.Hostenv.sim send_once)
-        in
-        ignore timer
+        timer :=
+          Some
+            (Ktimer.after t.env.Proto.Hostenv.sim t.p.retransmit_timeout
+               (fun () ->
+                 if (not (Ivar.is_filled ack)) && !attempts < 20 then
+                   Process.spawn t.env.Proto.Hostenv.sim send_once))
       in
       send_once ();
       Process.fork (fun () ->
           Ivar.read ack;
+          (* An acked fragment's timer would only fire as a no-op, keeping
+             its closure and ack alive and the clock running 100 ms past
+             the last delivery. *)
+          Option.iter Ktimer.cancel !timer;
           Hashtbl.remove t.acks (id, index);
           Semaphore.release window;
           Semaphore.release all_acked)

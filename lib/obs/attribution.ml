@@ -19,7 +19,7 @@
      interrupt-side work services the oldest undelivered message.
 
    Stage durations merge each label's intervals disjointly
-   ([Trace.merged_length]), so a stage never exceeds wall-clock time, and
+   ([merged_length]), so a stage never exceeds wall-clock time, and
    [Report.Figures.fig7_stages] splits them as Figure 7 does.  With
    pipelined traffic the windows of consecutive messages overlap and
    shared batch work (one ISR draining several messages' fragments) is
@@ -83,7 +83,25 @@ let sender_side label = label = module_tx || label = tx_routine
 
 let us ns = float_of_int ns /. 1000.
 
-let merged acc label = us (Trace.merged_length acc.spans.(label))
+(* Merge-sweep over start-sorted intervals: extend the open interval while
+   the next one overlaps (or abuts), otherwise close it out. *)
+let merged_length intervals =
+  let sorted = List.sort compare intervals in
+  let total, open_iv =
+    List.fold_left
+      (fun (total, open_iv) (s, f) ->
+        match open_iv with
+        | None -> (total, Some (s, f))
+        | Some (os, of_) ->
+            if s <= of_ then (total, Some (os, max of_ f))
+            else (total + Time.diff of_ os, Some (s, f)))
+      (0, None) sorted
+  in
+  match open_iv with
+  | None -> total
+  | Some (os, of_) -> total + Time.diff of_ os
+
+let merged acc label = us (merged_length acc.spans.(label))
 
 let finish_message acc =
   let t_end =

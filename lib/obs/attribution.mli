@@ -6,7 +6,7 @@
     receiver to it: sender-side work goes to the latest message entered
     at the span's start, receiver-side work to the oldest message still
     in flight to that node (fragments are delivered in order).  Stage
-    durations merge intervals disjointly ({!Engine.Trace.merged_length})
+    durations merge intervals disjointly ({!merged_length})
     and are split into stages by {!Report.Figures.fig7_stages}, as
     Figure 7 is.
 
@@ -41,6 +41,11 @@ val messages : Recorder.t -> message list
     (same-node) messages never emit [Msg_send] and are not included. *)
 
 type percentiles = { p50_us : float; p90_us : float; p99_us : float }
+
+val merged_length : (Engine.Time.t * Engine.Time.t) list -> Engine.Time.span
+(** Total length of the union of the given [(start, finish)] intervals:
+    overlaps and abutments count once, so a stage never covers more than
+    wall-clock time.  The order of the list does not matter. *)
 
 val latency_percentiles : message list -> percentiles
 (** Bucketed (power-of-two) percentiles of total latency, via

@@ -1,14 +1,30 @@
 open Engine
 
-type t = { name : string; res : Resource.t; copy_bytes_per_s : float }
+type t = {
+  sim : Sim.t;
+  name : string;
+  res : Resource.t;
+  copy_bytes_per_s : float;
+}
 
 let create sim ~name ?(copy_bytes_per_s = 300e6) () =
   if copy_bytes_per_s <= 0. then invalid_arg "Cpu.create: copy rate <= 0";
-  { name; res = Resource.create sim ~name; copy_bytes_per_s }
+  { sim; name; res = Resource.create sim ~name; copy_bytes_per_s }
 
 let name t = t.name
 let resource t = t.res
 let work ?priority t span = Resource.use ?priority t.res span
+
+let traced t ~track label f =
+  if !Probe.on then begin
+    let start = Sim.now t.sim in
+    let v = f () in
+    Probe.emit
+      (Probe.Span
+         { host = t.name; track; label; start; finish = Sim.now t.sim });
+    v
+  end
+  else f ()
 
 (* Long CPU work is preemptible at quantum boundaries: slicing lets
    higher-priority interrupt work — and other tasks — interleave, as the

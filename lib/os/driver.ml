@@ -47,7 +47,6 @@ type t = {
   bh : Bottom_half.t;
   nic : Nic.t;
   params : params;
-  trace : Trace.t option;
   mutable rx_upcall : (Nic.rx_desc -> unit) option;
   mutable rx_upcalls : int;
   (* receiver-livelock mitigation (NAPI-style polling) *)
@@ -60,26 +59,6 @@ type t = {
   (* node crash support *)
   mutable dead : bool;
 }
-
-(* Stage work is reported twice over: to the node's [Trace] (when
-   attached) for the Figure 7 table, and to [Probe] as a timeline span for
-   the observability layer. *)
-let traced t ~track label f =
-  let f =
-    match t.trace with
-    | Some tr -> fun () -> Trace.run tr label f
-    | None -> f
-  in
-  if !Probe.on then begin
-    let start = Sim.now t.sim in
-    let v = f () in
-    Probe.emit
-      (Probe.Span
-         { host = Cpu.name t.cpu; track; label; start;
-           finish = Sim.now t.sim });
-    v
-  end
-  else f ()
 
 let deliver_one t desc =
   t.rx_upcalls <- t.rx_upcalls + 1;
@@ -136,7 +115,7 @@ let rec poll_loop t () =
     t.poll_passes <- t.poll_passes + 1;
     t.polled_packets <- t.polled_packets + n;
     if n > 0 then
-      traced t ~track:Probe.Bh_track "driver:poll" (fun () ->
+      Cpu.traced t.cpu ~track:Probe.Bh_track "driver:poll" (fun () ->
           List.iter
             (fun desc ->
               transfer_rx desc Probe.Bh ~where:"driver:poll";
@@ -184,11 +163,11 @@ let note_irq_rate t =
 let[@clic.atomic] isr t () =
   if t.dead then ()
   else if note_irq_rate t && not t.polling then
-    traced t ~track:Probe.Isr "driver:isr" (fun () ->
+    Cpu.traced t.cpu ~track:Probe.Isr "driver:isr" (fun () ->
         Cpu.work ~priority:`High t.cpu t.params.isr_entry;
         enter_polling t)
   else
-  traced t ~track:Probe.Isr "driver:isr" (fun () ->
+  Cpu.traced t.cpu ~track:Probe.Isr "driver:isr" (fun () ->
       Cpu.work ~priority:`High t.cpu t.params.isr_entry;
       let descs = Nic.take_rx t.nic in
       List.iter
@@ -208,7 +187,7 @@ let[@clic.atomic] isr t () =
             Bottom_half.schedule t.bh (fun () ->
                 if t.dead then List.iter discard_one descs
                 else
-                  traced t ~track:Probe.Bh_track "driver:bottom-half"
+                  Cpu.traced t.cpu ~track:Probe.Bh_track "driver:bottom-half"
                     (fun () ->
                     List.iter
                       (fun desc ->
@@ -219,7 +198,7 @@ let[@clic.atomic] isr t () =
                       descs)));
       Nic.unmask_irq t.nic)
 
-let create sim ~cpu ~intr ~bh ~nic ?(params = default_params) ?trace () =
+let create sim ~cpu ~intr ~bh ~nic ?(params = default_params) () =
   if params.napi then begin
     if params.napi_budget <= 0 then
       invalid_arg "Driver.create: napi_budget <= 0";
@@ -233,7 +212,6 @@ let create sim ~cpu ~intr ~bh ~nic ?(params = default_params) ?trace () =
       bh;
       nic;
       params;
-      trace;
       rx_upcall = None;
       rx_upcalls = 0;
       polling = false;
@@ -264,7 +242,7 @@ let set_rx_upcall t f =
 let transmit t ~skb ~dst ~src ~ethertype ~payload ?(internal_copy = true)
     ~on_complete () =
   Skbuff.transfer skb Probe.Driver ~where:"driver:tx-routine";
-  traced t ~track:Probe.Process "driver:tx-routine" (fun () ->
+  Cpu.traced t.cpu ~track:Probe.Process "driver:tx-routine" (fun () ->
       Cpu.work t.cpu t.params.tx_routine);
   let frame =
     Eth_frame.make ~src ~dst ~ethertype

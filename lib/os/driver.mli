@@ -62,12 +62,12 @@ val create :
   bh:Bottom_half.t ->
   nic:Nic.t ->
   ?params:params ->
-  ?trace:Trace.t ->
   unit ->
   t
-(** Hooks the NIC's interrupt line; at most one driver per NIC.  When a
-    trace is supplied, the ISR, bottom-half and transmit-routine stages are
-    recorded (used to regenerate the paper's Figure 7). *)
+(** Hooks the NIC's interrupt line; at most one driver per NIC.  The ISR,
+    bottom-half, polling and transmit-routine stages run under
+    {!Cpu.traced}, so with a probe sink installed each one is reported as
+    a span of [cpu] (Figure 7 and the timeline read them). *)
 
 val set_rx_upcall : t -> (Nic.rx_desc -> unit) -> unit
 (** The protocol entry point (CLIC_MODULE, or netif_rx for TCP/IP).  Runs

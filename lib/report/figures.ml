@@ -146,38 +146,58 @@ let fig7_stages ~module_tx ~driver_tx ~isr ~bottom_half ~module_rx ~total =
 
 let sum_spans spans label =
   List.fold_left
-    (fun acc s ->
-      if String.equal s.Trace.label label then
-        acc +. Time.to_us (Time.diff s.Trace.finish s.Trace.start)
+    (fun acc (s : Render.span) ->
+      if String.equal s.label label then
+        acc +. Time.to_us (Time.diff s.finish s.start)
       else acc)
     0. spans
 
+(* The stages are the spans the driver and CLIC_MODULE report on each
+   node's CPU ([Cpu.traced]), read off the probe stream through a tap, so
+   a recorder or checker installed around the figure still sees every
+   event. *)
 let fig7_once ~driver_params ~irq_dispatch =
   let config =
-    { Node.default_config with trace = true; irq_dispatch;
-      driver_params;
+    { Node.default_config with irq_dispatch; driver_params;
       coalesce = Hw.Nic.no_coalesce }
   in
   let c = Net.create ~config ~n:2 () in
   let pair = Measure.clic_pair c ~a:0 ~b:1 () in
-  (* One-way transfer of a single packet: the traces then hold exactly the
+  let cpu_name i = Os_model.Cpu.name (Node.cpu (Net.node c i)) in
+  let a_cpu = cpu_name 0 and b_cpu = cpu_name 1 in
+  let a_rev = ref [] and b_rev = ref [] in
+  let collect = function
+    | Probe.Span
+        { host; track = Process | Isr | Bh_track | Module; label; start;
+          finish } ->
+        let s = { Render.label; start; finish } in
+        if String.equal host a_cpu then a_rev := s :: !a_rev
+        else if String.equal host b_cpu then b_rev := s :: !b_rev
+    | _ -> ()
+  in
+  (* One-way transfer of a single packet: the spans are then exactly the
      stages of Figure 7 (a ping-pong would mix in the reply's spans and
      the channel acknowledgements of both directions). *)
-  let r = Measure.stream c pair ~a:0 ~b:1 ~size:1400 ~messages:1 in
-  let span_list node =
-    match (Net.node c node).Node.trace with
-    | Some tr -> Trace.spans tr
-    | None -> []
+  let restore = Probe.tap collect in
+  let r =
+    Fun.protect ~finally:restore (fun () ->
+        Measure.stream c pair ~a:0 ~b:1 ~size:1400 ~messages:1)
   in
-  let a_spans = span_list 0 and b_spans = span_list 1 in
+  let in_start_order rev =
+    List.sort
+      (fun (a : Render.span) (b : Render.span) ->
+        compare (a.start, a.finish) (b.start, b.finish))
+      (List.rev rev)
+  in
+  let a_spans = in_start_order !a_rev and b_spans = in_start_order !b_rev in
   let total = Time.to_us r.Measure.elapsed in
   (* keep only the data path: acknowledgement traffic after delivery is
      the channel's business, not Figure 7's *)
   let labelled prefix spans =
     List.filter_map
-      (fun s ->
-        if Time.to_us s.Trace.start <= total then
-          Some { s with Trace.label = prefix ^ s.Trace.label }
+      (fun (s : Render.span) ->
+        if Time.to_us s.start <= total then
+          Some { s with label = prefix ^ s.label }
         else None)
       spans
   in

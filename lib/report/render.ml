@@ -59,36 +59,33 @@ let bar v ~max:m ~width =
 let section fmt title =
   Format.fprintf fmt "@.%s@.%s@." title (String.make (String.length title) '-')
 
-(* An ASCII Gantt chart of trace spans: one row per span, bars positioned
+type span = { label : string; start : Engine.Time.t; finish : Engine.Time.t }
+
+(* An ASCII Gantt chart of stage spans: one row per span, bars positioned
    proportionally between the earliest start and the latest finish. *)
-let timeline fmt ~width (spans : Trace.span list) =
+let timeline fmt ~width spans =
   match spans with
   | [] -> ()
   | first :: _ ->
-      let t0 =
-        List.fold_left (fun acc s -> min acc s.Trace.start) first.Trace.start
-          spans
-      in
+      let t0 = List.fold_left (fun acc s -> min acc s.start) first.start spans in
       let t1 =
-        List.fold_left (fun acc s -> max acc s.Trace.finish)
-          first.Trace.finish spans
+        List.fold_left (fun acc s -> max acc s.finish) first.finish spans
       in
       let total = max 1 (Engine.Time.diff t1 t0) in
       let pos t = Engine.Time.diff t t0 * width / total in
       let label_w =
-        List.fold_left (fun acc s -> max acc (String.length s.Trace.label)) 0
-          spans
+        List.fold_left (fun acc s -> max acc (String.length s.label)) 0 spans
       in
       List.iter
         (fun s ->
-          let a = pos s.Trace.start and b = max (pos s.Trace.start + 1) (pos s.Trace.finish) in
+          let a = pos s.start and b = max (pos s.start + 1) (pos s.finish) in
           let line = Bytes.make width ' ' in
           for i = a to min (width - 1) (b - 1) do
             Bytes.set line i '#'
           done;
-          Format.fprintf fmt "%-*s |%s| %a@." label_w s.Trace.label
+          Format.fprintf fmt "%-*s |%s| %a@." label_w s.label
             (Bytes.to_string line) Engine.Time.pp_us
-            (Engine.Time.diff s.Trace.finish s.Trace.start))
+            (Engine.Time.diff s.finish s.start))
         spans;
       Format.fprintf fmt "%-*s  0%*s@." label_w "" width
         (Engine.Time.to_string total)

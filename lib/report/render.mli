@@ -25,5 +25,10 @@ val bar : float -> max:float -> width:int -> string
 val section : Format.formatter -> string -> unit
 (** An underlined section heading. *)
 
-val timeline : Format.formatter -> width:int -> Engine.Trace.span list -> unit
-(** An ASCII Gantt chart of trace spans (used by fig7's pipeline view). *)
+type span = { label : string; start : Engine.Time.t; finish : Engine.Time.t }
+(** One pipeline stage of one packet: what ran and when. *)
+
+val timeline : Format.formatter -> width:int -> span list -> unit
+(** An ASCII Gantt chart, one row per span in list order, the bars
+    scaled between the earliest start and the latest finish (fig7's
+    pipeline view). *)

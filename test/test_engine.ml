@@ -706,28 +706,40 @@ let test_series () =
     (Stats.Series.y_at s ~x:0.300001)
 
 (* ------------------------------------------------------------------ *)
-(* Trace *)
+(* Probe tap *)
 
-let test_trace_spans () =
-  let sim = Sim.create () in
-  let tr = Trace.create sim in
-  Process.spawn sim (fun () ->
-      Trace.run tr "stage-a" (fun () -> Process.delay 10);
-      Trace.run tr "stage-b" (fun () -> Process.delay 5);
-      Trace.run tr "stage-a" (fun () -> Process.delay 3));
-  Sim.run sim;
-  Alcotest.(check (option int)) "a total" (Some 13)
-    (Trace.duration tr "stage-a");
-  Alcotest.(check (option int)) "b total" (Some 5) (Trace.duration tr "stage-b");
-  Alcotest.(check (option int)) "missing" None (Trace.duration tr "nope");
-  check_int "span count" 3 (List.length (Trace.spans tr))
+let test_probe_tap_in_front_of_sink () =
+  let log = ref [] in
+  Probe.install (fun _ -> log := "installed" :: !log);
+  Fun.protect ~finally:Probe.uninstall (fun () ->
+      let restore = Probe.tap (fun _ -> log := "tap" :: !log) in
+      Probe.emit Probe.Sim_start;
+      Alcotest.(check (list string))
+        "both see the emit, the tap first" [ "tap"; "installed" ]
+        (List.rev !log);
+      restore ();
+      log := [];
+      check_bool "still enabled after the restore" true (Probe.enabled ());
+      Probe.emit Probe.Sim_start;
+      Alcotest.(check (list string))
+        "only the installed sink after the restore" [ "installed" ] !log)
 
-let test_trace_disabled () =
-  let sim = Sim.create () in
-  let tr = Trace.create sim in
-  Trace.set_enabled tr false;
-  Trace.mark tr "x";
-  check_int "nothing recorded" 0 (List.length (Trace.spans tr))
+let test_probe_tap_without_sink () =
+  let seen = ref 0 in
+  let restore = Probe.tap (fun _ -> incr seen) in
+  check_bool "enabled while tapped" true (Probe.enabled ());
+  Probe.emit Probe.Sim_start;
+  restore ();
+  check_bool "disabled after the restore" false (Probe.enabled ());
+  Probe.emit Probe.Sim_start;
+  check_int "the tap saw only the tapped emit" 1 !seen;
+  (match
+     let restore = Probe.tap (fun _ -> incr seen) in
+     Fun.protect ~finally:restore (fun () -> failwith "tapped code raised")
+   with
+  | () -> Alcotest.fail "the tapped code should have raised"
+  | exception Failure _ -> ());
+  check_bool "disabled after a raise" false (Probe.enabled ())
 
 (* ------------------------------------------------------------------ *)
 (* Units *)
@@ -786,16 +798,6 @@ let test_semaphore_try_acquire_respects_queue () =
         (Semaphore.try_acquire sem));
   Sim.run sim;
   check_bool "fifo waiter served" true !blocked_got_it
-
-let test_trace_records_on_exception () =
-  let sim = Sim.create () in
-  let tr = Trace.create sim in
-  Process.spawn sim (fun () ->
-      match Trace.run tr "failing" (fun () -> failwith "x") with
-      | () -> ()
-      | exception Failure _ -> ());
-  Sim.run sim;
-  check_int "span recorded despite raise" 1 (List.length (Trace.spans tr))
 
 let test_histogram_empty () =
   let h = Stats.Histogram.create "empty" in
@@ -937,13 +939,12 @@ let suite =
     ("stats summary", `Quick, test_summary);
     ("stats histogram", `Quick, test_histogram_percentile);
     ("stats series", `Quick, test_series);
-    ("trace spans", `Quick, test_trace_spans);
-    ("trace disabled", `Quick, test_trace_disabled);
+    ("probe tap in front of a sink", `Quick, test_probe_tap_in_front_of_sink);
+    ("probe tap without a sink", `Quick, test_probe_tap_without_sink);
     ("units", `Quick, test_units);
     ("process nested forks", `Quick, test_process_nested_forks);
     ("resource exception safety", `Quick, test_resource_use_f_releases_on_exception);
     ("semaphore no queue-jump", `Quick, test_semaphore_try_acquire_respects_queue);
-    ("trace on exception", `Quick, test_trace_records_on_exception);
     ("histogram empty", `Quick, test_histogram_empty);
     ("mailbox receiver order", `Quick, test_mailbox_competing_receivers_fifo);
   ]

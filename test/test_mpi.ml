@@ -171,6 +171,20 @@ let test_pvm_fragments_large_messages () =
   check_bool "daemon fragments" true
     (Proto.Udp.datagrams_sent (Net.node c 0).Node.udp >= 13)
 
+(* An acknowledged fragment's retransmit timer is cancelled: the run ends
+   at the delivery (2.256 ms), not 100 ms after the last fragment left,
+   when the last of the 13 fragments' timers would fire as a no-op. *)
+let test_pvm_run_ends_at_delivery () =
+  let c, p0, p1 = pvm_pair () in
+  let delivered = ref Time.zero in
+  Node.spawn (Net.node c 1) (fun () ->
+      ignore (Pvm.recv p1 ());
+      delivered := Sim.now c.Net.sim);
+  Node.spawn (Net.node c 0) (fun () -> Pvm.send p0 ~dst:1 ~tag:1 50_000);
+  Net.run c;
+  check_bool "delivered" true (!delivered > Time.zero);
+  check_int "the clock stops at the delivery" !delivered (Sim.now c.Net.sim)
+
 (* ------------------------------------------------------------------ *)
 (* Collectives *)
 
@@ -395,6 +409,7 @@ let suite =
       ("pvm roundtrip", `Quick, test_pvm_roundtrip);
       ("pvm tags", `Quick, test_pvm_tag_matching);
       ("pvm fragmentation", `Quick, test_pvm_fragments_large_messages);
+      ("pvm run ends at the delivery", `Quick, test_pvm_run_ends_at_delivery);
       ("mpi binomial bcast", `Quick, test_mpi_binomial_bcast);
       ("clic bcast confirms", `Quick, test_clic_bcast_with_confirms);
       ("isend/irecv", `Quick, test_mpi_isend_irecv);

@@ -431,33 +431,16 @@ let test_histogram_properties () =
     (Stats.Histogram.percentile (Stats.Histogram.create "empty") 50.)
 
 (* ------------------------------------------------------------------ *)
-(* Trace: the two duration readings. *)
-
-let test_trace_duration_semantics () =
-  let sim = Sim.create () in
-  let tr = Trace.create sim in
-  (* two overlapping spans and one disjoint one: [0,10] [5,15] [20,30] *)
-  Trace.record tr "stage" 0 10;
-  Trace.record tr "stage" 5 15;
-  Trace.record tr "stage" 20 30;
-  Trace.record tr "other" 2 4;
-  (match Trace.duration tr "stage" with
-  | Some d -> check_int "duration sums with multiplicity" 30 d
-  | None -> Alcotest.fail "duration: label missing");
-  (match Trace.disjoint_duration tr "stage" with
-  | Some d -> check_int "disjoint merges the overlap" 25 d
-  | None -> Alcotest.fail "disjoint_duration: label missing");
-  check_bool "missing label" true (Trace.duration tr "nope" = None);
-  check_bool "missing label (disjoint)" true
-    (Trace.disjoint_duration tr "nope" = None)
+(* Attribution: disjoint stage durations. *)
 
 let test_merged_length () =
-  check_int "empty" 0 (Trace.merged_length []);
+  let merged_length = Obs.Attribution.merged_length in
+  check_int "empty" 0 (merged_length []);
   check_int "abutting intervals merge" 10
-    (Trace.merged_length [ (0, 5); (5, 10) ]);
-  check_int "containment" 10 (Trace.merged_length [ (0, 10); (2, 8) ]);
+    (merged_length [ (0, 5); (5, 10) ]);
+  check_int "containment" 10 (merged_length [ (0, 10); (2, 8) ]);
   check_int "unsorted input" 12
-    (Trace.merged_length [ (20, 25); (0, 5); (3, 7) ]);
+    (merged_length [ (20, 25); (0, 5); (3, 7) ]);
   let rng = Rng.create ~seed:5 in
   for _ = 1 to 100 do
     let ivs =
@@ -467,7 +450,7 @@ let test_merged_length () =
           let a = Rng.int rng 1000 in
           (a, a + Rng.int rng 100))
     in
-    let merged = Trace.merged_length ivs in
+    let merged = merged_length ivs in
     let summed = List.fold_left (fun acc (a, b) -> acc + (b - a)) 0 ivs in
     check_bool "merged <= summed" true (merged <= summed);
     let lo = List.fold_left (fun m (a, _) -> min m a) max_int ivs in
@@ -781,7 +764,6 @@ let suite =
     ("wire epoch & old-format rejection", `Quick, test_wire_epoch_field_and_old_format);
     ("wire rejects out-of-range fields", `Quick, test_wire_encode_rejects_out_of_range);
     ("histogram invariants", `Quick, test_histogram_properties);
-    ("trace duration vs disjoint", `Quick, test_trace_duration_semantics);
     ("merged_length", `Quick, test_merged_length);
     ("timeline JSON validity", `Quick, test_timeline_json_valid);
     ("timeline determinism", `Quick, test_timeline_deterministic);

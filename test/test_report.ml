@@ -61,14 +61,12 @@ let test_bar_proportions () =
   check_str "degenerate max" "" (Report.Render.bar 5. ~max:0. ~width:4)
 
 let test_timeline_shape () =
-  let sim = Sim.create () in
   let spans =
     [
-      { Trace.label = "first"; start = 0; finish = Time.us 10. };
-      { Trace.label = "second"; start = Time.us 10.; finish = Time.us 20. };
+      { Report.Render.label = "first"; start = 0; finish = Time.us 10. };
+      { label = "second"; start = Time.us 10.; finish = Time.us 20. };
     ]
   in
-  ignore sim;
   let out =
     render_to_string (fun fmt -> Report.Render.timeline fmt ~width:20 spans)
   in
@@ -77,6 +75,26 @@ let test_timeline_shape () =
   in
   check_int "two bars + axis" 3 (List.length lines);
   check_bool "bars drawn" true (String.contains out '#')
+
+(* Figure 7 reads its stages through a probe tap: under an installed
+   sink it must report the same stages and still pass every event on. *)
+let test_fig7_under_a_sink () =
+  let bare = Report.Figures.fig7 null_fmt in
+  let events = ref 0 and stage_spans = ref 0 in
+  Probe.install (fun ev ->
+      incr events;
+      match ev with
+      | Probe.Span { track = Probe.Process | Isr | Bh_track | Module; _ } ->
+          incr stage_spans
+      | _ -> ());
+  let under =
+    Fun.protect ~finally:Probe.uninstall (fun () ->
+        Report.Figures.fig7 null_fmt)
+  in
+  check_bool "same fig7 result under a sink" true (bare = under);
+  check_bool "the sink saw fig7's stage spans" true (!stage_spans > 0);
+  check_bool "and the rest of its events" true (!events > !stage_spans);
+  check_bool "probes off again" false (Probe.enabled ())
 
 let test_pairs_registry () =
   List.iter
@@ -249,6 +267,7 @@ let suite =
     ("series table", `Quick, test_series_table_merges_x_values);
     ("bar proportions", `Quick, test_bar_proportions);
     ("timeline shape", `Quick, test_timeline_shape);
+    ("fig7 under a sink", `Quick, test_fig7_under_a_sink);
     ("pairs registry", `Quick, test_pairs_registry);
     ("paper reference", `Quick, test_paper_reference_values);
     ("half-bandwidth size", `Quick, test_half_bandwidth_size);
