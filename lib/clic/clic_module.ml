@@ -325,7 +325,7 @@ and[@clic.atomic] deliver_message t msg =
          any remainder and wake it. *)
       port.waiter <- None;
       if msg.msg_uncopied > 0 then begin
-        Cpu.traced (cpu t) ~track:Probe.Module "clic:copy-to-user" (fun () ->
+        Cpu.traced (cpu t) Probe.Stage.Copy_to_user (fun () ->
             Cpu.copy ~priority:`High (cpu t) ~membus:(membus t)
               msg.msg_uncopied);
         msg.msg_uncopied <- 0
@@ -365,7 +365,7 @@ and[@clic.atomic] handle_fragment t ~src ~epoch ~sync ~broadcast ~port ~bytes
      goes straight to user memory (the paper's Figure 3, step 7); only a
      process that asks later pays the copy in its own receive call. *)
   if (get_port t port).waiter <> None && bytes > 0 then begin
-    Cpu.traced (cpu t) ~track:Probe.Module "clic:copy-to-user" (fun () ->
+    Cpu.traced (cpu t) Probe.Stage.Copy_to_user (fun () ->
         Cpu.copy ~priority:`High (cpu t) ~membus:(membus t) bytes);
     slot.copied_bytes <- slot.copied_bytes + bytes
   end;
@@ -386,7 +386,7 @@ and[@clic.atomic] handle_fragment t ~src ~epoch ~sync ~broadcast ~port ~bytes
   end
 
 and[@clic.atomic] handle_reliable t (pkt : Wire.packet) =
-  Cpu.traced (cpu t) ~track:Probe.Module "clic:module-rx" (fun () ->
+  Cpu.traced (cpu t) Probe.Stage.Module_rx (fun () ->
       Cpu.work ~priority:`High (cpu t) t.p.Params.module_rx);
   match pkt.kind with
   | Wire.Data { port; sync; frag } ->
@@ -405,7 +405,7 @@ and[@clic.atomic] handle_reliable t (pkt : Wire.packet) =
 and handle_rwrite_fragment t ~src ~region ~bytes frag =
   (* Remote write: data goes straight to the target user memory, fragment
      by fragment, with no receive call involved. *)
-  Cpu.traced (cpu t) ~track:Probe.Module "clic:copy-to-user" (fun () ->
+  Cpu.traced (cpu t) Probe.Stage.Copy_to_user (fun () ->
       Cpu.copy ~priority:`High (cpu t) ~membus:(membus t) bytes);
   (match Hashtbl.find_opt t.regions region with
   | Some (count, notify) ->
@@ -474,7 +474,7 @@ let[@clic.atomic] rx t (desc : Nic.rx_desc) =
                   Channel.rx_ack c ~window ~sacks ~ce_echo cum_seq
               | Some _ | None -> ())
           | Wire.Bcast { port; frag } ->
-              Cpu.traced (cpu t) ~track:Probe.Module "clic:module-rx" (fun () ->
+              Cpu.traced (cpu t) Probe.Stage.Module_rx (fun () ->
                   Cpu.work ~priority:`High (cpu t) t.p.Params.module_rx);
               handle_fragment t ~src:pkt.src ~epoch:pkt.Wire.epoch
                 ~sync:false ~broadcast:true ~port ~bytes:pkt.data_bytes frag
@@ -591,7 +591,7 @@ let send_message t ~dst ~port ?(sync = false) ?(sync_failed = fun _ -> ())
     let chan = get_channel t dst in
     List.iter
       (fun (frag_index, frag_count, len) ->
-        Cpu.traced (cpu t) ~track:Probe.Process "clic:module-tx" (fun () ->
+        Cpu.traced (cpu t) Probe.Stage.Module_tx (fun () ->
             Cpu.work (cpu t) t.p.Params.module_tx);
         let frag =
           { Wire.msg_id; frag_index; frag_count; msg_bytes = bytes }

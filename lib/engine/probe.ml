@@ -12,13 +12,51 @@ type obj_kind = Skb | Rx_buffer
 
 type track = Process | Isr | Bh_track | Module | Dma | Link | Pause_t | Busy
 
+module Stage = struct
+  type t =
+    | Module_tx
+    | Driver_tx
+    | Isr
+    | Bottom_half
+    | Poll
+    | Module_rx
+    | Copy_to_user
+    | Dma
+    | Frame
+    | Paused
+    | Busy
+
+  let name = function
+    | Module_tx -> "clic:module-tx"
+    | Driver_tx -> "driver:tx-routine"
+    | Isr -> "driver:isr"
+    | Bottom_half -> "driver:bottom-half"
+    | Poll -> "driver:poll"
+    | Module_rx -> "clic:module-rx"
+    | Copy_to_user -> "clic:copy-to-user"
+    | Dma -> "dma"
+    | Frame -> "frame"
+    | Paused -> "paused"
+    | Busy -> "busy"
+
+  let track : t -> track = function
+    | Module_tx | Driver_tx -> Process
+    | Isr -> Isr
+    | Bottom_half | Poll -> Bh_track
+    | Module_rx | Copy_to_user -> Module
+    | Dma -> Dma
+    | Frame -> Link
+    | Paused -> Pause_t
+    | Busy -> Busy
+end
+
 type event =
   | Sim_start
   | Clock of { now : int }
   | Span of {
       host : string;
       track : track;
-      label : string;
+      stage : Stage.t;
       start : int;
       finish : int;
     }

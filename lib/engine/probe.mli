@@ -27,13 +27,41 @@ type track =
   | Pause_t  (** an interval a transmit path spent gated by 802.3x PAUSE *)
   | Busy  (** raw resource occupancy (CPU / bus grants) *)
 
+(** What a {!Span} timed.  The first seven are the pipeline stages the
+    driver and CLIC_MODULE report on their CPU ([Os_model.Cpu.traced]),
+    in the order a packet meets them; the last four are the activities of
+    the DMA engines, links, pause-aware NICs and resources. *)
+module Stage : sig
+  type t =
+    | Module_tx  (** CLIC_MODULE send-side work *)
+    | Driver_tx  (** the driver's transmit routine *)
+    | Isr  (** the driver's interrupt service routine *)
+    | Bottom_half  (** the driver's bottom half *)
+    | Poll  (** one NAPI-style polling pass of the driver *)
+    | Module_rx  (** CLIC_MODULE receive work *)
+    | Copy_to_user  (** CLIC_MODULE's copy to the receiver's user memory *)
+    | Dma  (** a DMA transfer over the I/O bus *)
+    | Frame  (** a frame's serialization onto a wire *)
+    | Paused  (** a transmit path gated by 802.3x PAUSE *)
+    | Busy  (** one grant of a resource (CPU, bus) *)
+
+  val name : t -> string
+  (** The slice name the exports print: ["clic:module-tx"],
+      ["driver:tx-routine"], ["driver:isr"], ["driver:bottom-half"],
+      ["driver:poll"], ["clic:module-rx"], ["clic:copy-to-user"],
+      ["dma"], ["frame"], ["paused"], ["busy"]. *)
+
+  val track : t -> track
+  (** The track a span of this stage runs on. *)
+end
+
 type event =
   | Sim_start  (** a fresh simulator was created: per-sim state resets *)
   | Clock of { now : int }  (** an event fired at [now] (ns) *)
   | Span of {
       host : string;  (** resource name: "cpu0", "nic0.1", a link name *)
-      track : track;
-      label : string;
+      track : track;  (** always [Stage.track stage] *)
+      stage : Stage.t;
       start : int;
       finish : int;
     }

@@ -43,8 +43,8 @@ let probe_span t started =
   if finish > started && !Probe.on then
     Probe.emit
       (Probe.Span
-         { host = t.name; track = Probe.Busy; label = "busy"; start = started;
-           finish })
+         { host = t.name; track = Probe.Busy; stage = Probe.Stage.Busy;
+           start = started; finish })
 
 let grant ?priority t =
   acquire ?priority t;

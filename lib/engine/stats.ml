@@ -28,52 +28,6 @@ module Summary = struct
   let max t = if t.n = 0 then 0. else t.max_v
 end
 
-module Histogram = struct
-  (* Bucket [i] holds values v with 2^(i-1) < v <= 2^i; bucket 0 holds 0. *)
-  type t = { name : string; buckets : int array; mutable count : int }
-
-  let nbuckets = 63
-
-  let create name = { name; buckets = Array.make nbuckets 0; count = 0 }
-
-  (* Smallest i >= 1 with 2^i >= v. *)
-  let bucket_of v =
-    if v <= 0 then 0
-    else
-      let rec go i acc = if acc >= v then i else go (i + 1) (acc * 2) in
-      go 1 2
-
-  let add t v =
-    let i = Stdlib.min (bucket_of v) (nbuckets - 1) in
-    t.buckets.(i) <- t.buckets.(i) + 1;
-    t.count <- t.count + 1
-
-  let count t = t.count
-
-  let upper_bound i = if i = 0 then 0 else 1 lsl i
-
-  let percentile t p =
-    if t.count = 0 then 0
-    else begin
-      let target = Float.ceil (p /. 100. *. float_of_int t.count) in
-      let target = Stdlib.max 1 (int_of_float target) in
-      let rec go i acc =
-        if i >= nbuckets then upper_bound (nbuckets - 1)
-        else
-          let acc = acc + t.buckets.(i) in
-          if acc >= target then upper_bound i else go (i + 1) acc
-      in
-      go 0 0
-    end
-
-  let buckets t =
-    let out = ref [] in
-    for i = nbuckets - 1 downto 0 do
-      if t.buckets.(i) > 0 then out := (upper_bound i, t.buckets.(i)) :: !out
-    done;
-    !out
-end
-
 module Series = struct
   type t = { name : string; mutable rev_points : (float * float) list }
 

@@ -1,5 +1,5 @@
-(** Measurement accumulators: running summaries, log-scale
-    histograms and (x, y) series for figure regeneration. *)
+(** Measurement accumulators: running summaries and (x, y) series for
+    figure regeneration. *)
 
 module Summary : sig
   (** Streaming mean / variance / extrema (Welford's algorithm). *)
@@ -13,23 +13,6 @@ module Summary : sig
   val stddev : t -> float
   val min : t -> float
   val max : t -> float
-end
-
-module Histogram : sig
-  (** Power-of-two bucketed histogram for latency-style distributions. *)
-
-  type t
-
-  val create : string -> t
-  val add : t -> int -> unit
-  val count : t -> int
-
-  val percentile : t -> float -> int
-  (** Upper bound of the bucket containing the given percentile (0..100).
-      Returns 0 for an empty histogram. *)
-
-  val buckets : t -> (int * int) list
-  (** [(upper_bound, count)] for each non-empty bucket, ascending. *)
 end
 
 module Series : sig

@@ -15,6 +15,6 @@ let transfer ~pci ~membus bytes =
     if finish > start && !Probe.on then
       Probe.emit
         (Probe.Span
-           { host = Bus.name pci; track = Probe.Dma; label = "dma";
+           { host = Bus.name pci; track = Probe.Dma; stage = Probe.Stage.Dma;
              start; finish })
   end

@@ -116,7 +116,7 @@ let rec pump t =
         let start = Sim.now t.sim in
         Probe.emit
           (Probe.Span
-             { host = t.name; track = Probe.Link; label = "frame";
+             { host = t.name; track = Probe.Link; stage = Probe.Stage.Frame;
                start; finish = start + ser })
       end;
       Sim.post t.sim ~after:ser (fun () ->

@@ -201,7 +201,7 @@ let pause_resume t =
            {
              host = t.name;
              track = Probe.Pause_t;
-             label = "paused";
+             stage = Probe.Stage.Paused;
              start = t.pause_started;
              finish = now;
            })

@@ -284,7 +284,7 @@ let build ?bucket_ns recorder =
       tbl acc
   in
   let util_family host =
-    match Host.node_of host with
+    match Report.Stages.node_of host with
     | Some _ when String.starts_with ~prefix:"cpu" host -> "cpu-utilization"
     | _ -> "bus-utilization"
   in

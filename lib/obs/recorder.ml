@@ -75,12 +75,12 @@ let on_event t ev =
      the stitched axis along with the stamp. *)
   let ev =
     match ev with
-    | Probe.Span { host; track; label; start; finish } ->
+    | Probe.Span { host; track; stage; start; finish } ->
         Probe.Span
           {
             host;
             track;
-            label;
+            stage;
             start = t.base + start;
             finish = t.base + finish;
           }

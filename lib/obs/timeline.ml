@@ -24,7 +24,7 @@ open Engine
 let fabric_pid = 1000
 
 let pid_of_host host =
-  match Host.node_of host with Some n -> n | None -> fabric_pid
+  match Report.Stages.node_of host with Some n -> n | None -> fabric_pid
 
 let process_label pid =
   if pid = fabric_pid then "fabric" else "node" ^ string_of_int pid
@@ -268,9 +268,9 @@ let export recorder =
   in
   Recorder.iter recorder (fun at ev ->
       match ev with
-      | Probe.Span { host = name; track; label; start; finish } ->
+      | Probe.Span { host = name; track; stage; start; finish } ->
           let h = host hosts name in
-          slice ~name:label
+          slice ~name:(Probe.Stage.name stage)
             ~cat:(Probe.track_name track)
             ~pid:h.pid ~tid:(tid h track) ~start ~finish
       | Probe.Irq { host = name } ->

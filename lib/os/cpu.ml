@@ -15,13 +15,14 @@ let name t = t.name
 let resource t = t.res
 let work ?priority t span = Resource.use ?priority t.res span
 
-let traced t ~track label f =
+let traced t stage f =
   if !Probe.on then begin
     let start = Sim.now t.sim in
     let v = f () in
     Probe.emit
       (Probe.Span
-         { host = t.name; track; label; start; finish = Sim.now t.sim });
+         { host = t.name; track = Probe.Stage.track stage; stage; start;
+           finish = Sim.now t.sim });
     v
   end
   else f ()

@@ -22,13 +22,12 @@ val resource : t -> Resource.t
 val work : ?priority:Resource.priority -> t -> Time.span -> unit
 (** Occupies the CPU for the span (blocking; default task priority). *)
 
-val traced : t -> track:Probe.track -> string -> (unit -> 'a) -> 'a
-(** [traced t ~track label f] runs [f] (which may suspend) as one
-    pipeline stage of this CPU: with a probe sink installed it emits a
-    [Probe.Span] on [track], hosted by this CPU and labelled [label], when
-    [f] returns.  The driver's and CLIC_MODULE's stages are reported this
-    way; Figure 7, the timeline and the latency attribution all read
-    these spans. *)
+val traced : t -> Probe.Stage.t -> (unit -> 'a) -> 'a
+(** [traced t stage f] runs [f] (which may suspend) as one pipeline
+    stage of this CPU: with a probe sink installed it emits a
+    [Probe.Span] of [stage], hosted by this CPU, when [f] returns.  The
+    driver's and CLIC_MODULE's stages are reported this way; Figure 7,
+    the timeline and the latency attribution all read these spans. *)
 
 val work_sliced :
   ?priority:Resource.priority -> ?quantum:Time.span -> t -> Time.span -> unit

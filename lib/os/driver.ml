@@ -115,7 +115,7 @@ let rec poll_loop t () =
     t.poll_passes <- t.poll_passes + 1;
     t.polled_packets <- t.polled_packets + n;
     if n > 0 then
-      Cpu.traced t.cpu ~track:Probe.Bh_track "driver:poll" (fun () ->
+      Cpu.traced t.cpu Probe.Stage.Poll (fun () ->
           List.iter
             (fun desc ->
               transfer_rx desc Probe.Bh ~where:"driver:poll";
@@ -163,11 +163,11 @@ let note_irq_rate t =
 let[@clic.atomic] isr t () =
   if t.dead then ()
   else if note_irq_rate t && not t.polling then
-    Cpu.traced t.cpu ~track:Probe.Isr "driver:isr" (fun () ->
+    Cpu.traced t.cpu Probe.Stage.Isr (fun () ->
         Cpu.work ~priority:`High t.cpu t.params.isr_entry;
         enter_polling t)
   else
-  Cpu.traced t.cpu ~track:Probe.Isr "driver:isr" (fun () ->
+  Cpu.traced t.cpu Probe.Stage.Isr (fun () ->
       Cpu.work ~priority:`High t.cpu t.params.isr_entry;
       let descs = Nic.take_rx t.nic in
       List.iter
@@ -187,15 +187,15 @@ let[@clic.atomic] isr t () =
             Bottom_half.schedule t.bh (fun () ->
                 if t.dead then List.iter discard_one descs
                 else
-                  Cpu.traced t.cpu ~track:Probe.Bh_track "driver:bottom-half"
-                    (fun () ->
-                    List.iter
-                      (fun desc ->
-                        transfer_rx desc Probe.Bh ~where:"driver:bottom-half";
-                        Cpu.work ~priority:`High t.cpu
-                          (rx_packet_cost t.params desc);
-                        deliver_one t desc)
-                      descs)));
+                  Cpu.traced t.cpu Probe.Stage.Bottom_half (fun () ->
+                      List.iter
+                        (fun desc ->
+                          transfer_rx desc Probe.Bh
+                            ~where:"driver:bottom-half";
+                          Cpu.work ~priority:`High t.cpu
+                            (rx_packet_cost t.params desc);
+                          deliver_one t desc)
+                        descs)));
       Nic.unmask_irq t.nic)
 
 let create sim ~cpu ~intr ~bh ~nic ?(params = default_params) () =
@@ -242,7 +242,7 @@ let set_rx_upcall t f =
 let transmit t ~skb ~dst ~src ~ethertype ~payload ?(internal_copy = true)
     ~on_complete () =
   Skbuff.transfer skb Probe.Driver ~where:"driver:tx-routine";
-  Cpu.traced t.cpu ~track:Probe.Process "driver:tx-routine" (fun () ->
+  Cpu.traced t.cpu Probe.Stage.Driver_tx (fun () ->
       Cpu.work t.cpu t.params.tx_routine);
   let frame =
     Eth_frame.make ~src ~dst ~ethertype

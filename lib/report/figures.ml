@@ -105,57 +105,14 @@ let fig6 ?(quick = false) fmt =
 (* ------------------------------------------------------------------ *)
 (* Figure 7: stage timing of a 1400-byte packet *)
 
-type stage = { stage : string; a_us : float; b_us : float }
+type fig7_result = { stock : Stages.t; direct_isr : Stages.t }
 
-type fig7_result = {
-  stages : stage list;
-  latency_a_us : float;
-  latency_b_us : float;
-}
-
-type fig7_stages = {
-  module_tx_us : float;
-  driver_tx_us : float;
-  transit_us : float;  (* DMA + wire + switch + rx DMA + irq dispatch *)
-  isr_us : float;
-  bottom_half_us : float;  (* driver part only *)
-  module_rx_us : float;  (* module work + copy to user *)
-  total_us : float;
-}
-
-(* The module upcall nests inside the driver stage that invoked it: the
-   bottom half normally, the ISR in direct-from-ISR mode, where there is
-   no bottom-half time.  Its time comes out of that stage, and transit is
-   what the host stages leave of the total. *)
-let fig7_stages ~module_tx ~driver_tx ~isr ~bottom_half ~module_rx ~total =
-  let isr, bottom_half =
-    if bottom_half > 0. then (isr, Float.max 0. (bottom_half -. module_rx))
-    else (Float.max 0. (isr -. module_rx), 0.)
-  in
-  {
-    module_tx_us = module_tx;
-    driver_tx_us = driver_tx;
-    transit_us =
-      Float.max 0.
-        (total -. module_tx -. driver_tx -. isr -. bottom_half -. module_rx);
-    isr_us = isr;
-    bottom_half_us = bottom_half;
-    module_rx_us = module_rx;
-    total_us = total;
-  }
-
-let sum_spans spans label =
-  List.fold_left
-    (fun acc (s : Render.span) ->
-      if String.equal s.label label then
-        acc +. Time.to_us (Time.diff s.finish s.start)
-      else acc)
-    0. spans
-
-(* The stages are the spans the driver and CLIC_MODULE report on each
-   node's CPU ([Cpu.traced]), read off the probe stream through a tap, so
-   a recorder or checker installed around the figure still sees every
-   event. *)
+(* One-way transfer of a single packet (a ping-pong would mix in the
+   reply's spans and the channel acknowledgements of both directions):
+   its message, split into stages by the spans the driver and CLIC_MODULE
+   report on each node's CPU ([Cpu.traced]).  The events are read off the
+   probe stream through a tap, so a recorder or checker installed around
+   the figure still sees every one. *)
 let fig7_once ~driver_params ~irq_dispatch =
   let config =
     { Node.default_config with irq_dispatch; driver_params;
@@ -163,65 +120,29 @@ let fig7_once ~driver_params ~irq_dispatch =
   in
   let c = Net.create ~config ~n:2 () in
   let pair = Measure.clic_pair c ~a:0 ~b:1 () in
-  let cpu_name i = Os_model.Cpu.name (Node.cpu (Net.node c i)) in
-  let a_cpu = cpu_name 0 and b_cpu = cpu_name 1 in
-  let a_rev = ref [] and b_rev = ref [] in
-  let collect = function
-    | Probe.Span
-        { host; track = Process | Isr | Bh_track | Module; label; start;
-          finish } ->
-        let s = { Render.label; start; finish } in
-        if String.equal host a_cpu then a_rev := s :: !a_rev
-        else if String.equal host b_cpu then b_rev := s :: !b_rev
-    | _ -> ()
+  let tapped = ref [] in
+  let restore =
+    Probe.tap (fun ev -> tapped := (Sim.now c.Net.sim, ev) :: !tapped)
   in
-  (* One-way transfer of a single packet: the spans are then exactly the
-     stages of Figure 7 (a ping-pong would mix in the reply's spans and
-     the channel acknowledgements of both directions). *)
-  let restore = Probe.tap collect in
-  let r =
-    Fun.protect ~finally:restore (fun () ->
-        Measure.stream c pair ~a:0 ~b:1 ~size:1400 ~messages:1)
-  in
-  let in_start_order rev =
-    List.sort
-      (fun (a : Render.span) (b : Render.span) ->
-        compare (a.start, a.finish) (b.start, b.finish))
-      (List.rev rev)
-  in
-  let a_spans = in_start_order !a_rev and b_spans = in_start_order !b_rev in
-  let total = Time.to_us r.Measure.elapsed in
-  (* keep only the data path: acknowledgement traffic after delivery is
-     the channel's business, not Figure 7's *)
-  let labelled prefix spans =
-    List.filter_map
-      (fun (s : Render.span) ->
-        if Time.to_us s.start <= total then
-          Some { s with label = prefix ^ s.label }
-        else None)
-      spans
-  in
-  ( fig7_stages
-      ~module_tx:(sum_spans a_spans "clic:module-tx")
-      ~driver_tx:(sum_spans a_spans "driver:tx-routine")
-      ~isr:(sum_spans b_spans "driver:isr")
-      ~bottom_half:(sum_spans b_spans "driver:bottom-half")
-      ~module_rx:
-        (sum_spans b_spans "clic:module-rx"
-        +. sum_spans b_spans "clic:copy-to-user")
-      ~total,
-    labelled "sender   " a_spans @ labelled "receiver " b_spans )
+  Fun.protect ~finally:restore (fun () ->
+      ignore (Measure.stream c pair ~a:0 ~b:1 ~size:1400 ~messages:1));
+  match
+    Stages.messages (fun f ->
+        List.iter (fun (at, ev) -> f at ev) (List.rev !tapped))
+  with
+  | [ m ] -> m
+  | ms -> Fmt.failwith "fig7: %d messages, expected 1" (List.length ms)
 
 let fig7 fmt =
   (* (a) the stock path: ISR -> bottom halves -> CLIC_MODULE. *)
-  let a, a_spans =
+  let a =
     fig7_once ~driver_params:Os_model.Driver.default_params
       ~irq_dispatch:(Time.us 5.)
   in
   (* (b) the proposed improvement (Figure 8b): the driver calls CLIC_MODULE
      directly from a trimmed ISR; the SK_BUFF staging copy disappears, so
      the interrupt-side latency drops from ~20 us to ~5 us. *)
-  let b, _ =
+  let b =
     fig7_once
       ~driver_params:
         {
@@ -235,30 +156,25 @@ let fig7 fmt =
         }
       ~irq_dispatch:(Time.us 2.5)
   in
-  let stages =
-    [
-      { stage = "CLIC_MODULE (send)"; a_us = a.module_tx_us; b_us = b.module_tx_us };
-      { stage = "driver (send)"; a_us = a.driver_tx_us; b_us = b.driver_tx_us };
-      { stage = "memory+PCI buses, flight"; a_us = a.transit_us; b_us = b.transit_us };
-      { stage = "driver: int"; a_us = a.isr_us; b_us = b.isr_us };
-      { stage = "driver: bottom half"; a_us = a.bottom_half_us; b_us = b.bottom_half_us };
-      { stage = "CLIC_MODULE (recv+copy)"; a_us = a.module_rx_us; b_us = b.module_rx_us };
-    ]
+  let row name us =
+    [ name; Printf.sprintf "%.1f" (us a.Stages.stages);
+      Printf.sprintf "%.1f" (us b.Stages.stages) ]
   in
   Render.section fmt
     "Figure 7: timing of a 1400-byte packet through the CLIC pipeline";
   Render.table fmt
     ~header:[ "stage"; "(a) stock us"; "(b) direct-ISR us" ]
     ~rows:
-      (List.map
-         (fun s ->
-           [ s.stage; Printf.sprintf "%.1f" s.a_us;
-             Printf.sprintf "%.1f" s.b_us ])
-         stages
-      @ [
-          [ "one-way total"; Printf.sprintf "%.1f" a.total_us;
-            Printf.sprintf "%.1f" b.total_us ];
-        ])
+      Stages.
+        [
+          row "CLIC_MODULE (send)" (fun s -> s.module_tx_us);
+          row "driver (send)" (fun s -> s.driver_tx_us);
+          row "memory+PCI buses, flight" (fun s -> s.transit_us);
+          row "driver: int" (fun s -> s.isr_us);
+          row "driver: bottom half" (fun s -> s.bottom_half_us);
+          row "CLIC_MODULE (recv+copy)" (fun s -> s.module_rx_us);
+          row "one-way total" (fun s -> s.total_us);
+        ]
     ();
   Format.fprintf fmt
     "paper: sender 0.7+4 us; bottom half %g us; CLIC_MODULE %g us; interrupt \
@@ -266,8 +182,17 @@ let fig7 fmt =
      stages:@."
     Paper.fig7a_bottom_half_us Paper.fig7a_module_rx_us
     Paper.fig7_interrupt_latency_us Paper.fig7b_interrupt_latency_us;
-  Render.timeline fmt ~width:60 a_spans;
-  { stages; latency_a_us = a.total_us; latency_b_us = b.total_us }
+  Render.timeline fmt ~width:60
+    (List.map
+       (fun { Stages.stage; start; finish } ->
+         let side =
+           match Stages.side stage with
+           | Some Sender -> "sender   "
+           | Some Receiver | None -> "receiver "
+         in
+         { Render.label = side ^ Probe.Stage.name stage; start; finish })
+       a.Stages.spans);
+  { stock = a.Stages.stages; direct_isr = b.Stages.stages }
 
 (* ------------------------------------------------------------------ *)
 (* Table 1: headline scalars *)

@@ -16,43 +16,14 @@ val fig5 : ?quick:bool -> Format.formatter -> Stats.Series.t list
 val fig6 : ?quick:bool -> Format.formatter -> Stats.Series.t list
 (** CLIC, MPI-CLIC, MPI(TCP) and PVM(TCP) bandwidths (MTU 9000). *)
 
-type stage = { stage : string; a_us : float; b_us : float }
-
 type fig7_result = {
-  stages : stage list;
-  latency_a_us : float;  (** end-to-end one-way, stock path *)
-  latency_b_us : float;  (** with the Figure 8b direct-ISR improvement *)
+  stock : Stages.t;  (** the stock path *)
+  direct_isr : Stages.t;  (** with the Figure 8b direct-ISR improvement *)
 }
 
 val fig7 : Format.formatter -> fig7_result
-(** Per-stage timing of a 1400-byte packet, stock vs direct-from-ISR. *)
-
-type fig7_stages = {
-  module_tx_us : float;  (** CLIC_MODULE send-side work *)
-  driver_tx_us : float;  (** driver transmit routine *)
-  transit_us : float;  (** buses + wire + switch + interrupt dispatch *)
-  isr_us : float;  (** interrupt service routine (driver part) *)
-  bottom_half_us : float;  (** bottom half, driver part *)
-  module_rx_us : float;  (** CLIC_MODULE receive work + copy to user *)
-  total_us : float;  (** one-way total *)
-}
-
-val fig7_stages :
-  module_tx:float ->
-  driver_tx:float ->
-  isr:float ->
-  bottom_half:float ->
-  module_rx:float ->
-  total:float ->
-  fig7_stages
-(** Figure 7's stage split from measured stage times in us: [isr] and
-    [bottom_half] are the driver stages' whole times.  The module's
-    receive work nests inside the driver stage that ran its upcall, so it
-    comes out of the bottom half when [bottom_half > 0] and out of the
-    ISR otherwise (direct-from-ISR mode), floored at 0.  Transit is what
-    the five host stages leave of [total], floored at 0.  {!fig7} and
-    the per-message attribution ([Obs.Attribution]) both split this
-    way. *)
+(** Per-stage timing of one 1400-byte message, stock vs direct-from-ISR:
+    each run's one message as {!Stages.messages} splits it. *)
 
 type scalar = { name : string; paper : float; measured : float }
 

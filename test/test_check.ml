@@ -495,8 +495,13 @@ let event_gens =
   let host = oneofl [ "h0"; "h1" ] and name = oneofl [ "p0"; "p1" ] in
   let okind = oneofl Probe.[ Skb; Rx_buffer ] in
   let owner = oneofl Probe.[ App; Channel; Driver; Bh; Nic ] in
-  let track =
-    oneofl Probe.[ Process; Isr; Bh_track; Module; Dma; Link; Pause_t; Busy ]
+  let stage =
+    oneofl
+      Probe.Stage.
+        [
+          Module_tx; Driver_tx; Isr; Bottom_half; Poll; Module_rx;
+          Copy_to_user; Dma; Frame; Paused; Busy;
+        ]
   in
   let chan_ev f =
     map3 (fun chan node peer -> f ~chan ~node ~peer) chan id id
@@ -506,9 +511,11 @@ let event_gens =
     return Probe.Sim_start;
     map (fun now -> Probe.Clock { now }) (int_range 0 20);
     map3
-      (fun host track start ->
-        Probe.Span { host; track; label = "l"; start; finish = start + 1 })
-      host track id;
+      (fun host stage start ->
+        Probe.Span
+          { host; track = Probe.Stage.track stage; stage; start;
+            finish = start + 1 })
+      host stage id;
     map (fun host -> Probe.Sched_run { host }) host;
     map (fun host -> Probe.Sched_block { host }) host;
     map (fun host -> Probe.Irq { host }) host;
@@ -1237,9 +1244,18 @@ module Ldiag = Lint_core.Lint_diag
 
 let fixture name = Filename.concat "lint_fixtures" name
 
-(* Every bad fixture must trigger — and trigger ONLY — its own rule. *)
+(* Every bad_*.ml fixture must trigger — and trigger ONLY — its own
+   rule; a fixture without an expected rule here fails. *)
 let test_lint_bad_fixtures () =
-  let expect file rule =
+  let rule_of = function
+    | "bad_sleep_in_isr.ml" | "bad_wait_in_bh.ml" -> "R1"
+    | "bad_unguarded_magic.ml" | "bad_waiver_no_reason.ml" -> "R2"
+    | "bad_hot_alloc.ml" -> "R3"
+    | "bad_unguarded_probe.ml" -> "R4"
+    | file -> Alcotest.failf "%s: no expected rule" file
+  in
+  let expect file =
+    let rule = rule_of file in
     let r = Lint.run_files [ fixture file ] in
     match r.Lint.r_findings with
     | [] -> Alcotest.failf "%s: expected %s findings, got none" file rule
@@ -1252,12 +1268,14 @@ let test_lint_bad_fixtures () =
               (Ldiag.rule_id d.Ldiag.d_rule))
           findings
   in
-  expect "bad_sleep_in_isr.ml" "R1";
-  expect "bad_wait_in_bh.ml" "R1";
-  expect "bad_unguarded_magic.ml" "R2";
-  expect "bad_hot_alloc.ml" "R3";
-  expect "bad_unguarded_probe.ml" "R4";
-  expect "bad_waiver_no_reason.ml" "R2"
+  let bad =
+    List.filter
+      (fun f ->
+        String.starts_with ~prefix:"bad_" f && Filename.check_suffix f ".ml")
+      (List.sort compare (Array.to_list (Sys.readdir "lint_fixtures")))
+  in
+  check_bool "bad fixtures found" true (bad <> []);
+  List.iter expect bad
 
 let test_lint_good_fixture () =
   let r = Lint.run_files [ fixture "good_clean.ml" ] in

@@ -679,16 +679,6 @@ let test_summary () =
   Alcotest.(check (float 1e-9)) "max" 4. (Stats.Summary.max s);
   Alcotest.(check (float 1e-6)) "sd" 1.2909944487 (Stats.Summary.stddev s)
 
-let test_histogram_percentile () =
-  let h = Stats.Histogram.create "h" in
-  for v = 1 to 100 do
-    Stats.Histogram.add h v
-  done;
-  check_int "count" 100 (Stats.Histogram.count h);
-  (* p50 of 1..100 lies in the bucket with upper bound 64 *)
-  check_int "p50 bucket" 64 (Stats.Histogram.percentile h 50.);
-  check_int "p100 bucket" 128 (Stats.Histogram.percentile h 100.)
-
 let test_series () =
   let s = Stats.Series.create ~name:"bw" in
   Stats.Series.add s ~x:1. ~y:10.;
@@ -798,10 +788,6 @@ let test_semaphore_try_acquire_respects_queue () =
         (Semaphore.try_acquire sem));
   Sim.run sim;
   check_bool "fifo waiter served" true !blocked_got_it
-
-let test_histogram_empty () =
-  let h = Stats.Histogram.create "empty" in
-  check_int "p99 of empty" 0 (Stats.Histogram.percentile h 99.)
 
 let test_mailbox_competing_receivers_fifo () =
   let sim = Sim.create () in
@@ -937,7 +923,6 @@ let suite =
     ("rng analytic means", `Quick, test_rng_means_hit_analytic);
     ("rng pareto validation", `Quick, test_rng_pareto_validation);
     ("stats summary", `Quick, test_summary);
-    ("stats histogram", `Quick, test_histogram_percentile);
     ("stats series", `Quick, test_series);
     ("probe tap in front of a sink", `Quick, test_probe_tap_in_front_of_sink);
     ("probe tap without a sink", `Quick, test_probe_tap_without_sink);
@@ -945,7 +930,6 @@ let suite =
     ("process nested forks", `Quick, test_process_nested_forks);
     ("resource exception safety", `Quick, test_resource_use_f_releases_on_exception);
     ("semaphore no queue-jump", `Quick, test_semaphore_try_acquire_respects_queue);
-    ("histogram empty", `Quick, test_histogram_empty);
     ("mailbox receiver order", `Quick, test_mailbox_competing_receivers_fifo);
   ]
   @ List.map (fun (n, s, f) -> (n, s, f)) qprops

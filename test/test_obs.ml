@@ -1,11 +1,11 @@
 (* Observability-layer tests.
 
-   Property-based coverage of the Wire header codec and the Stats
-   histogram (seeded [Engine.Rng] generators, no external dependency),
-   the two Trace duration readings, and the lib/obs exporters: Chrome
+   Property-based coverage of the Wire header codec (seeded [Engine.Rng]
+   generators, no external dependency) and the lib/obs exporters: Chrome
    trace-event JSON validity and byte-determinism, the metrics registry,
-   and the Figure-7 latency-attribution pass.  Golden-number regression
-   bands for the Table 1 scalars live here too. *)
+   the probe spans' stages, and the Figure-7 latency-attribution pass.
+   Golden-number regression bands for the Table 1 scalars live here
+   too. *)
 
 open Engine
 
@@ -393,54 +393,25 @@ let test_wire_encode_rejects_out_of_range () =
        })
 
 (* ------------------------------------------------------------------ *)
-(* Stats.Histogram invariants. *)
-
-let test_histogram_properties () =
-  let rng = Rng.create ~seed:99 in
-  let h = Stats.Histogram.create "lat" in
-  let maxv = ref 0 in
-  for _ = 1 to 500 do
-    let v = Rng.int rng 1_000_000 in
-    maxv := max !maxv v;
-    Stats.Histogram.add h v
-  done;
-  check_int "count" 500 (Stats.Histogram.count h);
-  let bucket_sum =
-    List.fold_left (fun acc (_, c) -> acc + c) 0 (Stats.Histogram.buckets h)
-  in
-  check_int "bucket counts sum to count" 500 bucket_sum;
-  let ps = [ 0.; 10.; 25.; 50.; 75.; 90.; 99.; 100. ] in
-  let _ =
-    List.fold_left
-      (fun prev p ->
-        let v = Stats.Histogram.percentile h p in
-        check_bool
-          (Printf.sprintf "percentile monotone at p=%g" p)
-          true (v >= prev);
-        v)
-      0 ps
-  in
-  check_bool "p100 covers the maximum" true
-    (Stats.Histogram.percentile h 100. >= !maxv);
-  let bounds_sorted =
-    let bs = List.map fst (Stats.Histogram.buckets h) in
-    bs = List.sort_uniq compare bs
-  in
-  check_bool "bucket bounds ascending" true bounds_sorted;
-  check_int "empty histogram percentile" 0
-    (Stats.Histogram.percentile (Stats.Histogram.create "empty") 50.)
-
-(* ------------------------------------------------------------------ *)
 (* Attribution: disjoint stage durations. *)
 
 let test_merged_length () =
-  let merged_length = Obs.Attribution.merged_length in
+  let spans stage =
+    List.map (fun (start, finish) -> { Report.Stages.stage; start; finish })
+  in
+  let merged_length ivs =
+    Report.Stages.merged_length (spans Probe.Stage.Isr ivs)
+  in
   check_int "empty" 0 (merged_length []);
   check_int "abutting intervals merge" 10
     (merged_length [ (0, 5); (5, 10) ]);
   check_int "containment" 10 (merged_length [ (0, 10); (2, 8) ]);
   check_int "unsorted input" 12
     (merged_length [ (20, 25); (0, 5); (3, 7) ]);
+  check_int "stages merge apart" 22
+    (Report.Stages.merged_length
+       (spans Probe.Stage.Bottom_half [ (4, 12); (0, 6) ]
+       @ spans Probe.Stage.Isr [ (0, 5); (2, 10) ]));
   let rng = Rng.create ~seed:5 in
   for _ = 1 to 100 do
     let ivs =
@@ -642,51 +613,63 @@ let test_metrics_series_names_stable () =
   Alcotest.(check (list string)) "series names of a second recording" first
     (names ())
 
+(* The figure and the attribution export split with one pass, so each
+   fig7 run's 1400-byte message is the figure's column exactly. *)
 let test_attribution_matches_fig7 () =
-  let expected = Report.Figures.fig7 null_fmt in
-  let rec_ = record "fig7" in
+  let { Report.Figures.stock; direct_isr } = Report.Figures.fig7 null_fmt in
   let msgs =
-    List.filter (fun m -> m.Obs.Attribution.bytes = 1400)
-      (Obs.Attribution.messages rec_)
+    List.filter
+      (fun (m : Report.Stages.message) -> m.bytes = 1400)
+      (Obs.Attribution.messages (record "fig7"))
   in
-  check_int "one 1400B message per fig7 run" 2 (List.length msgs);
-  let close what want got =
-    if Float.abs (want -. got) > 1.0 then
-      Alcotest.failf "%s: attribution %.2fus vs figure %.2fus" what got want
-  in
-  (match msgs with
-  | [ a; b ] ->
-      close "run (a) total" expected.Report.Figures.latency_a_us
-        a.Obs.Attribution.stages.Obs.Attribution.total_us;
-      close "run (b) total" expected.Report.Figures.latency_b_us
-        b.Obs.Attribution.stages.Obs.Attribution.total_us;
-      (* run (b) is the direct-from-ISR variant: no bottom half at all *)
-      check_bool "run (b) has no bottom-half stage" true
-        (b.Obs.Attribution.stages.Obs.Attribution.bottom_half_us = 0.);
-      let sum s =
-        Obs.Attribution.(
-          s.module_tx_us +. s.driver_tx_us +. s.transit_us +. s.isr_us
-          +. s.bottom_half_us +. s.module_rx_us)
+  let stages = List.map (fun (m : Report.Stages.message) -> m.stages) msgs in
+  check_int "one 1400B message per fig7 run" 2 (List.length stages);
+  check_bool "each run's message splits as the figure's column" true
+    (stages = [ stock; direct_isr ]);
+  List.iter
+    (fun (s : Report.Stages.t) ->
+      let sum =
+        s.module_tx_us +. s.driver_tx_us +. s.transit_us +. s.isr_us
+        +. s.bottom_half_us +. s.module_rx_us
       in
-      List.iter
-        (fun m ->
-          let s = m.Obs.Attribution.stages in
-          if
-            Float.abs (sum s -. s.Obs.Attribution.total_us) > 0.01
-          then
-            Alcotest.failf "stages do not sum to total: %.2f vs %.2f" (sum s)
-              s.Obs.Attribution.total_us)
-        msgs
-  | _ -> assert false);
+      if Float.abs (sum -. s.total_us) > 0.01 then
+        Alcotest.failf "stages do not sum to total: %.2f vs %.2f" sum
+          s.total_us)
+    stages;
+  (* nearest rank: of two messages, every percentile from the 50th up
+     is the slower one *)
   let p = Obs.Attribution.latency_percentiles msgs in
-  check_bool "p50 <= p90 <= p99" true
-    (p.Obs.Attribution.p50_us <= p.Obs.Attribution.p90_us
-    && p.Obs.Attribution.p90_us <= p.Obs.Attribution.p99_us)
+  Alcotest.(check (list (float 0.)))
+    "p50, p90, p99" [ stock.total_us; stock.total_us; stock.total_us ]
+    [ p.p50_us; p.p90_us; p.p99_us ]
+
+(* [Span] keeps its [track] for the readers that match on it, so the
+   track must be its stage's.  The incast recording has the four
+   hardware and resource activities and the CPU stages. *)
+let test_span_track_is_its_stages () =
+  let seen = Hashtbl.create 16 in
+  Obs.Recorder.iter (record "incast") (fun _ ev ->
+      match ev with
+      | Probe.Span { track; stage; _ } ->
+          if track <> Probe.Stage.track stage then
+            Alcotest.failf "%s span on the %s track" (Probe.Stage.name stage)
+              (Probe.track_name track);
+          Hashtbl.replace seen stage ()
+      | _ -> ());
+  List.iter
+    (fun stage ->
+      check_bool (Probe.Stage.name stage ^ " spans recorded") true
+        (Hashtbl.mem seen stage))
+    Probe.Stage.
+      [
+        Module_tx; Driver_tx; Isr; Bottom_half; Module_rx; Copy_to_user; Dma;
+        Frame; Paused; Busy;
+      ]
 
 (* The exporters read the recording in place and work out each per-host,
    per-node and per-channel fact once per key.  Budgets in minor words per
    recorded event on the incast recording (4 simulators, 29 probe kinds):
-   they spend about 0.1, 11 and 1.8, while copying the recording or
+   they spend about 0.1, 11 and 1.5, while copying the recording or
    rebuilding a key per event costs 34.5, 36.4 and 10.6. *)
 let test_export_allocation_budget () =
   let rec_ = record "incast" in
@@ -723,7 +706,7 @@ let test_host_attribution () =
   in
   List.iter
     (fun (name, want) ->
-      Alcotest.(check (option int)) name want (Obs.Host.node_of name))
+      Alcotest.(check (option int)) name want (Report.Stages.node_of name))
     cases
 
 (* ------------------------------------------------------------------ *)
@@ -763,7 +746,6 @@ let suite =
     ("wire rejects malformed sacks", `Quick, test_wire_decode_rejects_malformed_sacks);
     ("wire epoch & old-format rejection", `Quick, test_wire_epoch_field_and_old_format);
     ("wire rejects out-of-range fields", `Quick, test_wire_encode_rejects_out_of_range);
-    ("histogram invariants", `Quick, test_histogram_properties);
     ("merged_length", `Quick, test_merged_length);
     ("timeline JSON validity", `Quick, test_timeline_json_valid);
     ("timeline determinism", `Quick, test_timeline_deterministic);
@@ -772,6 +754,7 @@ let suite =
     ("metrics series names stable across recordings", `Slow,
       test_metrics_series_names_stable);
     ("attribution reproduces fig7", `Quick, test_attribution_matches_fig7);
+    ("span track is its stage's", `Quick, test_span_track_is_its_stages);
     ("exporter allocation budget", `Quick, test_export_allocation_budget);
     ("host name attribution", `Quick, test_host_attribution);
     ("tab1 golden numbers", `Slow, test_tab1_golden_numbers);
