@@ -163,9 +163,39 @@ type slo = {
   slo_samples : (Time.t * float) array;
 }
 
+(* Heap sort by [Float.compare], monomorphic so that no element is boxed:
+   [Array.sort] boxes every float it reads. *)
+let rec sift_down (a : float array) i n =
+  let child = (2 * i) + 1 in
+  if child < n then begin
+    let child =
+      if child + 1 < n && Float.compare a.(child + 1) a.(child) > 0 then
+        child + 1
+      else child
+    in
+    if Float.compare a.(child) a.(i) > 0 then begin
+      let x = a.(i) in
+      a.(i) <- a.(child);
+      a.(child) <- x;
+      sift_down a child n
+    end
+  end
+
+let sort_floats (a : float array) =
+  let n = Array.length a in
+  for i = (n / 2) - 1 downto 0 do
+    sift_down a i n
+  done;
+  for last = n - 1 downto 1 do
+    let x = a.(0) in
+    a.(0) <- a.(last);
+    a.(last) <- x;
+    sift_down a 0 last
+  done
+
 let quantile samples =
   let sorted = Array.copy samples in
-  Array.sort Float.compare sorted;
+  sort_floats sorted;
   let n = Array.length sorted in
   fun p ->
     if p < 0. || p > 100. then

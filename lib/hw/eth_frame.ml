@@ -34,6 +34,10 @@ let make ~src ~dst ~ethertype ~payload_bytes ?frag ?(corrupted = false)
   if payload_bytes < 0 then invalid_arg "Eth_frame.make: negative payload";
   { src; dst; ethertype; payload_bytes; payload; frag; corrupted; hops = 0; ce }
 
+let filler =
+  make ~src:Mac.broadcast ~dst:Mac.broadcast ~ethertype:0 ~payload_bytes:0
+    (Raw 0)
+
 let padded_payload t = max t.payload_bytes min_payload
 
 let on_wire_bytes t =

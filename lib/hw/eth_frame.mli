@@ -70,6 +70,10 @@ val make :
 (** [corrupted] and [ce] default to [false].
     @raise Invalid_argument on a negative payload size. *)
 
+val filler : t
+(** An empty broadcast frame no port ever sends: the fill value of the
+    fabric's frame FIFOs ({!Ring}). *)
+
 val on_wire_bytes : t -> int
 (** Bytes occupying the wire: preamble + header + padded payload + CRC +
     inter-frame gap. *)

@@ -92,20 +92,24 @@ let compose stages = make (Compose stages)
 
 let clean = { delay = 0; corrupt = false }
 
+(* Every undisturbed pass answers with this one list, so a clean link
+   allocates nothing per frame. *)
+let clean_pass = [ clean ]
+
+let dropped t =
+  t.drops <- t.drops + 1;
+  []
+
 (* One copy of a frame passing one stage: the fates (relative to an
    undisturbed delivery) of the copies that survive; [] means dropped. *)
-let rec stage_copy t ~now ~ser =
-  let dropped () =
-    t.drops <- t.drops + 1;
-    []
-  in
+let rec frame t ~now ~ser =
   match t.kind with
-  | None_ -> [ clean ]
+  | None_ -> clean_pass
   | Drop { rng; prob } ->
-      if Rng.float rng 1.0 < prob then dropped () else [ clean ]
+      if Rng.float rng 1.0 < prob then dropped t else clean_pass
   | Drop_nth d ->
       d.seen <- d.seen + 1;
-      if d.seen mod d.every = 0 then dropped () else [ clean ]
+      if d.seen mod d.every = 0 then dropped t else clean_pass
   | Gilbert g ->
       (* Two-state Markov channel: advance the state once per frame, then
          lose with the state's loss rate (loss_bad ~ 1 gives solid bursts). *)
@@ -115,23 +119,23 @@ let rec stage_copy t ~now ~ser =
       in
       if flip then g.bad <- not g.bad;
       let loss = if g.bad then g.loss_bad else g.loss_good in
-      if Rng.float g.rng 1.0 < loss then dropped () else [ clean ]
+      if Rng.float g.rng 1.0 < loss then dropped t else clean_pass
   | Duplicate { rng; prob } ->
       if Rng.float rng 1.0 < prob then begin
         t.duplicates <- t.duplicates + 1;
         [ clean; clean ]
       end
-      else [ clean ]
+      else clean_pass
   | Jitter { rng; max_delay } -> [ { clean with delay = Rng.int rng max_delay } ]
   | Flap f ->
       let pos = (now + f.phase) mod (f.up + f.down) in
-      if pos < f.up then [ clean ] else dropped ()
+      if pos < f.up then clean_pass else dropped t
   | Corrupt { rng; prob } ->
       if Rng.float rng 1.0 < prob then begin
         t.corruptions <- t.corruptions + 1;
         [ { clean with corrupt = true } ]
       end
-      else [ clean ]
+      else clean_pass
   | Brownout b ->
       let active = now >= b.from_ && now < b.until_ in
       if active <> b.was_active then begin
@@ -140,7 +144,7 @@ let rec stage_copy t ~now ~ser =
           Probe.emit (Probe.Gray_fault
                         { host = b.label; mode = "link-brownout"; active })
       end;
-      if not active then [ clean ]
+      if not active then clean_pass
       else begin
         (* The sagging link serves frames at [fraction] of its rate: each
            frame owes (1/fraction - 1) extra wire time, and frames queue
@@ -172,11 +176,9 @@ let rec stage_copy t ~now ~ser =
                     delay = copy.delay + c.delay;
                     corrupt = copy.corrupt || c.corrupt;
                   })
-                (stage_copy stage ~now ~ser))
+                (frame stage ~now ~ser))
             copies)
-        [ clean ] stages
-
-let frame t ~now ?(ser = 0) () = stage_copy t ~now ~ser
+        clean_pass stages
 
 let rec drops t =
   match t.kind with

@@ -91,14 +91,15 @@ val compose : t list -> t
     survives every stage, delays add, corruption flags accumulate, and
     duplicated copies fan out through later stages independently. *)
 
-val frame : t -> now:Time.t -> ?ser:Time.span -> unit -> copy list
+val frame : t -> now:Time.t -> ser:Time.span -> copy list
 (** The fate of one frame at simulation time [now]: one element per
     delivered copy, carrying that copy's extra delay and corruption flag
     ([[{ delay = 0; corrupt = false }]] is an undisturbed delivery; [[]]
-    means the frame was dropped).  [ser] (default 0) is the frame's
-    uncontended serialization time on the link, which rate-sensitive
-    stages ({!brownout}) scale their extra service from.  Stateful: call
-    exactly once per frame. *)
+    means the frame was dropped).  [ser] is the frame's uncontended
+    serialization time on the link, which rate-sensitive stages
+    ({!brownout}) scale their extra service from; other stages ignore it.
+    An undisturbed pass returns one shared list, so a clean link
+    allocates nothing here.  Stateful: call exactly once per frame. *)
 
 val drops : t -> int
 (** Frames dropped so far (summed over composed stages). *)

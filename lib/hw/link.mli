@@ -6,6 +6,10 @@
     with {!connect}.  Frames queue FIFO while the transmitter is busy, like
     a NIC transmit FIFO feeding the PHY.
 
+    A frame crossing a link with no fault allocates nothing: the queue and
+    the frames propagating are {!Ring}s, and the events that end a frame's
+    serialization and deliver it run thunks built once by {!create}.
+
     Full-duplex operation is modelled with two independent links. *)
 
 type t

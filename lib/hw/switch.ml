@@ -45,14 +45,29 @@ let validate_buffer b =
    the node id) and trunk ports toward a peer switch ([node] < 0, a
    per-switch unique pid; [label] names the peer).  Both directions of a
    trunk are real {!Link}s, so serialization, propagation, faults, PAUSE
-   and the buffer ledger all behave identically on trunks and stations. *)
+   and the buffer ledger all behave identically on trunks and stations.
+
+   A port names another by its [index] in the switch's [ports]; the
+   per-frame path allocates nothing but the hop copy.  A frame received
+   on a port waits out the forwarding latency in [arrived], whose one
+   thunk [forward_next] pops it: every frame of a port is posted with the
+   same delay, in arrival order, so the pops follow arrival order.  The
+   egress FIFO keeps each frame's ingress index in the parallel ring
+   [fifo_ingress].  A data frame goes to the downlink only when the wire
+   is idle ([wire_count = 0]), so at most one is on it, and two fields
+   hold its ledger charge until its serialization ends. *)
 type port = {
   node : int;  (* pid: station = node id; trunk = -(trunk ordinal) *)
+  index : int;  (* position in the switch's [ports] *)
   label : string;  (* "n<id>" for stations, the peer switch name for trunks *)
   uplink : Link.t;
   downlink : Link.t;
-  fifo : (Eth_frame.t * int) Queue.t;  (* frame, ingress pid *)
-  on_wire : (int * int) Queue.t;  (* charged bytes, ingress pid *)
+  arrived : Eth_frame.t Ring.t;  (* received, forwarding latency pending *)
+  forward_next : unit -> unit;  (* forwards the head of [arrived] *)
+  fifo : Eth_frame.t Ring.t;  (* egress FIFO *)
+  fifo_ingress : int Ring.t;  (* ingress index of each [fifo] frame *)
+  mutable wire_charged : int;  (* buffer bytes of the data frame on the wire *)
+  mutable wire_ingress : int;  (* its ingress index *)
   mutable wire_count : int;  (* frames handed to the downlink, ser pending *)
   mutable tx_frames : int;  (* data frames transmitted on the downlink *)
   mutable egress_bytes : int;  (* buffered bytes queued toward this port *)
@@ -76,10 +91,11 @@ type t = {
   egress_frames : int option;
   ingress_frames : int option;
   buffer : buffer option;
-  routes : (int, port array) Hashtbl.t;  (* static node -> ECMP trunk set *)
+  mutable ports : port array;  (* in the order they were added *)
+  mutable stations : int array;  (* node id -> port index, -1: none *)
+  mutable routes : port array array;  (* node id -> ECMP trunk set *)
   mutable trunk_count : int;
   mutable down : bool;
-  mutable port_list : port list;
   mutable shared_used : int;
   mutable occupied : int;
   mutable peak_occupied : int;
@@ -119,10 +135,11 @@ let create sim ~name ~bits_per_s ?(fault = fun () -> Fault.none)
     egress_frames;
     ingress_frames;
     buffer;
-    routes = Hashtbl.create 16;
+    ports = [||];
+    stations = [||];
+    routes = [||];
     trunk_count = 0;
     down = false;
-    port_list = [];
     shared_used = 0;
     occupied = 0;
     peak_occupied = 0;
@@ -138,8 +155,16 @@ let create sim ~name ~bits_per_s ?(fault = fun () -> Fault.none)
     egress_stall_ns = 0;
   }
 
-let find_port t pid = List.find_opt (fun p -> p.node = pid) t.port_list
-let n_ports t = List.length t.port_list
+let n_ports t = Array.length t.ports
+
+(* The index of [node]'s station port, or -1. *)
+let station t node =
+  if node >= 0 && node < Array.length t.stations then t.stations.(node)
+  else -1
+
+(* [node]'s ECMP trunk set, empty when no route names it. *)
+let route t node =
+  if node >= 0 && node < Array.length t.routes then t.routes.(node) else [||]
 
 let shared_capacity t b =
   b.total_bytes - (n_ports t * b.port_reserve_bytes)
@@ -188,7 +213,7 @@ let probe_fifo t p =
         (Probe.Queue_depth
            {
              queue = Printf.sprintf "%s->%s:fifo" t.name p.label;
-             depth = Queue.length p.fifo;
+             depth = Ring.length p.fifo;
            })
   | _ -> ()
 
@@ -247,61 +272,61 @@ let maybe_xon t b q =
 let egress_gated t p = Sim.now t.sim < p.tx_paused_until
 let egress_stalled t p = Sim.now t.sim < p.stalled_until
 
-let rec pump_port t p =
+(* Release one frame's ledger charges: [charged] bytes queued toward [p]
+   from the port at index [ingress]. *)
+let release t b p charged ingress =
+  let r = b.port_reserve_bytes in
+  let extra_shared =
+    max 0 (p.egress_bytes - r) - max 0 (p.egress_bytes - charged - r)
+  in
+  p.egress_bytes <- p.egress_bytes - charged;
+  t.shared_used <- t.shared_used - extra_shared;
+  t.occupied <- t.occupied - charged;
+  probe_buffer t p.node (-charged);
+  let q = t.ports.(ingress) in
+  q.ingress_bytes <- q.ingress_bytes - charged
+
+let[@clic.hot] rec pump_port t p =
   if
     (not t.down) && p.wire_count = 0
     && (not (egress_gated t p))
-    && not (egress_stalled t p)
-  then
-    match Queue.take_opt p.fifo with
-    | None -> ()
-    | Some (frame, ingress_pid) ->
-        probe_fifo t p;
-        let charged =
-          match t.buffer with
-          | Some _ -> Eth_frame.buffer_bytes frame
-          | None -> 0
-        in
-        Queue.add (charged, ingress_pid) p.on_wire;
-        p.wire_count <- p.wire_count + 1;
-        p.tx_frames <- p.tx_frames + 1;
-        Link.send p.downlink frame
+    && (not (egress_stalled t p))
+    && not (Ring.is_empty p.fifo)
+  then begin
+    let frame = Ring.pop p.fifo in
+    p.wire_ingress <- Ring.pop p.fifo_ingress;
+    probe_fifo t p;
+    p.wire_charged <-
+      (match t.buffer with
+      | Some _ -> Eth_frame.buffer_bytes frame
+      | None -> 0);
+    p.wire_count <- p.wire_count + 1;
+    p.tx_frames <- p.tx_frames + 1;
+    Link.send p.downlink frame
+  end
 
 (* Downlink serialization finished: free the frame's buffer bytes (both
    ledgers), possibly XON its ingress port, and feed the next frame. *)
-and on_tx_complete t p frame =
+and[@clic.hot] on_tx_complete t p frame =
   p.wire_count <- p.wire_count - 1;
   if not (Mac_control.is_mac_control frame) then begin
-    match Queue.take_opt p.on_wire with
-    | Some (charged, ingress_pid) when charged > 0 -> (
-        match t.buffer with
-        | Some b ->
-            let r = b.port_reserve_bytes in
-            let extra_shared =
-              max 0 (p.egress_bytes - r)
-              - max 0 (p.egress_bytes - charged - r)
-            in
-            p.egress_bytes <- p.egress_bytes - charged;
-            t.shared_used <- t.shared_used - extra_shared;
-            t.occupied <- t.occupied - charged;
-            probe_buffer t p.node (-charged);
-            (match find_port t ingress_pid with
-            | Some q ->
-                q.ingress_bytes <- q.ingress_bytes - charged;
-                if not t.down then maybe_xon t b q
-            | None -> ())
-        | None -> ())
+    let charged = p.wire_charged in
+    p.wire_charged <- 0;
+    match t.buffer with
+    | Some b when charged > 0 ->
+        release t b p charged p.wire_ingress;
+        if not t.down then maybe_xon t b t.ports.(p.wire_ingress)
     | _ -> ()
   end;
   pump_port t p
 
-(* Admission control for one frame headed to egress port [p] from ingress
-   pid [ingress].  Returns [true] when the frame was accepted (and, in
+(* Admission control for one frame headed to egress port [p] from the port
+   at index [ingress].  Returns [true] when the frame was accepted (and, in
    buffered mode, charged to both ledgers). *)
-let admit t ~ingress p frame =
+let[@clic.hot] admit t ~ingress p frame =
   let tail_full =
     match t.egress_frames with
-    | Some cap -> Queue.length p.fifo >= cap
+    | Some cap -> Ring.length p.fifo >= cap
     | None -> false
   in
   if tail_full then begin
@@ -329,16 +354,15 @@ let admit t ~ingress p frame =
           t.occupied <- t.occupied + charged;
           if t.occupied > t.peak_occupied then t.peak_occupied <- t.occupied;
           probe_buffer t p.node charged;
-          (match find_port t ingress with
-          | Some q ->
-              q.ingress_bytes <- q.ingress_bytes + charged;
-              maybe_xoff t b q
-          | None -> ());
+          let q = t.ports.(ingress) in
+          q.ingress_bytes <- q.ingress_bytes + charged;
+          maybe_xoff t b q;
           true
         end
 
-let enqueue t p ~ingress frame =
-  Queue.add (frame, ingress) p.fifo;
+let[@clic.hot] enqueue t p ~ingress frame =
+  Ring.push p.fifo frame;
+  Ring.push p.fifo_ingress ingress;
   probe_fifo t p;
   pump_port t p
 
@@ -348,7 +372,7 @@ let enqueue t p ~ingress frame =
    an in-flight rewrite of the carried protocol header).  Marking instead
    of dropping or PAUSEing is the whole point — the congestion signal
    reaches the sender while the frame still reaches the receiver. *)
-let maybe_mark_ce t p frame =
+let[@clic.hot] maybe_mark_ce t p frame =
   match t.buffer with
   | Some b
     when b.ecn_threshold > 0
@@ -364,7 +388,8 @@ let maybe_mark_ce t p frame =
                occupied = p.egress_bytes;
                threshold = b.ecn_threshold;
              });
-      { frame with Eth_frame.ce = true }
+      ({ frame with Eth_frame.ce = true }
+      [@clic.alloc_ok "CE-marked copy: ECN-marking buffers only"])
   | _ -> frame
 
 (* Deterministic flow hash for ECMP: frames of one (src, dst) flow always
@@ -378,47 +403,57 @@ let flow_hash ~src ~dst n =
   (h land max_int) mod n
 
 let flood t ~ingress frame =
-  List.iter
-    (fun port ->
-      if port.node <> ingress then begin
-        t.frames_flooded <- t.frames_flooded + 1;
-        if admit t ~ingress port frame then
-          enqueue t port ~ingress (maybe_mark_ce t port frame)
-      end)
-    t.port_list
+  for i = 0 to Array.length t.ports - 1 do
+    if i <> ingress then begin
+      let port = t.ports.(i) in
+      t.frames_flooded <- t.frames_flooded + 1;
+      if admit t ~ingress port frame then
+        enqueue t port ~ingress (maybe_mark_ce t port frame)
+    end
+  done
+
+let[@clic.hot] unicast t ~ingress port frame =
+  t.frames_forwarded <- t.frames_forwarded + 1;
+  if admit t ~ingress port frame then
+    enqueue t port ~ingress (maybe_mark_ce t port frame)
 
 (* Forwarding decision for unicast, in priority order: local station
    port, static ECMP route, unroutable; group-addressed frames flood.  The
    hop count bounds any loop — static shortest-path routes are loop-free
    by construction, but flooding on a cyclic fabric is not, so the TTL is
    the backstop. *)
-let forward t ~ingress frame =
+let[@clic.hot] forward t ~ingress frame =
   if t.down then t.down_drops <- t.down_drops + 1
   else if frame.Eth_frame.hops >= ttl then
     t.frames_ttl_dropped <- t.frames_ttl_dropped + 1
   else begin
-    let frame = { frame with Eth_frame.hops = frame.Eth_frame.hops + 1 } in
+    let frame =
+      ({ frame with Eth_frame.hops = frame.Eth_frame.hops + 1 }
+      [@clic.alloc_ok "hop copy: the TTL counts it (ROADMAP item 9)"])
+    in
     match frame.Eth_frame.dst with
-    | Mac.Node node -> (
-        let unicast port =
-          t.frames_forwarded <- t.frames_forwarded + 1;
-          if admit t ~ingress port frame then
-            enqueue t port ~ingress (maybe_mark_ce t port frame)
-        in
-        match find_port t node with
-        | Some port -> unicast port
-        | None -> (
-            match Hashtbl.find_opt t.routes node with
-            | Some arr ->
-                let src =
-                  match frame.Eth_frame.src with
-                  | Mac.Node s -> s
-                  | Mac.Broadcast | Mac.Multicast _ -> 0
-                in
-                unicast arr.(flow_hash ~src ~dst:node (Array.length arr))
-            | None -> t.frames_unroutable <- t.frames_unroutable + 1))
+    | Mac.Node node ->
+        let local = station t node in
+        if local >= 0 then unicast t ~ingress t.ports.(local) frame
+        else begin
+          let set = route t node in
+          if Array.length set = 0 then
+            t.frames_unroutable <- t.frames_unroutable + 1
+          else begin
+            let src =
+              match frame.Eth_frame.src with
+              | Mac.Node s -> s
+              | Mac.Broadcast | Mac.Multicast _ -> 0
+            in
+            let n = Array.length set in
+            unicast t ~ingress set.(flow_hash ~src ~dst:node n) frame
+          end
+        end
     | Mac.Broadcast | Mac.Multicast _ -> flood t ~ingress frame
   end
+
+let[@clic.hot] forward_arrived t p =
+  forward t ~ingress:p.index (Ring.pop p.arrived)
 
 (* A peer PAUSEd us: gate that port's egress pump for the quanta (the
    frame already on the wire finishes), resuming early on XON. *)
@@ -447,7 +482,7 @@ let on_pause_rx t p ~quanta =
              pump_port t p))
   end
 
-let on_ingress t p frame =
+let[@clic.hot] on_ingress t p frame =
   if t.down then t.down_drops <- t.down_drops + 1
   else
     match Mac_control.quanta_of frame with
@@ -457,8 +492,8 @@ let on_ingress t p frame =
            serialization already accounts for that) and admitted to the
            buffer now; lookup plus internal transfer take the forwarding
            latency before it joins the egress queue. *)
-        Sim.post t.sim ~after:forward_latency (fun () ->
-            forward t ~ingress:p.node frame)
+        Ring.push p.arrived frame;
+        Sim.post t.sim ~after:forward_latency p.forward_next
 
 let check_reserves t what =
   match t.buffer with
@@ -466,32 +501,57 @@ let check_reserves t what =
       invalid_arg (what ^ ": port reserves exceed the shared buffer")
   | _ -> ()
 
-let blank_port ~node ~label ~uplink ~downlink =
-  {
-    node;
-    label;
-    uplink;
-    downlink;
-    fifo = Queue.create ();
-    on_wire = Queue.create ();
-    wire_count = 0;
-    tx_frames = 0;
-    egress_bytes = 0;
-    ingress_bytes = 0;
-    paused_rx = false;
-    xoff_at = 0;
-    tx_paused_until = 0;
-    stalled_until = 0;
-    resume = None;
-    gate_start = 0;
-    egress_paused_ns = 0;
-    ingress_drops = 0;
-    egress_drops = 0;
-  }
+(* Appends a port to [t.ports]. *)
+let add t ~node ~label ~uplink ~downlink =
+  let rec port =
+    {
+      node;
+      index = Array.length t.ports;
+      label;
+      uplink;
+      downlink;
+      arrived = Ring.create Eth_frame.filler;
+      forward_next = (fun () -> forward_arrived t port);
+      fifo = Ring.create Eth_frame.filler;
+      fifo_ingress = Ring.create 0;
+      wire_charged = 0;
+      wire_ingress = 0;
+      wire_count = 0;
+      tx_frames = 0;
+      egress_bytes = 0;
+      ingress_bytes = 0;
+      paused_rx = false;
+      xoff_at = 0;
+      tx_paused_until = 0;
+      stalled_until = 0;
+      resume = None;
+      gate_start = 0;
+      egress_paused_ns = 0;
+      ingress_drops = 0;
+      egress_drops = 0;
+    }
+  in
+  t.ports <- Array.append t.ports [| port |];
+  port
+
+(* [a.(i) <- v], first growing [a] (filled with [empty]) to hold index
+   [i]. *)
+let set_grown a i v ~empty =
+  let a =
+    if i < Array.length a then a
+    else begin
+      let n = Array.length a in
+      let grown = Array.make (max (i + 1) (2 * n)) empty in
+      Array.blit a 0 grown 0 n;
+      grown
+    end
+  in
+  a.(i) <- v;
+  a
 
 let add_port t ~node =
   if node < 0 then invalid_arg "Switch.add_port: negative node";
-  if find_port t node <> None then
+  if station t node >= 0 then
     invalid_arg (Printf.sprintf "Switch.add_port: duplicate node %d" node);
   check_reserves t "Switch.add_port";
   let uplink =
@@ -507,17 +567,17 @@ let add_port t ~node =
       ()
   in
   let port =
-    blank_port ~node ~label:(Printf.sprintf "n%d" node) ~uplink ~downlink
+    add t ~node ~label:(Printf.sprintf "n%d" node) ~uplink ~downlink
   in
+  t.stations <- set_grown t.stations node port.index ~empty:(-1);
   Link.connect uplink (fun frame -> on_ingress t port frame);
   Link.set_on_drop uplink (fun _frame ->
       port.ingress_drops <- port.ingress_drops + 1;
       probe_drop t node ~ingress:true);
-  Link.set_tx_complete downlink (fun frame -> on_tx_complete t port frame);
-  t.port_list <- t.port_list @ [ port ]
+  Link.set_tx_complete downlink (fun frame -> on_tx_complete t port frame)
 
 let find_trunk t peer =
-  List.find_opt (fun p -> p.node < 0 && p.label = peer) t.port_list
+  Array.find_opt (fun p -> p.node < 0 && p.label = peer) t.ports
 
 (* A trunk is one full-duplex switch-to-switch pair: each side owns a port
    whose downlink is its transmit direction and whose uplink is the peer's
@@ -544,11 +604,7 @@ let add_trunk ?bits_per_s a b =
   let la = mk_link a b and lb = mk_link b a in
   let mk_port t peer ~uplink ~downlink =
     t.trunk_count <- t.trunk_count + 1;
-    let port =
-      blank_port ~node:(-t.trunk_count) ~label:peer.name ~uplink ~downlink
-    in
-    t.port_list <- t.port_list @ [ port ];
-    port
+    add t ~node:(-t.trunk_count) ~label:peer.name ~uplink ~downlink
   in
   let pa = mk_port a b ~uplink:lb ~downlink:la in
   let pb = mk_port b a ~uplink:la ~downlink:lb in
@@ -558,9 +614,9 @@ let add_trunk ?bits_per_s a b =
   Link.set_tx_complete lb (fun frame -> on_tx_complete b pb frame)
 
 let get_port t node =
-  match find_port t node with
-  | Some p -> p
-  | None -> invalid_arg (Printf.sprintf "Switch: unknown node %d" node)
+  let i = station t node in
+  if i < 0 then invalid_arg (Printf.sprintf "Switch: unknown node %d" node)
+  else t.ports.(i)
 
 let get_trunk t ~what peer =
   match find_trunk t peer with
@@ -569,31 +625,13 @@ let get_trunk t ~what peer =
       invalid_arg (Printf.sprintf "%s: %s has no trunk to %s" what t.name peer)
 
 let set_route t ~dst ~via =
-  match via with
-  | [] -> Hashtbl.remove t.routes dst
-  | _ ->
-      Hashtbl.replace t.routes dst
-        (Array.of_list (List.map (get_trunk t ~what:"Switch.set_route") via))
+  if dst < 0 then invalid_arg "Switch.set_route: negative node";
+  let set =
+    Array.of_list (List.map (get_trunk t ~what:"Switch.set_route") via)
+  in
+  t.routes <- set_grown t.routes dst set ~empty:[||]
 
-let clear_routes t = Hashtbl.reset t.routes
-
-(* Release one drained frame's ledger charges without the XON side effect
-   (a powered-off switch must not transmit). *)
-let release t p charged ingress_pid =
-  match t.buffer with
-  | Some b ->
-      let r = b.port_reserve_bytes in
-      let extra_shared =
-        max 0 (p.egress_bytes - r) - max 0 (p.egress_bytes - charged - r)
-      in
-      p.egress_bytes <- p.egress_bytes - charged;
-      t.shared_used <- t.shared_used - extra_shared;
-      t.occupied <- t.occupied - charged;
-      probe_buffer t p.node (-charged);
-      (match find_port t ingress_pid with
-      | Some q -> q.ingress_bytes <- q.ingress_bytes - charged
-      | None -> ())
-  | None -> ()
+let clear_routes t = t.routes <- [||]
 
 (* Power the switch down or back up.  Down: ingress is refused, egress
    FIFOs drain into thin air with their ledger charges released, PAUSE
@@ -604,7 +642,7 @@ let set_down t flag =
   if t.down <> flag then begin
     t.down <- flag;
     if flag then
-      List.iter
+      Array.iter
         (fun p ->
           Option.iter Sim.cancel p.resume;
           p.resume <- None;
@@ -614,17 +652,18 @@ let set_down t flag =
             p.tx_paused_until <- now
           end;
           p.paused_rx <- false;
-          Queue.iter
-            (fun (frame, ingress_pid) ->
-              match t.buffer with
-              | Some _ ->
-                  release t p (Eth_frame.buffer_bytes frame) ingress_pid
-              | None -> ())
-            p.fifo;
-          Queue.clear p.fifo;
+          (* The charges go without the XON side effect: a powered-off
+             switch must not transmit. *)
+          while not (Ring.is_empty p.fifo) do
+            let frame = Ring.pop p.fifo in
+            let ingress = Ring.pop p.fifo_ingress in
+            match t.buffer with
+            | Some b -> release t b p (Eth_frame.buffer_bytes frame) ingress
+            | None -> ()
+          done;
           probe_fifo t p)
-        t.port_list
-    else List.iter (fun p -> pump_port t p) t.port_list
+        t.ports
+    else Array.iter (fun p -> pump_port t p) t.ports
   end
 
 let is_down t = t.down
@@ -634,12 +673,14 @@ let connect_node t ~node rx = Link.connect (get_port t node).downlink rx
 let rewire_node t ~node rx = Link.reconnect (get_port t node).downlink rx
 
 let ports t =
-  List.filter_map (fun p -> if p.node >= 0 then Some p.node else None)
-    t.port_list
+  List.filter_map
+    (fun p -> if p.node >= 0 then Some p.node else None)
+    (Array.to_list t.ports)
 
 let trunks t =
-  List.filter_map (fun p -> if p.node < 0 then Some p.label else None)
-    t.port_list
+  List.filter_map
+    (fun p -> if p.node < 0 then Some p.label else None)
+    (Array.to_list t.ports)
 
 let trunk_tx_frames t ~peer =
   (get_trunk t ~what:"Switch.trunk_tx_frames" peer).tx_frames
@@ -651,10 +692,10 @@ let frames_ttl_dropped t = t.frames_ttl_dropped
 let down_drops t = t.down_drops
 
 let egress_drops t =
-  List.fold_left (fun acc p -> acc + p.egress_drops) 0 t.port_list
+  Array.fold_left (fun acc p -> acc + p.egress_drops) 0 t.ports
 
 let ingress_drops t =
-  List.fold_left (fun acc p -> acc + p.ingress_drops) 0 t.port_list
+  Array.fold_left (fun acc p -> acc + p.ingress_drops) 0 t.ports
 
 let pause_frames_tx t = t.pause_frames_tx
 let pause_frames_rx t = t.pause_frames_rx
@@ -663,7 +704,7 @@ let buffer_occupied t = t.occupied
 let peak_buffer_occupied t = t.peak_occupied
 
 let egress_paused_ns t =
-  List.fold_left (fun acc p -> acc + p.egress_paused_ns) 0 t.port_list
+  Array.fold_left (fun acc p -> acc + p.egress_paused_ns) 0 t.ports
 
 (* Gray failure: an egress pump that intermittently stops serving its FIFO
    (a wedged scheduler pass, a firmware hiccup) while the rest of the
@@ -699,5 +740,4 @@ let inject_stall t ~node ~span =
 
 let egress_stalls t = t.egress_stalls
 let egress_stall_ns t = t.egress_stall_ns
-let has_node t node =
-  match find_port t node with Some p -> p.node >= 0 | None -> false
+let has_node t node = station t node >= 0

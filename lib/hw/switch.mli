@@ -12,8 +12,13 @@
     primitives exploit.  Every switch traversal increments the frame's hop
     count; frames at the {!ttl} bound are dropped, which is what ends a
     broadcast storm on a fabric with loops.  Forwarding adds a fixed 2 us
-    per frame, modelling lookup plus internal transfer; output contention
+    per frame, modelling lookup plus internal transfer; each port hands
+    its frames to the lookup in the order they arrived.  Output contention
     arises from the egress queues draining at the line rate.
+
+    The lookup reads two tables indexed by node id, the station ports and
+    the route sets, and the per-frame path allocates nothing but the
+    frame's copy with its hop count raised.
 
     Buffering: each egress port owns a FIFO drawing on a shared byte pool
     ({!buffer}) — a per-port reserve is always available, the remainder is
@@ -94,9 +99,11 @@ val set_route : t -> dst:int -> via:string list -> unit
     not a local station) leave via one of the named peer trunks, chosen by
     a deterministic per-flow hash — equal-cost multipath when several
     peers are given.  An empty [via] removes the route.
-    @raise Invalid_argument when a named peer has no trunk here. *)
+    @raise Invalid_argument when a named peer has no trunk here, or on a
+    negative [dst]. *)
 
 val clear_routes : t -> unit
+(** Removes every route; station ports still receive their frames. *)
 
 val set_down : t -> bool -> unit
 (** Powers the switch down ([true]) or back up ([false]).  Down: ingress

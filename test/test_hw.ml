@@ -109,7 +109,7 @@ let test_fault_gilbert_elliott_bursts () =
       ~p_bad_to_good:0.2 ~loss_bad:1. ()
   in
   let n = 2000 in
-  let pattern = List.init n (fun _ -> Fault.frame fault ~now:0 () = []) in
+  let pattern = List.init n (fun _ -> Fault.frame fault ~now:0 ~ser:0 = []) in
   let drops = List.length (List.filter Fun.id pattern) in
   check_int "drops counted" drops (Fault.drops fault);
   (* stationary bad-state fraction is 0.05 / (0.05 + 0.2) = 20%, and the
@@ -128,13 +128,13 @@ let test_fault_gilbert_elliott_bursts () =
 
 let test_fault_flap_windows () =
   let fault = Fault.flap ~up:(Time.us 10.) ~down:(Time.us 5.) () in
-  check_bool "up at t=0" true (Fault.frame fault ~now:0 () <> []);
+  check_bool "up at t=0" true (Fault.frame fault ~now:0 ~ser:0 <> []);
   check_bool "still up late in the window" true
-    (Fault.frame fault ~now:(Time.us 9.) () <> []);
+    (Fault.frame fault ~now:(Time.us 9.) ~ser:0 <> []);
   check_bool "down between windows" true
-    (Fault.frame fault ~now:(Time.us 12.) () = []);
+    (Fault.frame fault ~now:(Time.us 12.) ~ser:0 = []);
   check_bool "up again next period" true
-    (Fault.frame fault ~now:(Time.us 16.) () <> []);
+    (Fault.frame fault ~now:(Time.us 16.) ~ser:0 <> []);
   check_int "the outage counted one drop" 1 (Fault.drops fault)
 
 let test_fault_jitter_reorders () =
@@ -178,7 +178,7 @@ let test_fault_compose_stages () =
 let test_fault_corruption_flags_copies () =
   let fault = Fault.corrupt ~rng:(Rng.create ~seed:13) ~prob:1. in
   for _ = 1 to 5 do
-    match Fault.frame fault ~now:0 () with
+    match Fault.frame fault ~now:0 ~ser:0 with
     | [ { Fault.delay = 0; corrupt = true } ] -> ()
     | _ -> Alcotest.fail "expected one corrupted zero-delay copy"
   done;
@@ -193,7 +193,7 @@ let test_fault_corruption_flags_copies () =
         Fault.jitter ~rng:(Rng.create ~seed:3) ~max_delay:(Time.us 10.);
       ]
   in
-  match Fault.frame composed ~now:0 () with
+  match Fault.frame composed ~now:0 ~ser:0 with
   | [ { Fault.corrupt = true; _ } ] -> ()
   | _ -> Alcotest.fail "corruption flag lost through compose"
 
@@ -1188,6 +1188,99 @@ let test_switch_set_down_drains () =
   check_bool "power-up is visible" false (Switch.is_down sw);
   check_int "revived switch forwards again" (!down_mark + 3) !got
 
+(* Forwarding-table edge cases: a station port wins over a route, an
+   emptied route set or an id beyond every table is unroutable, and a
+   flood skips only the port it came in on. *)
+
+let test_switch_route_removed () =
+  let sim = Sim.create () in
+  let a, b = two_switches sim in
+  Switch.add_port a ~node:0;
+  Switch.add_port b ~node:1;
+  Switch.connect_node a ~node:0 (fun _ -> ());
+  Switch.connect_node b ~node:1 (fun _ -> ());
+  Switch.set_route a ~dst:1 ~via:[ "b" ];
+  Switch.set_route a ~dst:1 ~via:[];
+  Link.send (Switch.uplink a ~node:0) (raw ~src:0 ~dst:1 500);
+  Sim.run sim;
+  check_int "unroutable once its route is gone" 1 (Switch.frames_unroutable a);
+  check_int "nothing crossed the trunk" 0 (Switch.trunk_tx_frames a ~peer:"b");
+  Alcotest.check_raises "a negative node has no route"
+    (Invalid_argument "Switch.set_route: negative node") (fun () ->
+      Switch.set_route a ~dst:(-1) ~via:[ "b" ])
+
+let test_switch_station_beats_route () =
+  let sim = Sim.create () in
+  let a, b = two_switches sim in
+  Switch.add_port a ~node:0;
+  Switch.add_port a ~node:2;
+  Switch.add_port b ~node:1;
+  let got = ref 0 in
+  Switch.connect_node a ~node:0 (fun _ -> ());
+  Switch.connect_node a ~node:2 (fun _ -> incr got);
+  Switch.connect_node b ~node:1 (fun _ -> ());
+  Switch.set_route a ~dst:2 ~via:[ "b" ];
+  Link.send (Switch.uplink a ~node:0) (raw ~src:0 ~dst:2 500);
+  Sim.run sim;
+  check_int "delivered to the local station" 1 !got;
+  check_int "the route did not divert it" 0
+    (Switch.trunk_tx_frames a ~peer:"b")
+
+let test_switch_clear_routes_keeps_stations () =
+  let sim = Sim.create () in
+  let a, b = two_switches sim in
+  Switch.add_port a ~node:0;
+  Switch.add_port a ~node:2;
+  Switch.add_port b ~node:1;
+  let got = ref 0 in
+  Switch.connect_node a ~node:0 (fun _ -> ());
+  Switch.connect_node a ~node:2 (fun _ -> incr got);
+  Switch.connect_node b ~node:1 (fun _ -> ());
+  Switch.set_route a ~dst:1 ~via:[ "b" ];
+  Switch.clear_routes a;
+  Link.send (Switch.uplink a ~node:0) (raw ~src:0 ~dst:2 500);
+  Link.send (Switch.uplink a ~node:0) (raw ~src:0 ~dst:1 500);
+  Sim.run sim;
+  check_int "the station still gets its frame" 1 !got;
+  check_int "the routed node is unroutable" 1 (Switch.frames_unroutable a);
+  check_int "nothing crossed the trunk" 0 (Switch.trunk_tx_frames a ~peer:"b")
+
+let test_switch_destination_beyond_tables () =
+  let sim = Sim.create () in
+  let a, _b = two_switches sim in
+  Switch.add_port a ~node:0;
+  Switch.add_port a ~node:1;
+  Switch.connect_node a ~node:0 (fun _ -> ());
+  Switch.connect_node a ~node:1 (fun _ -> ());
+  Switch.set_route a ~dst:5 ~via:[ "b" ];
+  Link.send (Switch.uplink a ~node:0) (raw ~src:0 ~dst:1000 500);
+  Sim.run sim;
+  check_int "unroutable" 1 (Switch.frames_unroutable a);
+  check_int "not forwarded" 0 (Switch.frames_forwarded a);
+  check_int "nothing crossed the trunk" 0 (Switch.trunk_tx_frames a ~peer:"b")
+
+let test_switch_flood_skips_ingress_only () =
+  let sim = Sim.create () in
+  let a, b = two_switches sim in
+  let got = Array.make 4 0 in
+  let attach sw n =
+    Switch.add_port sw ~node:n;
+    Switch.connect_node sw ~node:n (fun _ -> got.(n) <- got.(n) + 1)
+  in
+  List.iter (attach a) [ 0; 1; 2 ];
+  attach b 3;
+  let bcast =
+    Eth_frame.make ~src:(Mac.of_node 1) ~dst:Mac.broadcast ~ethertype:0x88
+      ~payload_bytes:100 (Eth_frame.Raw 100)
+  in
+  Link.send (Switch.uplink a ~node:1) bcast;
+  Sim.run sim;
+  Alcotest.(check (array int)) "everyone but the sender" [| 1; 0; 1; 1 |] got;
+  check_int "a copied it to two stations and the trunk" 3
+    (Switch.frames_flooded a);
+  check_int "b copied it to its station, not back up the trunk" 1
+    (Switch.frames_flooded b)
+
 (* ------------------------------------------------------------------ *)
 (* Gray failures: fail-slow without failing *)
 
@@ -1196,23 +1289,23 @@ let test_fault_brownout_slows_without_dropping () =
     Fault.brownout ~fraction:0.5 ~from_:(Time.us 10.) ~until_:(Time.us 20.) ()
   in
   (* outside the window: untouched *)
-  (match Fault.frame fault ~now:0 ~ser:1000 () with
+  (match Fault.frame fault ~now:0 ~ser:1000 with
   | [ { Fault.delay = 0; corrupt = false } ] -> ()
   | _ -> Alcotest.fail "expected a clean copy before the window");
   (* inside the window at fraction 0.5 a 1000 ns frame pays 1000 ns extra,
      and a second back-to-back frame queues behind the first's virtual
      residency — FIFO is preserved, nothing is dropped *)
-  (match Fault.frame fault ~now:(Time.us 10.) ~ser:1000 () with
+  (match Fault.frame fault ~now:(Time.us 10.) ~ser:1000 with
   | [ { Fault.delay = 1000; corrupt = false } ] -> ()
   | _ -> Alcotest.fail "expected 1000 ns sag on first frame");
-  (match Fault.frame fault ~now:(Time.us 10.) ~ser:1000 () with
+  (match Fault.frame fault ~now:(Time.us 10.) ~ser:1000 with
   | [ { Fault.delay = 2000; corrupt = false } ] -> ()
   | _ -> Alcotest.fail "expected queued 2000 ns sag on second frame");
   check_int "slowed frames counted" 2 (Fault.slowed fault);
   check_int "sag nanoseconds counted" 3000 (Fault.slow_ns fault);
   check_int "a brownout never drops" 0 (Fault.drops fault);
   (* after the window: clean again *)
-  match Fault.frame fault ~now:(Time.us 30.) ~ser:1000 () with
+  match Fault.frame fault ~now:(Time.us 30.) ~ser:1000 with
   | [ { Fault.delay = 0; corrupt = false } ] -> ()
   | _ -> Alcotest.fail "expected a clean copy after the window"
 
@@ -1274,7 +1367,113 @@ let test_switch_egress_stall_delays_pump () =
     (Invalid_argument "Switch: unknown node 9") (fun () ->
       Switch.inject_stall sw ~node:9 ~span:(Time.us 1.))
 
-let qprops = List.map QCheck_alcotest.to_alcotest [ prop_fragmentation_counts ]
+(* ------------------------------------------------------------------ *)
+(* Ring: the fabric's FIFO *)
+
+(* Pushes and pops against [Stdlib.Queue]; pushes outnumber pops, so a run
+   grows the ring several times and wraps it around in between. *)
+let prop_ring_is_a_fifo =
+  QCheck.Test.make ~count:300 ~name:"ring: FIFO like Stdlib.Queue"
+    (QCheck.make
+       QCheck.Gen.(
+         list_size (int_range 0 600)
+           (frequency [ (3, map Option.some nat); (2, return None) ])))
+    (fun ops ->
+      let ring = Ring.create (-1) and queue = Queue.create () in
+      List.for_all
+        (fun op ->
+          let same_pop =
+            match op with
+            | Some x ->
+                Ring.push ring x;
+                Queue.add x queue;
+                true
+            | None when Queue.is_empty queue -> true
+            | None -> Ring.pop ring = Queue.take queue
+          in
+          same_pop
+          && Ring.length ring = Queue.length queue
+          && Ring.is_empty ring = Queue.is_empty queue)
+        ops)
+
+let test_ring_pop_empty () =
+  let ring = Ring.create 0 in
+  Alcotest.check_raises "a fresh ring"
+    (Invalid_argument "Ring.pop: empty ring") (fun () ->
+      ignore (Ring.pop ring));
+  Ring.push ring 1;
+  check_int "the one element" 1 (Ring.pop ring);
+  Alcotest.check_raises "a drained ring"
+    (Invalid_argument "Ring.pop: empty ring") (fun () ->
+      ignore (Ring.pop ring))
+
+(* Pushes a block only [seen] points to, then pops and drops it. *)
+let[@inline never] push_then_drop ring seen =
+  let block = Bytes.make 64 'x' in
+  Weak.set seen 0 (Some block);
+  Ring.push ring block;
+  ignore (Sys.opaque_identity (Ring.pop ring))
+
+let test_ring_pop_releases () =
+  let ring = Ring.create Bytes.empty and seen = Weak.create 1 in
+  push_then_drop ring seen;
+  Gc.full_major ();
+  check_bool "the ring no longer holds the popped block" false
+    (Weak.check seen 0);
+  check_bool "the ring is still in use" true (Ring.is_empty ring)
+
+(* ------------------------------------------------------------------ *)
+(* Fabric allocation budget: exact [Gc.minor_words] over 10^5 frames built
+   before the count starts.  The link and the switch allocate nothing per
+   frame but each switch's hop copy (10 words). *)
+
+let budget_frames = 100_000
+
+let words_per_frame f =
+  let before = Gc.minor_words () in
+  f ();
+  (Gc.minor_words () -. before) /. float_of_int budget_frames
+
+let test_fabric_allocation_budget () =
+  let frames = Array.init budget_frames (fun _ -> raw ~src:0 ~dst:1 1500) in
+  let sim = Sim.create () in
+  let link = Link.create sim ~name:"l" ~bits_per_s:1e9 () in
+  let got = ref 0 in
+  Link.connect link (fun _ -> incr got);
+  let send = Link.send link in
+  let words =
+    words_per_frame (fun () ->
+        Array.iter send frames;
+        Sim.run sim)
+  in
+  check_int "every frame crossed the busy link" budget_frames !got;
+  if words > 1. then
+    Alcotest.failf "busy link: %.2f minor words per frame, budget 1" words;
+  let sim = Sim.create () in
+  let a, b = two_switches ~buffer:Switch.default_buffer sim in
+  Switch.add_port a ~node:0;
+  Switch.add_port b ~node:1;
+  Switch.set_route a ~dst:1 ~via:[ "b" ];
+  Switch.connect_node a ~node:0 (fun _ -> ());
+  let got = ref 0 in
+  Switch.connect_node b ~node:1 (fun f ->
+      if not (Mac_control.is_mac_control f) then incr got);
+  let send = Link.send (Switch.uplink a ~node:0) in
+  let words =
+    words_per_frame (fun () ->
+        Array.iter send frames;
+        Sim.run sim)
+  in
+  check_int "every frame crossed both switches" budget_frames !got;
+  if words > 22. then
+    Alcotest.failf
+      "station -> switch -> trunk -> switch -> station: %.2f minor words \
+       per frame, budget 22"
+      words
+
+let qprops =
+  List.map QCheck_alcotest.to_alcotest
+    [ prop_fragmentation_counts; prop_ring_is_a_fifo ]
 
 let suite =
   [
@@ -1336,10 +1535,21 @@ let suite =
       test_switch_trunk_pause_propagates);
     ("switch trunk hol blocking", `Quick, test_switch_trunk_hol_blocking);
     ("switch set_down drains", `Quick, test_switch_set_down_drains);
+    ("switch route removed", `Quick, test_switch_route_removed);
+    ("switch station beats route", `Quick, test_switch_station_beats_route);
+    ("switch clear_routes keeps stations", `Quick,
+      test_switch_clear_routes_keeps_stations);
+    ("switch destination beyond tables", `Quick,
+      test_switch_destination_beyond_tables);
+    ("switch flood skips ingress only", `Quick,
+      test_switch_flood_skips_ingress_only);
     ("fault brownout fail-slow", `Quick,
       test_fault_brownout_slows_without_dropping);
     ("fault brownout validation", `Quick, test_fault_brownout_validation);
     ("nic slow factor", `Quick, test_nic_slow_factor_inflates_service);
     ("switch egress stall", `Quick, test_switch_egress_stall_delays_pump);
+    ("ring pop on empty", `Quick, test_ring_pop_empty);
+    ("ring pop releases its cell", `Quick, test_ring_pop_releases);
+    ("fabric allocation budget", `Quick, test_fabric_allocation_budget);
   ]
   @ qprops
