@@ -49,13 +49,6 @@ let distances ?(excluding = []) t root =
   end;
   dist
 
-let diameter t =
-  List.fold_left
-    (fun acc s ->
-      let dist = distances t s in
-      Hashtbl.fold (fun _ d acc -> max acc d) dist acc)
-    0 t.switches
-
 let validate t =
   if t.n <= 0 then invalid_arg "Topology: n <= 0";
   if t.switches = [] then invalid_arg "Topology: no switches";
@@ -92,11 +85,7 @@ let validate t =
     (fun s ->
       if not (Hashtbl.mem reach s) then
         invalid_arg (Printf.sprintf "Topology: switch %s is disconnected" s))
-    t.switches;
-  (* A frame crossing the longest shortest path traverses diameter + 1
-     switches; the switches' hop bound must let it. *)
-  if Hw.Switch.ttl < diameter t + 1 then
-    invalid_arg "Topology: fabric diameter exceeds the switch TTL"
+    t.switches
 
 let make ~switches ~trunks ~hosts () =
   let t = { n = Array.length hosts; switches; trunks; hosts } in

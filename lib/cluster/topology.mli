@@ -9,8 +9,11 @@
 
     {!Net.create_topo} compiles {!routes} — all-pairs BFS shortest paths
     with equal-cost next-hop sets — into static ECMP switch routes, the
-    fabric's only unicast forwarding.  They are loop-free by construction
-    (the distance to the destination strictly decreases at every hop). *)
+    fabric's only forwarding: unicast frames follow them to their
+    destination, and group-addressed frames flood back along them
+    ({!Hw.Switch}'s reverse-path check).  They are loop-free by
+    construction (the distance to the destination strictly decreases at
+    every hop). *)
 
 type t
 
@@ -23,9 +26,7 @@ val make :
 (** [hosts.(id)] names the switch node [id] attaches to; every trunk is an
     unordered switch pair.  {!star} and {!leaf_spine} are special cases.
     @raise Invalid_argument on duplicate switches or trunks, self-trunks,
-    references to unknown switches, a disconnected trunk graph, or a
-    diameter so large that a frame would cross more than
-    {!Hw.Switch.ttl} switches. *)
+    references to unknown switches, or a disconnected trunk graph. *)
 
 val star : n:int -> t
 (** [n] hosts on one switch — the legacy cluster, and the compatibility
@@ -45,9 +46,6 @@ val trunks : t -> (string * string) list
 
 val attach : t -> int -> string
 (** The switch prefix host [id] attaches to. *)
-
-val diameter : t -> int
-(** Longest shortest trunk path between any two switches. *)
 
 val routes : ?excluding:string list -> t -> (string * int * string list) list
 (** All-pairs static routing table: [(at, dst, via)] means switch [at]

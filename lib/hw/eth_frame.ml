@@ -16,7 +16,6 @@ type t = {
   payload : payload;
   frag : frag option;
   corrupted : bool;
-  hops : int;  (* switch traversals so far; not on the wire *)
   ce : bool;  (* congestion experienced, set by ECN-marking switches *)
 }
 
@@ -32,7 +31,7 @@ let ethertype_mac_control = 0x8808
 let make ~src ~dst ~ethertype ~payload_bytes ?frag ?(corrupted = false)
     ?(ce = false) payload =
   if payload_bytes < 0 then invalid_arg "Eth_frame.make: negative payload";
-  { src; dst; ethertype; payload_bytes; payload; frag; corrupted; hops = 0; ce }
+  { src; dst; ethertype; payload_bytes; payload; frag; corrupted; ce }
 
 let filler =
   make ~src:Mac.broadcast ~dst:Mac.broadcast ~ethertype:0 ~payload_bytes:0

@@ -33,16 +33,11 @@ type t = {
       (** bits flipped in flight (fault injection): the receiving MAC's
           FCS check fails and the frame is dropped with a [bad_fcs]
           count instead of being delivered *)
-  hops : int;
-      (** switch traversals so far — incremented by each switch that
-          forwards the frame, which is dropped once it reaches
-          {!Switch.ttl}.  Bookkeeping only: contributes nothing to the wire
-          size. *)
   ce : bool;
       (** congestion experienced — set by a switch whose ECN threshold
           was crossed while enqueuing this frame.  Models the switch
           rewriting the CE bit of the carried protocol header in flight,
-          so like [hops] it contributes nothing to the wire size. *)
+          so it contributes nothing to the wire size. *)
 }
 
 val header_bytes : int

@@ -5,13 +5,11 @@ let of_node id =
   Node id
 
 let broadcast = Broadcast
-let multicast g = Multicast g
 
 (* IEEE 802.3x pause frames go to the reserved 01-80-C2-00-00-01 group
    address; model it as a distinguished multicast group.  Switches never
    flood it: MAC control frames are consumed by the receiving station. *)
 let flow_control = Multicast 0x01
-let is_group = function Broadcast | Multicast _ -> true | Node _ -> false
 let equal a b = a = b
 
 let pp fmt = function

@@ -10,15 +10,11 @@ val of_node : int -> t
 (** @raise Invalid_argument on a negative node id. *)
 
 val broadcast : t
-val multicast : int -> t
 
 val flow_control : t
 (** The reserved 01-80-C2-00-00-01 group address MAC-control (802.3x
     PAUSE) frames are sent to.  Link-constrained: never forwarded by
     switches. *)
-
-val is_group : t -> bool
-(** True for broadcast and multicast addresses. *)
 
 val equal : t -> t -> bool
 val pp : Format.formatter -> t -> unit

@@ -69,6 +69,7 @@ type t = {
   rx_slots : Semaphore.t;
   rx_wire : Eth_frame.t Mailbox.t;
   pending : rx_desc Queue.t;
+  pending_name : string;  (* [pending]'s name in [Queue_depth] probes *)
   reassembly : (string * int, reasm) Hashtbl.t;
   mutable irq_handler : (unit -> unit) option;
   mutable masked : bool;
@@ -105,7 +106,7 @@ let[@clic.hot] probe_ring_depth t =
   if !Probe.on then
     Probe.emit
       (Probe.Queue_depth
-         { queue = t.name ^ ":rx-ring"; depth = Queue.length t.pending })
+         { queue = t.pending_name; depth = Queue.length t.pending })
 
 let internal_move_time t bytes =
   Time.of_bytes_at_rate ~bytes_per_s:t.internal_bytes_per_s bytes
@@ -509,6 +510,7 @@ let create sim ~name ~mtu ~pci ~membus ?(tx_ring = 64) ?(rx_ring = 128)
       rx_slots = Semaphore.create rx_ring;
       rx_wire = Mailbox.create ();
       pending = Queue.create ();
+      pending_name = name ^ ":rx-ring";
       reassembly = Hashtbl.create 16;
       irq_handler = None;
       masked = false;

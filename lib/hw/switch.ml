@@ -48,7 +48,7 @@ let validate_buffer b =
    and the buffer ledger all behave identically on trunks and stations.
 
    A port names another by its [index] in the switch's [ports]; the
-   per-frame path allocates nothing but the hop copy.  A frame received
+   per-frame path allocates nothing but a CE-marked copy.  A frame received
    on a port waits out the forwarding latency in [arrived], whose one
    thunk [forward_next] pops it: every frame of a port is posted with the
    same delay, in arrival order, so the pops follow arrival order.  The
@@ -66,6 +66,7 @@ type port = {
   forward_next : unit -> unit;  (* forwards the head of [arrived] *)
   fifo : Eth_frame.t Ring.t;  (* egress FIFO *)
   fifo_ingress : int Ring.t;  (* ingress index of each [fifo] frame *)
+  fifo_name : string;  (* [fifo]'s name in [Queue_depth] probes *)
   mutable wire_charged : int;  (* buffer bytes of the data frame on the wire *)
   mutable wire_ingress : int;  (* its ingress index *)
   mutable wire_count : int;  (* frames handed to the downlink, ser pending *)
@@ -102,7 +103,6 @@ type t = {
   mutable frames_forwarded : int;
   mutable frames_flooded : int;
   mutable frames_unroutable : int;
-  mutable frames_ttl_dropped : int;
   mutable down_drops : int;
   mutable pause_frames_tx : int;
   mutable pause_frames_rx : int;
@@ -110,10 +110,6 @@ type t = {
   mutable egress_stalls : int;
   mutable egress_stall_ns : int;
 }
-
-(* Switch traversals a frame may make before it is dropped; it ends
-   broadcast storms on cyclic fabrics. *)
-let ttl = 16
 
 (* Lookup plus internal transfer, paid by every frame a switch forwards. *)
 let forward_latency = Time.us 2.
@@ -146,7 +142,6 @@ let create sim ~name ~bits_per_s ?(fault = fun () -> Fault.none)
     frames_forwarded = 0;
     frames_flooded = 0;
     frames_unroutable = 0;
-    frames_ttl_dropped = 0;
     down_drops = 0;
     pause_frames_tx = 0;
     pause_frames_rx = 0;
@@ -212,7 +207,7 @@ let probe_fifo t p =
       Probe.emit
         (Probe.Queue_depth
            {
-             queue = Printf.sprintf "%s->%s:fifo" t.name p.label;
+             queue = p.fifo_name;
              depth = Ring.length p.fifo;
            })
   | _ -> ()
@@ -417,20 +412,27 @@ let[@clic.hot] unicast t ~ingress port frame =
   if admit t ~ingress port frame then
     enqueue t port ~ingress (maybe_mark_ce t port frame)
 
+(* A group-addressed frame floods from a station port, and from a trunk
+   only when that trunk is this switch's way back to the frame's source
+   (its station port, else the first trunk of its route set): the
+   reverse-path check of 802.1aq.  Over shortest-path routes the copies
+   that pass form a tree rooted at the source's switch, so each switch
+   floods a frame at most once and nothing loops. *)
+let floods t ~ingress frame =
+  t.ports.(ingress).node >= 0
+  ||
+  match frame.Eth_frame.src with
+  | Mac.Node s ->
+      let set = route t s in
+      station t s < 0 && Array.length set > 0 && set.(0).index = ingress
+  | Mac.Broadcast | Mac.Multicast _ -> false
+
 (* Forwarding decision for unicast, in priority order: local station
-   port, static ECMP route, unroutable; group-addressed frames flood.  The
-   hop count bounds any loop — static shortest-path routes are loop-free
-   by construction, but flooding on a cyclic fabric is not, so the TTL is
-   the backstop. *)
+   port, static ECMP route, unroutable.  Group-addressed frames flood
+   along the reverse-path tree ([floods]). *)
 let[@clic.hot] forward t ~ingress frame =
   if t.down then t.down_drops <- t.down_drops + 1
-  else if frame.Eth_frame.hops >= ttl then
-    t.frames_ttl_dropped <- t.frames_ttl_dropped + 1
-  else begin
-    let frame =
-      ({ frame with Eth_frame.hops = frame.Eth_frame.hops + 1 }
-      [@clic.alloc_ok "hop copy: the TTL counts it (ROADMAP item 9)"])
-    in
+  else
     match frame.Eth_frame.dst with
     | Mac.Node node ->
         let local = station t node in
@@ -449,8 +451,8 @@ let[@clic.hot] forward t ~ingress frame =
             unicast t ~ingress set.(flow_hash ~src ~dst:node n) frame
           end
         end
-    | Mac.Broadcast | Mac.Multicast _ -> flood t ~ingress frame
-  end
+    | Mac.Broadcast | Mac.Multicast _ ->
+        if floods t ~ingress frame then flood t ~ingress frame
 
 let[@clic.hot] forward_arrived t p =
   forward t ~ingress:p.index (Ring.pop p.arrived)
@@ -514,6 +516,7 @@ let add t ~node ~label ~uplink ~downlink =
       forward_next = (fun () -> forward_arrived t port);
       fifo = Ring.create Eth_frame.filler;
       fifo_ingress = Ring.create 0;
+      fifo_name = Printf.sprintf "%s->%s:fifo" t.name label;
       wire_charged = 0;
       wire_ingress = 0;
       wire_count = 0;
@@ -688,7 +691,6 @@ let trunk_tx_frames t ~peer =
 let frames_forwarded t = t.frames_forwarded
 let frames_flooded t = t.frames_flooded
 let frames_unroutable t = t.frames_unroutable
-let frames_ttl_dropped t = t.frames_ttl_dropped
 let down_drops t = t.down_drops
 
 let egress_drops t =

@@ -9,16 +9,21 @@
     set ({!set_route}, hashed per flow), else counted unroutable.
     Broadcast and multicast frames are flooded to every port except the
     ingress one — the data-link multicast capability CLIC's broadcast
-    primitives exploit.  Every switch traversal increments the frame's hop
-    count; frames at the {!ttl} bound are dropped, which is what ends a
-    broadcast storm on a fabric with loops.  Forwarding adds a fixed 2 us
-    per frame, modelling lookup plus internal transfer; each port hands
-    its frames to the lookup in the order they arrived.  Output contention
-    arises from the egress queues draining at the line rate.
+    primitives exploit.  A group-addressed frame floods when it arrives on
+    a station port, or on the trunk that is the switch's own way back to
+    the frame's source: the source's station port, else the first trunk
+    of its route set (the reverse-path check of 802.1aq shortest-path
+    bridging); any other copy is dropped.  Over shortest-path routes the
+    flooded copies form a tree rooted at the source's switch, so every
+    station hears a group frame once, even on a fabric with loops.
+    Forwarding adds a fixed 2 us per frame, modelling lookup plus internal
+    transfer; each port hands its frames to the lookup in the order they
+    arrived.  Output contention arises from the egress queues draining at
+    the line rate.
 
     The lookup reads two tables indexed by node id, the station ports and
-    the route sets, and the per-frame path allocates nothing but the
-    frame's copy with its hop count raised.
+    the route sets, for unicast and group frames alike, and the per-frame
+    path allocates nothing but the copy of a frame it marks CE.
 
     Buffering: each egress port owns a FIFO drawing on a shared byte pool
     ({!buffer}) — a per-port reserve is always available, the remainder is
@@ -53,10 +58,6 @@ type buffer = {
 val default_buffer : buffer
 (** 256 KiB total, 8 KiB reserve, 16/8 KiB watermarks, PAUSE on with
     maximum quanta, 1518-byte frames, ECN marking off. *)
-
-val ttl : int
-(** 16: the switch traversals a frame may make.  A frame arriving with
-    this many hops is dropped into {!frames_ttl_dropped}. *)
 
 type t
 
@@ -98,7 +99,12 @@ val set_route : t -> dst:int -> via:string list -> unit
 (** Installs a static route: unicast frames for node [dst] (when [dst] is
     not a local station) leave via one of the named peer trunks, chosen by
     a deterministic per-flow hash — equal-cost multipath when several
-    peers are given.  An empty [via] removes the route.
+    peers are given.  The first named peer is also the way back from
+    [dst]: group-addressed frames sourced by [dst] flood only when they
+    arrive from it.  An empty [via] removes the route.  The fabric's
+    routes must be loop-free — every hop closer to [dst], as
+    [Cluster.Topology.routes] computes them: nothing bounds a frame's
+    hops, so a route loop circulates its frames forever.
     @raise Invalid_argument when a named peer has no trunk here, or on a
     negative [dst]. *)
 
@@ -142,10 +148,6 @@ val frames_flooded : t -> int
 (** Copies emitted for group-addressed frames. *)
 
 val frames_unroutable : t -> int
-
-val frames_ttl_dropped : t -> int
-(** Frames dropped at the {!ttl} bound — nonzero means a forwarding loop
-    or a broadcast circling a fabric with loops. *)
 
 val down_drops : t -> int
 (** Frames refused while the switch was powered down. *)
