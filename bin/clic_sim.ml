@@ -43,6 +43,17 @@ let int_from lo =
 let probability =
   checked Arg.float (fun p -> p >= 0. && p <= 1.) "a number in [0, 1]"
 
+(* A span in microseconds: 0, or at least 0.001 (one nanosecond, the
+   clock's tick) with a nanosecond count that fits an int.  A finer value
+   would round to 0 ns and a coarser one overflow [Time.us]. *)
+let span_us =
+  checked Arg.float
+    (fun us ->
+      us = 0.
+      || (Float.is_finite us && us >= 0.001
+         && us *. 1000. < Float.of_int max_int))
+    "0 or a finite number >= 0.001"
+
 (* 68 bytes is the smallest MTU IPv4 allows (RFC 791); every stack runs
    at it, while a few tens of bytes leave no room for headers. *)
 let mtu_arg =
@@ -141,7 +152,7 @@ let run_chaos verbose loss burst dup jitter_us mtu size messages =
              if burst > 1 then
                [
                  Hw.Fault.gilbert_elliott ~rng:(Rng.split rng)
-                   ~p_good_to_bad ~p_bad_to_good ~loss_bad ();
+                   ~p_good_to_bad ~p_bad_to_good ~loss_bad;
                ]
              else [ Hw.Fault.drop ~rng:(Rng.split rng) ~prob:loss ]
            else []);
@@ -163,7 +174,7 @@ let run_chaos verbose loss burst dup jitter_us mtu size messages =
   in
   let config = { Node.default_config with mtu; link_fault } in
   let c = Net.create ~config ~n:2 () in
-  let pair = Measure.clic_pair c ~a:0 ~b:1 () in
+  let pair = Measure.clic_pair c ~a:0 ~b:1 in
   let r = Measure.stream c pair ~a:0 ~b:1 ~size ~messages in
   let t = Tally.net c in
   let dups a b =
@@ -236,14 +247,11 @@ let chaos_cmd =
              ~doc:"Frame duplication probability in [0, 1].")
   in
   let jitter =
-    Arg.(value
-         & opt
-             (checked float
-                (fun us -> Float.is_finite us && us >= 0.)
-                "a finite number >= 0")
-             0.
+    Arg.(value & opt span_us 0.
          & info [ "jitter-us" ] ~docv:"US"
-             ~doc:"Max extra per-frame delay, at least 0 (reorders frames).")
+             ~doc:
+               "Max extra per-frame delay: 0 (none) or at least 0.001 (1 \
+                ns).  Jitter reorders frames.")
   in
   let messages =
     Arg.(value & opt (int_from 0) 400
@@ -311,16 +319,17 @@ let run_cmd =
 
 (* Run the sanitizer, invariant monitors and determinism detector over the
    selected scenarios; non-zero exit on any finding so CI can gate on it.
-   [--hashes] runs the baselines only and prints one `name hash' line per
-   scenario, the format test/golden/scenario_hashes.txt pins (regenerate
-   it with `clic-sim check --hashes > test/golden/scenario_hashes.txt');
-   a baseline with a finding still fails, its report on stderr.  Backtraces
-   are recorded, so a crash finding names its raise site. *)
+   [--hashes] prints one `name hash' line per scenario (its baseline's
+   hash) in place of the reports, the format
+   test/golden/scenario_hashes.txt pins (regenerate it with `clic-sim check
+   --hashes --seeds 3 > test/golden/scenario_hashes.txt'); a scenario with
+   a finding, seeded runs included, still fails, its report on stderr.
+   Backtraces are recorded, so a crash finding names its raise site. *)
 let run_check verbose scenarios seeds hashes =
   Printexc.record_backtrace true;
   let names = if scenarios = [] then None else Some scenarios in
   let reports =
-    try Check.run_all ~seeds:(if hashes then 0 else seeds) ?names ()
+    try Check.run_all ~seeds ?names ()
     with Invalid_argument msg ->
       prerr_endline ("clic-sim: " ^ msg);
       exit 2
@@ -367,11 +376,12 @@ let check_cmd =
     Arg.(value & flag
          & info [ "hashes" ]
              ~doc:
-               "Run only each scenario's FIFO baseline and print its \
-                logical trace hash (one `name hash' line per scenario, the \
-                format of test/golden/scenario_hashes.txt) instead of the \
-                reports; a baseline with a finding still exits 1, its \
-                report on stderr.")
+               "Print each scenario's FIFO-baseline logical trace hash (one \
+                `name hash' line per scenario, the format of \
+                test/golden/scenario_hashes.txt) instead of the reports. \
+                The $(b,--seeds) orderings still run: a scenario with a \
+                finding exits 1, its report on stderr.  $(b,--seeds) 0 runs \
+                the baselines only.")
   in
   Cmd.v
     (Cmd.info "check"
@@ -532,16 +542,8 @@ let metrics_cmd =
          & info [ "f"; "format" ] ~docv:"FMT"
              ~doc:"Export format: csv, json or summary.")
   in
-  (* A width of 0.001 us is one nanosecond, the finest bucket; its
-     nanosecond count must fit an int. *)
-  let bucket_width us =
-    us = 0.
-    || (Float.is_finite us && us >= 0.001
-       && us *. 1000. < Float.of_int max_int)
-  in
   let bucket =
-    Arg.(value
-         & opt (checked float bucket_width "0 or a finite width >= 0.001") 0.
+    Arg.(value & opt span_us 0.
          & info [ "bucket-us" ] ~docv:"US"
              ~doc:
                "Bucket width for utilization/rate series, at least 0.001 \

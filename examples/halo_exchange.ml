@@ -25,15 +25,13 @@ let run_with transport_name =
         List.init ranks (fun rank ->
             let node = Net.node cluster rank in
             Mpi_layer.Mpi.create node.Node.env ~rank
-              (Mpi_layer.Mpi_clic.transport reg node.Node.clic ~rank)
-              ())
+              (Mpi_layer.Mpi_clic.transport reg node.Node.clic ~rank))
     | _ ->
         let reg = Mpi_layer.Mpi_tcp.registry () in
         List.init ranks (fun rank ->
             let node = Net.node cluster rank in
             Mpi_layer.Mpi.create node.Node.env ~rank
-              (Mpi_layer.Mpi_tcp.transport reg node.Node.tcp ~rank)
-              ())
+              (Mpi_layer.Mpi_tcp.transport reg node.Node.tcp ~rank))
   in
   let finish_times = Array.make ranks 0 in
   List.iteri

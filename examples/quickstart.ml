@@ -35,12 +35,12 @@ let () =
   (* The measurement harness automates ping-pong and streaming runs. *)
   let latency =
     let c = Net.create ~n:2 () in
-    let pair = Measure.clic_pair c ~a:0 ~b:1 () in
+    let pair = Measure.clic_pair c ~a:0 ~b:1 in
     (Measure.pingpong c pair ~size:0 ()).Measure.one_way
   in
   let bandwidth =
     let c = Net.create ~config:(Node.gigabit_jumbo Node.default_config) ~n:2 () in
-    let pair = Measure.clic_pair c ~a:0 ~b:1 () in
+    let pair = Measure.clic_pair c ~a:0 ~b:1 in
     (Measure.pingpong c pair ~size:1_048_576 ~reps:3 ~warmup:1 ())
       .Measure.pp_bandwidth_mbps
   in

@@ -129,8 +129,7 @@ let evaluate c ~(slo : Workload.slo) ~fault_from ~fault_until =
 let fault_from = Time.ms 2.
 let fault_until = Time.ms 5.
 
-let run_contract ?(quick = false) ?(contract = default) () =
-  validate contract;
+let run_contract ?(quick = false) () =
   let requests_per_node = if quick then 60 else 120 in
   let faults = ref [] in
   let config =
@@ -141,7 +140,7 @@ let run_contract ?(quick = false) ?(contract = default) () =
           (fun () ->
             let f =
               Hw.Fault.brownout ~fraction:0.125 ~from_:fault_from
-                ~until_:fault_until ()
+                ~until_:fault_until
             in
             faults := f :: !faults;
             f);
@@ -155,7 +154,7 @@ let run_contract ?(quick = false) ?(contract = default) () =
       ~arrival:(Workload.Poisson { mean_gap = Time.us 200. })
       ~requests_per_node ~req_size:512 ~resp_size:2048 ()
   in
-  let v = evaluate contract ~slo ~fault_from ~fault_until in
+  let v = evaluate default ~slo ~fault_from ~fault_until in
   (* the contract is void unless every fail-slow mechanism engaged *)
   let t = Tally.net c in
   let engaged =

@@ -50,12 +50,12 @@ val evaluate :
 (** Pure classification and judgement of one latency record.
     @raise Invalid_argument on a bad contract or an empty fault window. *)
 
-val run_contract :
-  ?quick:bool -> ?contract:contract -> unit -> verdict * Workload.slo
+val run_contract : ?quick:bool -> unit -> verdict * Workload.slo
 (** Builds the canonical 4-node cluster, runs the Poisson open-loop
-    workload across a mid-run gray-failure window (link brownout to a
-    quarter rate, 4x-slow NICs on two nodes, periodic egress stalls on a
-    third), and judges the record.  Also fails (rule [mechanism-idle])
-    if any injected fail-slow mechanism never actually engaged. *)
+    workload across a mid-run gray-failure window (link brownout to an
+    eighth of the rate, 6x-slow NICs on two nodes, periodic egress stalls
+    on a third), and judges the record against {!default}.  Also fails
+    (rule [mechanism-idle]) if any injected fail-slow mechanism never
+    actually engaged. *)
 
 val pp_verdict : Format.formatter -> verdict -> unit

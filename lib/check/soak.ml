@@ -244,7 +244,7 @@ let fabric_cut ~quick ~seed acc =
       clic_params = { snappy_params with max_retries = 8 };
       switch_ingress_frames = Some 6;
       switch_buffer = Some Switch.default_buffer;
-      nic_pause = Some Nic.pause_802_3x;
+      nic_pause = true;
     }
   in
   let topo = Topology.leaf_spine ~racks:2 ~per_rack:2 ~spines:2 () in
@@ -295,7 +295,7 @@ let ecn_collapse ~quick ~seed acc =
   let fault_rng = Rng.create ~seed:(seed lxor 0x1B1B) in
   let mk_fault () =
     Fault.gilbert_elliott ~rng:(Rng.split fault_rng) ~p_good_to_bad:0.01
-      ~p_bad_to_good:0.05 ~loss_bad:0.5 ()
+      ~p_bad_to_good:0.05 ~loss_bad:0.5
   in
   let config =
     {
@@ -328,7 +328,7 @@ let gray_soak ~quick ~seed acc =
       link_fault =
         Some
           (fun () ->
-            let f = Fault.brownout ~fraction:0.2 ~from_ ~until_ () in
+            let f = Fault.brownout ~fraction:0.2 ~from_ ~until_ in
             faults := f :: !faults;
             f);
     }
@@ -450,10 +450,10 @@ let evidence : (string * string option * (report -> int)) list =
     ("acks deferred under pressure", None, tally (fun t -> t.acks_deferred));
     ( "switch drops (ingress + egress)", Some "no switch ever dropped a frame",
       tally Tally.switch_drops );
-    (* NICs and switches both generate PAUSE frames *)
+    (* only switches generate PAUSE frames *)
     ( "802.3x PAUSE frames generated",
       Some "no 802.3x PAUSE frame was generated",
-      tally (fun t -> t.nic_pause_tx + t.switch_pause_tx) );
+      tally (fun t -> t.switch_pause_tx) );
     ( "tx time XOFFed (ns)", Some "no transmitter was ever XOFFed",
       tally (fun t -> t.tx_paused_ns) );
     ( "frames carried on trunks", Some "no frame ever crossed a trunk",

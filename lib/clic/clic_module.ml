@@ -69,10 +69,13 @@ let sim t = t.env.Hostenv.sim
 let membus t = t.env.Hostenv.membus
 let kmem t = t.env.Hostenv.kmem
 
-let link_mtu t =
-  Nic.mtu (Driver.nic (Ethernet.env t.eths.(0)).Hostenv.driver)
-
-let max_payload t = Params.payload_per_packet t.p ~link_mtu:(link_mtu t)
+(* Data bytes per CLIC packet: the largest packet the NIC takes (its MTU,
+   or a super-packet when its firmware fragments) less the CLIC header. *)
+let max_payload t =
+  let nic = Driver.nic (Ethernet.env t.eths.(0)).Hostenv.driver in
+  (if Nic.fragmentation nic then t.p.Params.super_packet_bytes
+   else Nic.mtu nic)
+  - t.p.Params.header_bytes
 
 let get_port t id =
   match Hashtbl.find_opt t.ports id with
@@ -205,10 +208,9 @@ let transmit_packet t ~dst ~staged pkt =
          ~on_complete:(on_complete t) pkt)
   then
     if
-      t.p.Params.stage_on_busy
-      && (pkt.Wire.data_bytes = 0
-         || (Kmem.level (kmem t) <> `Hard
-            && Kmem.try_alloc (kmem t) pkt.Wire.data_bytes))
+      pkt.Wire.data_bytes = 0
+      || (Kmem.level (kmem t) <> `Hard
+         && Kmem.try_alloc (kmem t) pkt.Wire.data_bytes)
     then begin
       (* Ring full: copy into system memory and return — the application
          continues while the packet waits for ring space (Section 3.1). *)

@@ -11,7 +11,6 @@ type t = {
   module_rx : Time.span;
   header_bytes : int;
   data_path : data_path;
-  stage_on_busy : bool;
   ack_every : int;
   ack_timeout : Time.span;
   retransmit_timeout : Time.span;
@@ -20,7 +19,6 @@ type t = {
   dup_ack_threshold : int;
   max_retries : int;
   tx_window : int;
-  use_nic_fragmentation : bool;
   super_packet_bytes : int;
   staging_bytes_per_s : float;
   staging_overhead : Time.span;
@@ -31,7 +29,6 @@ type t = {
   sack_blocks : int;
   dctcp : bool;
   dctcp_g : float;
-  ecn_threshold : int;
 }
 
 let default =
@@ -40,7 +37,6 @@ let default =
     module_rx = Time.us 2.0;
     header_bytes = 12;
     data_path = Dma_nic_buffer;
-    stage_on_busy = true;
     ack_every = 2;
     ack_timeout = Time.us 100.;
     retransmit_timeout = Time.ms 20.;
@@ -49,7 +45,6 @@ let default =
     dup_ack_threshold = 3;
     max_retries = 30;
     tx_window = 48;
-    use_nic_fragmentation = false;
     super_packet_bytes = 32768;
     staging_bytes_per_s = 80e6;
     staging_overhead = Time.us 2.;
@@ -60,25 +55,9 @@ let default =
     sack_blocks = Wire.max_sack_blocks;
     dctcp = false;
     dctcp_g = 0.0625;
-    ecn_threshold = 32 * 1024;
   }
 
 let one_copy = { default with data_path = Staged_nic_buffer }
-
-(* Incast tuning: a tighter transmit window slows the N→1 overload rate,
-   and snappier timeouts recover quickly from the drops a congested switch
-   still inflicts.  [rto_max] must leave the exponential backoff real room:
-   with a low cap every loser's timer saturates at the same value and the
-   N retry storms phase-lock, so one sender can meet a full egress queue on
-   every single attempt until it declares the peer dead. *)
-let congestion =
-  {
-    default with
-    tx_window = 16;
-    retransmit_timeout = Time.ms 2.;
-    rto_min = Time.us 500.;
-    rto_max = Time.ms 10.;
-  }
 
 let validate t =
   let fail fmt = Printf.ksprintf invalid_arg fmt in
@@ -107,12 +86,4 @@ let validate t =
       Wire.max_sack_blocks;
   if not (t.dctcp_g > 0. && t.dctcp_g <= 1.) then
     fail "Clic.Params: dctcp_g %g outside (0, 1]" t.dctcp_g;
-  if t.ecn_threshold <= 0 then
-    fail "Clic.Params: ecn_threshold %d <= 0" t.ecn_threshold;
   t
-
-let payload_per_packet t ~link_mtu =
-  let max_packet =
-    if t.use_nic_fragmentation then t.super_packet_bytes else link_mtu
-  in
-  max_packet - t.header_bytes

@@ -7,7 +7,8 @@
     - CLIC_MODULE receive-side processing is 2 us (Figure 7);
     - the 12-byte CLIC header rides on the 14-byte level-1 Ethernet header;
     - when the NIC cannot accept a packet, the module stages the data into
-      system memory and lets the application continue (Section 3.1).
+      system memory and lets the application continue (Section 3.1); it
+      blocks only when the kernel pool cannot take the copy either.
 
     The {!data_path} field selects among the four user-to-NIC transfer
     paths of the paper's Figure 1; Gigabit CLIC uses path 2 ({!Dma_nic_buffer},
@@ -33,8 +34,6 @@ type t = {
   module_rx : Time.span;  (** CLIC_MODULE receive processing, per packet *)
   header_bytes : int;  (** the CLIC header: 12 bytes *)
   data_path : data_path;
-  stage_on_busy : bool;
-      (** copy to system memory when the ring is full instead of blocking *)
   ack_every : int;  (** cumulative channel ack frequency, packets *)
   ack_timeout : Time.span;  (** ack latency bound when traffic stops *)
   retransmit_timeout : Time.span;
@@ -47,10 +46,9 @@ type t = {
       (** consecutive timeouts without progress before the peer is
           declared dead and blocked senders are released with an error *)
   tx_window : int;  (** per-peer outstanding-packet bound *)
-  use_nic_fragmentation : bool;
-      (** hand the NIC super-packets and let its firmware fragment (the
-          paper's future-work feature) *)
-  super_packet_bytes : int;  (** max NIC-level packet when fragmenting *)
+  super_packet_bytes : int;
+      (** max NIC-level packet when the NIC fragments
+          ({!Hw.Nic.fragmentation}, the paper's future-work feature) *)
   staging_bytes_per_s : float;
       (** effective rate of the user→kernel staging copy (1-copy paths and
           ring-full staging); slower than a hot memcpy because it allocates
@@ -85,33 +83,20 @@ type t = {
           switch ({!Hw.Switch.buffer}[.ecn_threshold]) to do anything *)
   dctcp_g : float;
       (** EWMA gain for the DCTCP mark-fraction estimate, in (0, 1] *)
-  ecn_threshold : int;
-      (** the per-egress marking watermark (bytes) experiment configs
-          provision ECN-capable switches with; must be positive *)
 }
 
 val default : t
 (** The Gigabit Ethernet configuration of the paper's evaluation:
-    path 2, staging enabled, 12-byte headers, NIC fragmentation off. *)
+    path 2 and 12-byte headers. *)
 
 val one_copy : t
 (** The "1-copy" configuration of Figure 4 (path 4). *)
-
-val congestion : t
-(** Incast tuning: a 16-packet transmit window and sub-millisecond
-    retransmission timeouts, for many-to-one traffic through a congested
-    switch. *)
 
 val validate : t -> t
 (** Checks the parameter set for internal consistency and returns it
     unchanged; {!Clic_module.create} calls this on construction.
     @raise Invalid_argument when [rto_min > rto_max], when
-    [dup_ack_threshold], [max_retries], [tx_window], [ack_every] or
-    [ecn_threshold] is non-positive, when the kernel-pool watermark
-    fractions are out of order, when [soft_window_frac] or [dctcp_g] is
-    outside [(0, 1]], or when [sack_blocks] is outside
-    [[1, Wire.max_sack_blocks]]. *)
-
-val payload_per_packet : t -> link_mtu:int -> int
-(** Data bytes carried per CLIC packet: the NIC MTU (or super-packet size
-    when NIC fragmentation is on) minus the CLIC header. *)
+    [dup_ack_threshold], [max_retries], [tx_window] or [ack_every] is
+    non-positive, when the kernel-pool watermark fractions are out of
+    order, when [soft_window_frac] or [dctcp_g] is outside [(0, 1]], or
+    when [sack_blocks] is outside [[1, Wire.max_sack_blocks]]. *)

@@ -11,7 +11,8 @@ type pair = {
   b_recv : int -> unit;
 }
 
-let clic_pair cluster ~a ~b ?(port = 7) () =
+let clic_pair cluster ~a ~b =
+  let port = 7 in
   let na = Net.node cluster a and nb = Net.node cluster b in
   {
     label = "clic";
@@ -23,7 +24,8 @@ let clic_pair cluster ~a ~b ?(port = 7) () =
     b_recv = (fun _ -> ignore (Clic.Api.recv nb.Node.clic ~port));
   }
 
-let tcp_pair cluster ~a ~b ?(port = 5000) () =
+let tcp_pair cluster ~a ~b =
+  let port = 5000 in
   let na = Net.node cluster a and nb = Net.node cluster b in
   let conn_a = ref None and conn_b = ref None in
   let get slot = match !slot with Some c -> c | None -> assert false in

@@ -17,8 +17,11 @@ type pair = {
   b_recv : int -> unit;
 }
 
-val clic_pair : Net.t -> a:int -> b:int -> ?port:int -> unit -> pair
-val tcp_pair : Net.t -> a:int -> b:int -> ?port:int -> unit -> pair
+val clic_pair : Net.t -> a:int -> b:int -> pair
+(** CLIC between nodes [a] and [b], on CLIC port 7. *)
+
+val tcp_pair : Net.t -> a:int -> b:int -> pair
+(** One TCP connection from [a] to [b], on port 5000. *)
 
 type pingpong_result = {
   one_way : Time.span;  (** mean one-way time (half round trip) *)

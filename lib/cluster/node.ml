@@ -31,8 +31,8 @@ type config = {
       (* finite switch uplink FIFOs; blind-dumping NICs lose frames *)
   switch_buffer : Switch.buffer option;
       (* shared-buffer ledger + 802.3x PAUSE generation at the switch *)
-  nic_pause : Nic.pause option;
-      (* 802.3x flow control at the NICs; None = legacy ignore-PAUSE MAC *)
+  nic_pause : bool;
+      (* 802.3x flow control at the NICs; false = legacy ignore-PAUSE MAC *)
 }
 
 let default_config =
@@ -58,7 +58,7 @@ let default_config =
     switch_egress_frames = None;
     switch_ingress_frames = None;
     switch_buffer = None;
-    nic_pause = None;
+    nic_pause = false;
   }
 
 let gigabit_jumbo config = { config with mtu = Eth_frame.jumbo_mtu }
@@ -90,7 +90,7 @@ type t = {
    downlinks at the fresh NICs and suffix the kernel pool's name so the
    per-boot accounting streams stay distinct. *)
 let boot sim ~id ~switches ~epoch ~cpu ~membus ~pci_for (config : config) =
-  let sched = Sched.create sim ~cpu () in
+  let sched = Sched.create cpu in
   let syscall = Syscall.create cpu in
   let soft_mark =
     int_of_float
@@ -118,7 +118,7 @@ let boot sim ~id ~switches ~epoch ~cpu ~membus ~pci_for (config : config) =
         ~mtu:config.mtu ~pci:(pci_for k) ~membus ~coalesce:config.coalesce
         ~internal_bytes_per_s:config.nic_internal_bytes_per_s
         ~firmware_per_frame:config.nic_firmware_per_frame
-        ~fragmentation:config.nic_fragmentation ?pause:config.nic_pause ()
+        ~fragmentation:config.nic_fragmentation ~pause:config.nic_pause ()
     in
     let switch = List.nth switches k in
     Nic.attach_uplink nic (Switch.uplink switch ~node:id);
@@ -135,7 +135,7 @@ let boot sim ~id ~switches ~epoch ~cpu ~membus ~pci_for (config : config) =
     let env =
       Hostenv.make ~sim ~node:id ~cpu ~membus ~sched ~syscall ~driver ~kmem
     in
-    let eth = Ethernet.create env () in
+    let eth = Ethernet.create env in
     (nic, env, eth)
   in
   let parts = List.init config.nics make_nic in
@@ -144,9 +144,9 @@ let boot sim ~id ~switches ~epoch ~cpu ~membus ~pci_for (config : config) =
   let eths = List.map (fun (_, _, e) -> e) parts in
   let env = List.hd envs in
   (* The TCP/IP suite rides the first NIC; CLIC bonds across all of them. *)
-  let ip = Ip.create (List.hd eths) () in
+  let ip = Ip.create (List.hd eths) in
   let tcp = Tcp.create ip ~params:config.tcp_params () in
-  let udp = Udp.create ip () in
+  let udp = Udp.create ip in
   let clic_module =
     Clic.Clic_module.create env ~params:config.clic_params ~epoch eths
   in

@@ -16,6 +16,8 @@ type config = {
   link_bits_per_s : float;
   coalesce : Nic.coalesce;
   nic_fragmentation : bool;
+      (** NIC firmware fragments packets larger than the MTU, and CLIC
+          hands it super-packets ({!Clic.Params.super_packet_bytes}) *)
   nic_internal_bytes_per_s : float;
   nic_firmware_per_frame : Time.span;
   pci_efficiency : float;
@@ -39,9 +41,10 @@ type config = {
           backpressure lose frames to {!Hw.Switch.ingress_drops} *)
   switch_buffer : Hw.Switch.buffer option;
       (** shared-buffer ledger and 802.3x PAUSE generation at the switch *)
-  nic_pause : Hw.Nic.pause option;
-      (** 802.3x flow control at the NICs; [None] = a legacy MAC that
-          ignores PAUSE frames and blind-dumps into full uplinks *)
+  nic_pause : bool;
+      (** 802.3x flow control at the NICs ({!Hw.Nic.create}'s [pause]);
+          [false] = a legacy MAC that ignores PAUSE frames and blind-dumps
+          into full uplinks *)
 }
 
 val default_config : config

@@ -19,7 +19,6 @@ type t = {
   acks_deferred : int;
   pool_drops : int;
   bad_fcs : int;
-  nic_pause_tx : int;
   tx_paused_ns : int;
   slow_extra_ns : int;
   poll_switches : int;
@@ -39,10 +38,10 @@ let zero =
     retransmissions = 0; retx_bytes = 0; retx_bytes_saved = 0; timeouts = 0;
     fast_retransmits = 0; sacked_segments = 0; ce_echoes = 0; delivered = 0;
     reestablishments = 0; peer_reboots = 0; stale_epoch_drops = 0;
-    acks_deferred = 0; pool_drops = 0; bad_fcs = 0; nic_pause_tx = 0;
-    tx_paused_ns = 0; slow_extra_ns = 0; poll_switches = 0; polled = 0;
-    ingress_drops = 0; egress_drops = 0; switch_pause_tx = 0; ecn_marks = 0;
-    trunk_frames = 0; egress_stall_ns = 0; peak_buffer = 0; crashes = 0;
+    acks_deferred = 0; pool_drops = 0; bad_fcs = 0; tx_paused_ns = 0;
+    slow_extra_ns = 0; poll_switches = 0; polled = 0; ingress_drops = 0;
+    egress_drops = 0; switch_pause_tx = 0; ecn_marks = 0; trunk_frames = 0;
+    egress_stall_ns = 0; peak_buffer = 0; crashes = 0;
   }
 
 let add a b =
@@ -61,7 +60,6 @@ let add a b =
     acks_deferred = a.acks_deferred + b.acks_deferred;
     pool_drops = a.pool_drops + b.pool_drops;
     bad_fcs = a.bad_fcs + b.bad_fcs;
-    nic_pause_tx = a.nic_pause_tx + b.nic_pause_tx;
     tx_paused_ns = a.tx_paused_ns + b.tx_paused_ns;
     slow_extra_ns = a.slow_extra_ns + b.slow_extra_ns;
     poll_switches = a.poll_switches + b.poll_switches;
@@ -101,7 +99,6 @@ let boot (node : Node.t) =
     acks_deferred = Clic.Clic_module.acks_deferred k;
     pool_drops = nics Nic.rx_dropped_mem;
     bad_fcs = nics Nic.bad_fcs;
-    nic_pause_tx = nics Nic.pause_frames_tx;
     tx_paused_ns = nics Nic.tx_paused_ns;
     slow_extra_ns = nics Nic.slow_extra_ns;
     poll_switches = drivers Driver.poll_mode_switches;

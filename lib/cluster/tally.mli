@@ -25,7 +25,6 @@ type t = {
   (* NIC *)
   pool_drops : int;  (** ingress frames shed at the pool's hard watermark *)
   bad_fcs : int;  (** corrupted frames dropped by the MAC *)
-  nic_pause_tx : int;  (** 802.3x PAUSE frames the NICs generated *)
   tx_paused_ns : int;  (** time transmitters spent XOFFed *)
   slow_extra_ns : int;  (** service time added by fail-slow NICs *)
   (* driver *)

@@ -356,14 +356,16 @@ let open_loop c ~seed ~arrival ?(requests_per_node = 100) ?(req_size = 512)
 (* --------------------------------------------------------------- *)
 (* Gray-failure injection window *)
 
+(* Each stalled port freezes for [stall_span] out of every
+   [stall_every]. *)
+let stall_every = Time.us 100.
+let stall_span = Time.us 40.
+
 let inject_gray c ?(nic_nodes = []) ?(nic_factor = 2.5) ?(stall_nodes = [])
-    ?(stall_every = Time.us 100.) ?(stall_span = Time.us 40.) ~from_ ~until_
-    () =
+    ~from_ ~until_ () =
   if nic_factor < 1.0 then invalid_arg "Workload.inject_gray: nic_factor < 1";
   if from_ < 0 || until_ <= from_ then
     invalid_arg "Workload.inject_gray: empty or negative window";
-  if stall_every <= 0 || stall_span <= 0 then
-    invalid_arg "Workload.inject_gray: stall period <= 0";
   let n = Net.size c in
   List.iter
     (fun i ->

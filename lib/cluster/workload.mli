@@ -138,8 +138,6 @@ val inject_gray :
   ?nic_nodes:int list ->
   ?nic_factor:float ->
   ?stall_nodes:int list ->
-  ?stall_every:Time.span ->
-  ?stall_span:Time.span ->
   from_:Time.t ->
   until_:Time.t ->
   unit ->
@@ -147,10 +145,10 @@ val inject_gray :
 (** Schedules a fail-slow window over the cluster: from [from_] to
     [until_], the NICs of [nic_nodes] serve frames [nic_factor] times
     slower ({!Hw.Nic.set_slow_factor}), and every switch port facing a
-    node in [stall_nodes] freezes its egress pump for [stall_span] every
-    [stall_every] ({!Hw.Switch.inject_stall}).  Call before running the
+    node in [stall_nodes] freezes its egress pump for 40 us every 100 us
+    ({!Hw.Switch.inject_stall}).  Call before running the
     net; link brownouts compose via the node config's [link_fault]
     ({!Hw.Fault.brownout}).  Nothing dies, nothing announces itself —
     that is the point.
-    @raise Invalid_argument for an empty window, a factor below 1,
-    non-positive stall periods, or an unknown node id. *)
+    @raise Invalid_argument for an empty window, a factor below 1, or an
+    unknown node id. *)

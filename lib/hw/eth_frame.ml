@@ -28,10 +28,9 @@ let standard_mtu = 1500
 let jumbo_mtu = 9000
 let ethertype_mac_control = 0x8808
 
-let make ~src ~dst ~ethertype ~payload_bytes ?frag ?(corrupted = false)
-    ?(ce = false) payload =
+let make ~src ~dst ~ethertype ~payload_bytes ?frag ?(ce = false) payload =
   if payload_bytes < 0 then invalid_arg "Eth_frame.make: negative payload";
-  { src; dst; ethertype; payload_bytes; payload; frag; corrupted; ce }
+  { src; dst; ethertype; payload_bytes; payload; frag; corrupted = false; ce }
 
 let filler =
   make ~src:Mac.broadcast ~dst:Mac.broadcast ~ethertype:0 ~payload_bytes:0

@@ -58,11 +58,11 @@ val make :
   ethertype:int ->
   payload_bytes:int ->
   ?frag:frag ->
-  ?corrupted:bool ->
   ?ce:bool ->
   payload ->
   t
-(** [corrupted] and [ce] default to [false].
+(** [ce] defaults to [false]; a fresh frame is never [corrupted] (a
+    faulty link flips that flag on its copy).
     @raise Invalid_argument on a negative payload size. *)
 
 val filler : t

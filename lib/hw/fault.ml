@@ -8,7 +8,6 @@ type kind =
       rng : Rng.t;
       p_good_to_bad : float;
       p_bad_to_good : float;
-      loss_good : float;
       loss_bad : float;
       mutable bad : bool;
     }
@@ -20,7 +19,6 @@ type kind =
       fraction : float;
       from_ : Time.t;
       until_ : Time.t;
-      label : string;
       mutable busy_until : Time.t;
       mutable was_active : bool;
     }
@@ -53,15 +51,11 @@ let drop_nth ~every =
   if every <= 0 then invalid_arg "Fault.drop_nth: every <= 0";
   make (Drop_nth { every; seen = 0 })
 
-let gilbert_elliott ~rng ~p_good_to_bad ~p_bad_to_good ?(loss_good = 0.)
-    ~loss_bad () =
+let gilbert_elliott ~rng ~p_good_to_bad ~p_bad_to_good ~loss_bad =
   check_prob "gilbert_elliott" p_good_to_bad;
   check_prob "gilbert_elliott" p_bad_to_good;
-  check_prob "gilbert_elliott" loss_good;
   check_prob "gilbert_elliott" loss_bad;
-  make
-    (Gilbert { rng; p_good_to_bad; p_bad_to_good; loss_good; loss_bad;
-               bad = false })
+  make (Gilbert { rng; p_good_to_bad; p_bad_to_good; loss_bad; bad = false })
 
 let duplicate ~rng ~prob =
   check_prob "duplicate" prob;
@@ -79,14 +73,14 @@ let corrupt ~rng ~prob =
   check_prob "corrupt" prob;
   make (Corrupt { rng; prob })
 
-let brownout ~fraction ~from_ ~until_ ?(label = "link") () =
+let brownout ~fraction ~from_ ~until_ =
   if fraction <= 0. || fraction > 1. then
     invalid_arg "Fault.brownout: fraction outside (0,1]";
   if from_ < 0 || until_ <= from_ then
     invalid_arg "Fault.brownout: empty or negative window";
   make
     (Brownout
-       { fraction; from_; until_; label; busy_until = 0; was_active = false })
+       { fraction; from_; until_; busy_until = 0; was_active = false })
 
 let compose stages = make (Compose stages)
 
@@ -112,13 +106,15 @@ let rec frame t ~now ~ser =
       if d.seen mod d.every = 0 then dropped t else clean_pass
   | Gilbert g ->
       (* Two-state Markov channel: advance the state once per frame, then
-         lose with the state's loss rate (loss_bad ~ 1 gives solid bursts). *)
+         lose with the state's loss rate (loss_bad ~ 1 gives solid bursts).
+         The good state loses nothing but still draws, so every frame
+         consumes two draws whatever the state. *)
       let flip =
         Rng.float g.rng 1.0
         < if g.bad then g.p_bad_to_good else g.p_good_to_bad
       in
       if flip then g.bad <- not g.bad;
-      let loss = if g.bad then g.loss_bad else g.loss_good in
+      let loss = if g.bad then g.loss_bad else 0. in
       if Rng.float g.rng 1.0 < loss then dropped t else clean_pass
   | Duplicate { rng; prob } ->
       if Rng.float rng 1.0 < prob then begin
@@ -142,7 +138,7 @@ let rec frame t ~now ~ser =
         b.was_active <- active;
         if !Probe.on then
           Probe.emit (Probe.Gray_fault
-                        { host = b.label; mode = "link-brownout"; active })
+                        { host = "link"; mode = "link-brownout"; active })
       end;
       if not active then clean_pass
       else begin

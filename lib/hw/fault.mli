@@ -32,20 +32,15 @@ val drop_nth : every:int -> t
     reproducible unit tests.  [every] must be positive. *)
 
 val gilbert_elliott :
-  rng:Rng.t ->
-  p_good_to_bad:float ->
-  p_bad_to_good:float ->
-  ?loss_good:float ->
-  loss_bad:float ->
-  unit ->
+  rng:Rng.t -> p_good_to_bad:float -> p_bad_to_good:float -> loss_bad:float ->
   t
 (** Bursty loss from the two-state Gilbert-Elliott Markov channel.  The
     state advances once per frame ([p_good_to_bad] / [p_bad_to_good]
-    transition probabilities); frames are lost with [loss_good] (default 0)
-    in the good state and [loss_bad] in the bad state.  Mean burst length
-    is [1 / p_bad_to_good] frames; stationary loss rate is
-    [loss_bad * p_good_to_bad / (p_good_to_bad + p_bad_to_good)] for
-    [loss_good = 0]. *)
+    transition probabilities); frames are lost with [loss_bad] in the bad
+    state and never in the good one.  Mean burst length is
+    [1 / p_bad_to_good] frames; stationary loss rate is
+    [loss_bad * p_good_to_bad / (p_good_to_bad + p_bad_to_good)].
+    @raise Invalid_argument if a probability is outside [\[0, 1\]]. *)
 
 val duplicate : rng:Rng.t -> prob:float -> t
 (** Delivers each frame twice with probability [prob] (a retransmitting
@@ -61,12 +56,7 @@ val flap : up:Time.span -> down:Time.span -> ?phase:Time.span -> unit -> t
     cycle. *)
 
 val brownout :
-  fraction:float ->
-  from_:Engine.Time.t ->
-  until_:Engine.Time.t ->
-  ?label:string ->
-  unit ->
-  t
+  fraction:float -> from_:Engine.Time.t -> until_:Engine.Time.t -> t
 (** Fail-slow link: between [from_] (inclusive) and [until_] (exclusive)
     the link's effective rate sags to [fraction] of nominal — it keeps
     delivering, just slower.  Each frame in the window owes
@@ -74,8 +64,8 @@ val brownout :
     in a virtual slow queue, so the backlog compounds like a genuinely
     slower transmitter and FIFO order is preserved (no reordering, unlike
     {!jitter}).  Engagement and clearing are emitted as
-    [Probe.Gray_fault { mode = "link-brownout" }] edges under [label]
-    (default ["link"]), and slowed frames are counted ({!slowed},
+    [Probe.Gray_fault { mode = "link-brownout" }] edges under the host
+    name ["link"], and slowed frames are counted ({!slowed},
     {!slow_ns}) so soak evidence can demand the sag actually bit.
     @raise Invalid_argument unless [fraction] is in (0,1] and
     [0 <= from_ < until_]. *)

@@ -13,16 +13,6 @@ type coalesce = {
 let no_coalesce = { max_frames = 1; quiet = 0; absolute = 0 }
 let default_coalesce = { max_frames = 8; quiet = Time.us 2.; absolute = Time.us 50. }
 
-type pause = {
-  honor : bool;
-  gen_high : int;
-  gen_low : int;
-  gen_quanta : int;
-}
-
-let pause_802_3x =
-  { honor = true; gen_high = 0; gen_low = 0; gen_quanta = Mac_control.max_quanta }
-
 type tx_desc = {
   frame : Eth_frame.t;
   needs_dma : bool;
@@ -79,12 +69,11 @@ type t = {
   mutable rx_admission : (bytes:int -> bool) option;
   mutable down : bool;
   (* 802.3x flow control *)
-  pause : pause option;
+  pause : bool;
   mutable tx_paused : bool;
   mutable pause_started : Time.t;
   mutable pause_resume : Sim.handle option;
   mutable pause_wake : unit Ivar.t;
-  mutable gen_xoff_sent : bool;
   (* gray failure: fail-slow service inflation *)
   mutable slow_factor : float;
   mutable slow_extra_ns : int;
@@ -97,7 +86,6 @@ type t = {
   mutable bad_fcs : int;
   mutable tx_paused_acc : int;
   mutable pause_frames_rx : int;
-  mutable pause_frames_tx : int;
 }
 
 let cancel_timer = function Some h -> Sim.cancel h | None -> ()
@@ -234,37 +222,7 @@ let on_pause_frame t ~quanta =
   t.pause_frames_rx <- t.pause_frames_rx + 1;
   if !Probe.on then
     Probe.emit (Probe.Pause_frame { host = t.name; sent = false; quanta });
-  match t.pause with
-  | Some p when p.honor -> pause_enter t ~quanta
-  | _ -> ()
-
-(* Receive-side PAUSE generation (optional, [gen_high] > 0): XOFF the link
-   partner when the rx ring backs up, XON once the host drains it.  The
-   frame originates in the MAC, bypassing the transmit pipeline. *)
-let send_pause_frame t ~quanta =
-  match t.uplink with
-  | Some link when not t.down ->
-      t.pause_frames_tx <- t.pause_frames_tx + 1;
-      if !Probe.on then
-        Probe.emit (Probe.Pause_frame { host = t.name; sent = true; quanta });
-      Link.send link (Mac_control.pause ~src:Mac.flow_control ~quanta)
-  | _ -> ()
-
-let[@clic.hot] gen_pause_check_high t =
-  match t.pause with
-  | Some p
-    when p.gen_high > 0 && (not t.gen_xoff_sent)
-         && Queue.length t.pending >= p.gen_high ->
-      t.gen_xoff_sent <- true;
-      send_pause_frame t ~quanta:p.gen_quanta
-  | _ -> ()
-
-let[@clic.hot] gen_pause_check_low t =
-  match t.pause with
-  | Some p when t.gen_xoff_sent && Queue.length t.pending <= p.gen_low ->
-      t.gen_xoff_sent <- false;
-      send_pause_frame t ~quanta:0
-  | _ -> ()
+  if t.pause then pause_enter t ~quanta
 
 (* --------------------------------------------------------------- *)
 (* Transmit pipeline *)
@@ -316,23 +274,23 @@ let tx_phy_pump t () =
         (* A powered-off NIC cannot reach the wire, but completion still
            runs so the posted buffer is released through the normal path. *)
         match t.uplink with
-        | Some link when not t.down -> (
-            match t.pause with
-            | None -> Link.send link f
-            | Some _ ->
-                (* Flow-controlled MAC: hold the frame while PAUSEd, and
-                   respect uplink backpressure instead of blind-dumping
-                   into a full switch FIFO.  Both conditions re-check
-                   after every wake — a resume can race a new XOFF. *)
-                while t.tx_paused || not (Link.has_room link) do
-                  if t.tx_paused then Ivar.read t.pause_wake
-                  else Link.wait_room link
-                done;
-                if not t.down then begin
-                  if !Probe.on then
-                    Probe.emit (Probe.Tx_wire { host = t.name });
-                  Link.send link f
-                end)
+        | Some link when not t.down ->
+            if not t.pause then Link.send link f
+            else begin
+              (* Flow-controlled MAC: hold the frame while PAUSEd, and
+                 respect uplink backpressure instead of blind-dumping
+                 into a full switch FIFO.  Both conditions re-check after
+                 every wake — a resume can race a new XOFF. *)
+              while t.tx_paused || not (Link.has_room link) do
+                if t.tx_paused then Ivar.read t.pause_wake
+                else Link.wait_room link
+              done;
+              if not t.down then begin
+                if !Probe.on then
+                  Probe.emit (Probe.Tx_wire { host = t.name });
+                Link.send link f
+              end
+            end
         | Some _ | None -> ())
       frames;
     t.tx_packets <- t.tx_packets + 1;
@@ -426,7 +384,6 @@ let rx_pump t () =
             t.pending;
           probe_ring_depth t;
           t.rx_packets <- t.rx_packets + 1;
-          gen_pause_check_high t;
           evaluate_coalescing t
           end
         end
@@ -453,7 +410,6 @@ let power_off t =
     t.abs_timer <- None;
     (* A powered-off MAC forgets its flow-control state. *)
     pause_resume t;
-    t.gen_xoff_sent <- false;
     (* Ring contents vanish with the power: report each buffer freed so
        the lifecycle sanitizer sees the crash as a release, not a leak. *)
     Queue.iter
@@ -480,16 +436,10 @@ let power_on t =
 
 let create sim ~name ~mtu ~pci ~membus ?(tx_ring = 64) ?(rx_ring = 128)
     ?(coalesce = default_coalesce) ?(internal_bytes_per_s = 400e6)
-    ?(firmware_per_frame = Time.ns 800) ?(fragmentation = false) ?pause () =
+    ?(firmware_per_frame = Time.ns 800) ?(fragmentation = false)
+    ?(pause = false) () =
   if mtu <= 0 then invalid_arg "Nic.create: mtu <= 0";
   if coalesce.max_frames <= 0 then invalid_arg "Nic.create: max_frames <= 0";
-  (match pause with
-  | Some p ->
-      if p.gen_high < 0 || p.gen_low < 0 || p.gen_low > p.gen_high then
-        invalid_arg "Nic.create: pause generation watermarks out of order";
-      if p.gen_quanta <= 0 || p.gen_quanta > Mac_control.max_quanta then
-        invalid_arg "Nic.create: pause gen_quanta out of range"
-  | None -> ());
   let t =
     {
       sim;
@@ -524,7 +474,6 @@ let create sim ~name ~mtu ~pci ~membus ?(tx_ring = 64) ?(rx_ring = 128)
       pause_started = 0;
       pause_resume = None;
       pause_wake = Ivar.create ();
-      gen_xoff_sent = false;
       slow_factor = 1.0;
       slow_extra_ns = 0;
       interrupts_raised = 0;
@@ -535,7 +484,6 @@ let create sim ~name ~mtu ~pci ~membus ?(tx_ring = 64) ?(rx_ring = 128)
       bad_fcs = 0;
       tx_paused_acc = 0;
       pause_frames_rx = 0;
-      pause_frames_tx = 0;
     }
   in
   Process.spawn sim (tx_dma_pump t);
@@ -586,7 +534,6 @@ let take_rx t =
   Queue.clear t.pending;
   if n > 0 then probe_ring_depth t;
   Semaphore.release ~n t.rx_slots;
-  gen_pause_check_low t;
   List.rev !out
 
 let take_rx_budget t budget =
@@ -601,7 +548,6 @@ let take_rx_budget t budget =
     probe_ring_depth t;
     Semaphore.release ~n:!n t.rx_slots
   end;
-  gen_pause_check_low t;
   List.rev !out
 
 let unmask_irq t =
@@ -612,6 +558,7 @@ let unmask_irq t =
 
 let name t = t.name
 let mtu t = t.mtu
+let fragmentation t = t.fragmentation
 let pci t = t.pci
 let is_down t = t.down
 let interrupts_raised t = t.interrupts_raised
@@ -629,7 +576,6 @@ let tx_paused_ns t =
   + if t.tx_paused then Sim.now t.sim - t.pause_started else 0
 
 let pause_frames_rx t = t.pause_frames_rx
-let pause_frames_tx t = t.pause_frames_tx
 
 let set_slow_factor t factor =
   if factor < 1.0 then invalid_arg "Nic.set_slow_factor: factor < 1";

@@ -39,22 +39,6 @@ val default_coalesce : coalesce
 (** A mild setting comparable to the testbed NICs' defaults: 8 frames,
     2 us quiet, 50 us absolute. *)
 
-type pause = {
-  honor : bool;
-      (** gate the transmit path on received 802.3x PAUSE frames *)
-  gen_high : int;
-      (** XOFF the link partner when this many packets back up in the rx
-          ring; 0 disables generation *)
-  gen_low : int;  (** XON once the ring drains to this depth *)
-  gen_quanta : int;  (** quanta per generated XOFF, 1..0xffff *)
-}
-(** 802.3x flow-control configuration.  A flow-controlled NIC also blocks
-    on uplink backpressure ({!Link.wait_room}) instead of blind-dumping
-    frames into a full switch FIFO. *)
-
-val pause_802_3x : pause
-(** Honour received PAUSE; generation off. *)
-
 type tx_desc = {
   frame : Eth_frame.t;  (** payload larger than the MTU requires
                             fragmentation to be enabled *)
@@ -86,13 +70,17 @@ val create :
   ?internal_bytes_per_s:float ->
   ?firmware_per_frame:Time.span ->
   ?fragmentation:bool ->
-  ?pause:pause ->
+  ?pause:bool ->
   unit ->
   t
-(** [pause] enables 802.3x flow control (absent by default: a legacy MAC
-    that ignores MAC-control frames' pause semantics and never blocks on
-    the wire).
-    @raise Invalid_argument on out-of-range pause parameters. *)
+(** [pause] (default false) makes the MAC 802.3x flow-controlled: it
+    gates its transmit path on received PAUSE frames and blocks on uplink
+    backpressure ({!Link.wait_room}) instead of blind-dumping frames into
+    a full switch FIFO.  Off, it is a legacy MAC that ignores PAUSE and
+    never blocks on the wire.  The NIC never generates PAUSE frames; the
+    switch does ({!Switch.buffer}).
+    @raise Invalid_argument on a non-positive [mtu] or coalescing frame
+    count. *)
 
 (** {1 Wiring} *)
 
@@ -158,6 +146,10 @@ val power_on : t -> unit
 val name : t -> string
 val mtu : t -> int
 
+val fragmentation : t -> bool
+(** Whether the firmware fragments packets larger than the MTU: the
+    largest packet a protocol may post then grows past {!mtu}. *)
+
 val pci : t -> Bus.t
 (** The I/O bus this NIC sits on (for programmed-I/O transfers). *)
 
@@ -189,7 +181,6 @@ val tx_paused_ns : t -> int
     pause still in progress. *)
 
 val pause_frames_rx : t -> int
-val pause_frames_tx : t -> int
 
 (** {1 Gray failure: fail-slow service inflation} *)
 

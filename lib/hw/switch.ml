@@ -10,8 +10,6 @@ type buffer = {
   ingress_high_bytes : int;
   ingress_low_bytes : int;
   pause : bool;
-  pause_quanta : int;
-  max_frame_bytes : int;
   ecn_threshold : int;
 }
 
@@ -22,10 +20,12 @@ let default_buffer =
     ingress_high_bytes = 16 * 1024;
     ingress_low_bytes = 8 * 1024;
     pause = true;
-    pause_quanta = Mac_control.max_quanta;
-    max_frame_bytes = 1518;
     ecn_threshold = 0;
   }
+
+(* A full standard frame in the buffer (header, 1500-byte payload, CRC):
+   the unit [protected_provisioning] sizes in-flight spill with. *)
+let max_frame_bytes = 1518
 
 let validate_buffer b =
   if b.total_bytes <= 0 then invalid_arg "Switch: buffer total_bytes <= 0";
@@ -35,10 +35,6 @@ let validate_buffer b =
     invalid_arg "Switch: buffer ingress_high_bytes <= 0";
   if b.ingress_low_bytes < 0 || b.ingress_low_bytes > b.ingress_high_bytes
   then invalid_arg "Switch: buffer ingress_low_bytes out of range";
-  if b.pause_quanta <= 0 || b.pause_quanta > Mac_control.max_quanta then
-    invalid_arg "Switch: buffer pause_quanta out of range";
-  if b.max_frame_bytes <= 0 then
-    invalid_arg "Switch: buffer max_frame_bytes <= 0";
   if b.ecn_threshold < 0 then invalid_arg "Switch: buffer ecn_threshold < 0"
 
 (* Ports come in two kinds sharing one record: station ports ([node] >= 0,
@@ -176,8 +172,8 @@ let protected_provisioning t =
   match (t.buffer, t.ingress_frames) with
   | Some b, Some limit when b.pause && t.trunk_count = 0 ->
       let n = n_ports t in
-      n * (b.ingress_high_bytes + ((limit + 3) * b.max_frame_bytes))
-      + b.max_frame_bytes
+      n * (b.ingress_high_bytes + ((limit + 3) * max_frame_bytes))
+      + max_frame_bytes
       <= shared_capacity t b
   | _ -> false
 
@@ -245,16 +241,17 @@ let maybe_xoff t b q =
       if q.ingress_bytes >= b.ingress_high_bytes then begin
         q.paused_rx <- true;
         q.xoff_at <- Sim.now t.sim;
-        send_pause t q ~quanta:b.pause_quanta
+        send_pause t q ~quanta:Mac_control.max_quanta
       end
     end
     else begin
       let span =
-        Mac_control.span_of_quanta ~bits_per_s:t.bits_per_s b.pause_quanta
+        Mac_control.span_of_quanta ~bits_per_s:t.bits_per_s
+          Mac_control.max_quanta
       in
       if Sim.now t.sim - q.xoff_at >= span / 2 then begin
         q.xoff_at <- Sim.now t.sim;
-        send_pause t q ~quanta:b.pause_quanta
+        send_pause t q ~quanta:Mac_control.max_quanta
       end
     end
 

@@ -46,9 +46,9 @@ type buffer = {
   port_reserve_bytes : int;  (** per-egress-port guaranteed slice *)
   ingress_high_bytes : int;  (** per-ingress-port XOFF watermark *)
   ingress_low_bytes : int;  (** per-ingress-port XON watermark *)
-  pause : bool;  (** generate 802.3x PAUSE; [false] = tail-drop only *)
-  pause_quanta : int;  (** quanta per XOFF, 1..0xffff *)
-  max_frame_bytes : int;  (** provisioning unit for {!protected_provisioning} *)
+  pause : bool;
+      (** generate 802.3x PAUSE, each XOFF for the maximum 0xffff quanta;
+          [false] = tail-drop only *)
   ecn_threshold : int;
       (** per-egress-port marking watermark, bytes; frames enqueued while
           the egress backlog (including themselves) is at or above it get
@@ -56,8 +56,8 @@ type buffer = {
 }
 
 val default_buffer : buffer
-(** 256 KiB total, 8 KiB reserve, 16/8 KiB watermarks, PAUSE on with
-    maximum quanta, 1518-byte frames, ECN marking off. *)
+(** 256 KiB total, 8 KiB reserve, 16/8 KiB watermarks, PAUSE on, ECN
+    marking off. *)
 
 type t
 
@@ -183,7 +183,7 @@ val protected_provisioning : t -> bool
     PAUSE-honouring stations: PAUSE on, bounded uplinks, no trunks (the
     per-switch proof does not compose across hops), and a shared buffer
     large enough for every port's high watermark plus its worst-case
-    in-flight spill. *)
+    in-flight spill, counted in full 1518-byte standard frames. *)
 
 (** {1 Gray failure: intermittent egress stall} *)
 

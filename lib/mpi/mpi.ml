@@ -17,14 +17,11 @@ type transport = {
   t_start : deliver:(envelope -> unit) -> unit;
 }
 
-type params = {
-  eager_threshold : int;
-  per_call : Time.span;
-  unexpected_copy : bool;
-}
+(* Messages above this many bytes use rendezvous. *)
+let eager_threshold = 16384
 
-let default_params =
-  { eager_threshold = 16384; per_call = Time.us 3.; unexpected_copy = true }
+(* The library's own overhead per send/recv call. *)
+let per_call = Time.us 3.
 
 type posted = {
   want_src : int option;
@@ -36,7 +33,6 @@ type t = {
   env : Proto.Hostenv.t;
   rank : int;
   transport : transport;
-  p : params;
   mutable posted : posted list;  (* FIFO order *)
   unexpected : envelope Queue.t;
   pending_cts : (int, unit Ivar.t) Hashtbl.t;  (* sender side, by rendezvous id *)
@@ -93,13 +89,12 @@ let deliver t (env : envelope) =
           send_cts t ~dst:env.e_src id
       | None -> Queue.add env t.unexpected)
 
-let create hostenv ~rank transport ?(params = default_params) () =
+let create hostenv ~rank transport =
   let t =
     {
       env = hostenv;
       rank;
       transport;
-      p = params;
       posted = [];
       unexpected = Queue.create ();
       pending_cts = Hashtbl.create 8;
@@ -121,8 +116,8 @@ let create hostenv ~rank transport ?(params = default_params) () =
 let send t ~dst ~tag n =
   if n < 0 then invalid_arg "Mpi.send: negative size";
   t.sends <- t.sends + 1;
-  Cpu.work (cpu t) t.p.per_call;
-  if n <= t.p.eager_threshold then
+  Cpu.work (cpu t) per_call;
+  if n <= eager_threshold then
     t.transport.t_xmit ~dst
       { e_src = t.rank; e_tag = tag; e_bytes = n; e_kind = Eager }
   else begin
@@ -152,13 +147,13 @@ let find_unexpected t ~src ~tag =
 
 let recv t ?src ?tag () =
   t.receives <- t.receives + 1;
-  Cpu.work (cpu t) t.p.per_call;
+  Cpu.work (cpu t) per_call;
   let finish (env : envelope) =
     match env.e_kind with
     | Eager | Rendez_data _ ->
         (* An eager message that arrived before the receive was posted sat
            in a bounce buffer; pay the extra copy MPI implementations pay. *)
-        if t.p.unexpected_copy && env.e_bytes > 0 then
+        if env.e_bytes > 0 then
           Cpu.copy (cpu t) ~membus:t.env.Proto.Hostenv.membus env.e_bytes;
         env
     | Rts _ | Cts _ -> assert false

@@ -5,14 +5,15 @@
     part those curves exercise: standard-mode send/receive with
     (source, tag) matching, an eager protocol for small messages and a
     rendezvous protocol (RTS/CTS) above a threshold, plus the library's
-    own per-call overhead and 32-byte envelopes.  One non-blocking
-    receive serves the collectives ({!Collectives}).
+    own per-call overhead (3 us per send or receive) and 32-byte
+    envelopes.  Messages above 16 KB use rendezvous, and an eager message
+    that arrives before its receive is posted is copied once more, out of
+    a bounce buffer.  One non-blocking receive serves the collectives
+    ({!Collectives}).
 
     Transports ({!Mpi_clic}, {!Mpi_tcp}) move envelopes and payload bytes
     between ranks; envelope metadata rides out-of-band in the simulator
     while its cost travels with the message bytes. *)
-
-open Engine
 
 type envelope = {
   e_src : int;
@@ -35,18 +36,10 @@ type transport = {
           task-context process on the receiving rank. *)
 }
 
-type params = {
-  eager_threshold : int;  (** bytes; larger messages use rendezvous *)
-  per_call : Time.span;  (** MPI library overhead per send/recv call *)
-  unexpected_copy : bool;
-      (** copy unexpected eager messages through a bounce buffer *)
-}
-
 type t
 (** One rank's MPI context. *)
 
-val create :
-  Proto.Hostenv.t -> rank:int -> transport -> ?params:params -> unit -> t
+val create : Proto.Hostenv.t -> rank:int -> transport -> t
 
 val send : t -> dst:int -> tag:int -> int -> unit
 (** Standard-mode blocking send of [n] bytes. *)

@@ -1,22 +1,15 @@
 open Engine
 open Os_model
 
-type params = {
-  fragment_bytes : int;
-  daemon_window : int;
-  task_to_daemon : Time.span;
-  per_fragment : Time.span;
-  retransmit_timeout : Time.span;
-}
-
-let default_params =
-  {
-    fragment_bytes = 4080;
-    daemon_window = 3;
-    task_to_daemon = Time.us 15.;
-    per_fragment = Time.us 12.;
-    retransmit_timeout = Time.ms 100.;
-  }
+(* The daemons' fragment size (PVM's default), the fragments in flight
+   between two daemons, the task <-> daemon handoff (each side, per
+   message), the daemon's work per fragment (each side) and its
+   retransmission timeout. *)
+let fragment_bytes = 4080
+let daemon_window = 3
+let task_to_daemon = Time.us 15.
+let per_fragment = Time.us 12.
+let retransmit_timeout = Time.ms 100.
 
 let pvmd_port = 5555
 
@@ -38,7 +31,6 @@ type reasm = { mutable got : int; r_tag : int; r_total : int; r_count : int }
 type t = {
   env : Proto.Hostenv.t;
   udp : Proto.Udp.t;
-  p : params;
   outbox : outgoing Mailbox.t;
   inbox : (int * int * int) Queue.t;  (* src, tag, bytes *)
   mutable inbox_waiter : Sched.slot option;
@@ -60,16 +52,16 @@ let daemon_tx t () =
     let msg = Mailbox.recv t.outbox in
     let id = t.next_msg in
     t.next_msg <- t.next_msg + 1;
-    let count = max 1 ((msg.o_bytes + t.p.fragment_bytes - 1) / t.p.fragment_bytes) in
-    let window = Semaphore.create t.p.daemon_window in
+    let count = max 1 ((msg.o_bytes + fragment_bytes - 1) / fragment_bytes) in
+    let window = Semaphore.create daemon_window in
     let all_acked = Semaphore.create 0 in
     for index = 0 to count - 1 do
       Semaphore.acquire window;
       let bytes =
-        if index = count - 1 then msg.o_bytes - (index * t.p.fragment_bytes)
-        else t.p.fragment_bytes
+        if index = count - 1 then msg.o_bytes - (index * fragment_bytes)
+        else fragment_bytes
       in
-      Cpu.work (cpu t) t.p.per_fragment;
+      Cpu.work (cpu t) per_fragment;
       let ack = Ivar.create () in
       Hashtbl.replace t.acks (id, index) ack;
       let app =
@@ -87,7 +79,7 @@ let daemon_tx t () =
           ~src_port:pvmd_port ~bytes:(bytes + 24) ~app ();
         timer :=
           Some
-            (Ktimer.after t.env.Proto.Hostenv.sim t.p.retransmit_timeout
+            (Ktimer.after t.env.Proto.Hostenv.sim retransmit_timeout
                (fun () ->
                  if (not (Ivar.is_filled ack)) && !attempts < 20 then
                    Process.spawn t.env.Proto.Hostenv.sim send_once))
@@ -120,7 +112,7 @@ let wake_inbox t =
 let on_datagram t (d : Proto.Packet.udp_datagram) ~src =
   match d.Proto.Packet.udp_app with
   | Pvm_frag f ->
-      Cpu.work ~priority:`High (cpu t) t.p.per_fragment;
+      Cpu.work ~priority:`High (cpu t) per_fragment;
       (* daemon-level ack back to the sending daemon *)
       Process.spawn t.env.Proto.Hostenv.sim (fun () ->
           Proto.Udp.sendto t.udp ~dst:src ~dst_port:pvmd_port
@@ -145,7 +137,7 @@ let on_datagram t (d : Proto.Packet.udp_datagram) ~src =
       if slot.got = slot.r_count then begin
         Hashtbl.remove t.reassembly key;
         (* daemon → task handoff: copy plus wakeup *)
-        Cpu.work ~priority:`High (cpu t) t.p.task_to_daemon;
+        Cpu.work ~priority:`High (cpu t) task_to_daemon;
         (* pvmd's buffers are cold: the handoff copy runs at staging rate *)
         Cpu.copy ~priority:`High ~bytes_per_s:150e6 (cpu t)
           ~membus:t.env.Proto.Hostenv.membus slot.r_total;
@@ -159,12 +151,11 @@ let on_datagram t (d : Proto.Packet.udp_datagram) ~src =
       | None -> ())
   | _ -> ()
 
-let create env udp ?(params = default_params) () =
+let create env udp =
   let t =
     {
       env;
       udp;
-      p = params;
       outbox = Mailbox.create ();
       inbox = Queue.create ();
       inbox_waiter = None;
@@ -181,7 +172,7 @@ let create env udp ?(params = default_params) () =
 let send t ~dst ~tag n =
   if n < 0 then invalid_arg "Pvm.send: negative size";
   (* task → daemon: syscall-ish handoff plus a copy into daemon memory *)
-  Cpu.work (cpu t) t.p.task_to_daemon;
+  Cpu.work (cpu t) task_to_daemon;
   Cpu.copy ~bytes_per_s:150e6 (cpu t) ~membus:t.env.Proto.Hostenv.membus n;
   Mailbox.send t.outbox { o_dst = dst; o_tag = tag; o_bytes = n }
 

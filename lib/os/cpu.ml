@@ -30,10 +30,9 @@ let traced t stage f =
 (* Long CPU work is preemptible at quantum boundaries: slicing lets
    higher-priority interrupt work — and other tasks — interleave, as the
    real kernel's preemption points do. *)
-let default_quantum = Time.us 50.
+let quantum = Time.us 50.
 
-let work_sliced ?priority ?(quantum = default_quantum) t span =
-  if quantum <= 0 then invalid_arg "Cpu.work_sliced: quantum <= 0";
+let work_sliced ?priority t span =
   let rec go remaining =
     if remaining > 0 then begin
       Resource.use ?priority t.res (min quantum remaining);

@@ -29,12 +29,10 @@ val traced : t -> Probe.Stage.t -> (unit -> 'a) -> 'a
     driver's and CLIC_MODULE's stages are reported this way; Figure 7,
     the timeline and the latency attribution all read these spans. *)
 
-val work_sliced :
-  ?priority:Resource.priority -> ?quantum:Time.span -> t -> Time.span -> unit
-(** Like {!work}, but released and re-acquired every [quantum] (default
-    50 us): models the kernel's preemption points, letting interrupt work
-    and other tasks interleave with long computations.  {!copy} slices
-    implicitly. *)
+val work_sliced : ?priority:Resource.priority -> t -> Time.span -> unit
+(** Like {!work}, but released and re-acquired every 50 us: models the
+    kernel's preemption points, letting interrupt work and other tasks
+    interleave with long computations.  {!copy} slices implicitly. *)
 
 val copy :
   ?priority:Resource.priority -> ?bytes_per_s:float -> t -> membus:Bus.t ->

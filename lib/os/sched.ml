@@ -1,12 +1,14 @@
 open Engine
 
-type t = { sim : Sim.t; cpu : Cpu.t; cost : Time.span; mutable switches : int }
+type t = { cpu : Cpu.t; mutable switches : int }
 
 type state = Fresh | Waiting of (unit -> unit) | Woken | Done
 type slot = { sched : t; mutable state : state }
 
-let create sim ~cpu ?(switch_cost = Time.us 1.) () =
-  { sim; cpu; cost = switch_cost; switches = 0 }
+(* The wakeup / context-switch cost, charged on the waker's CPU. *)
+let switch_cost = Time.us 1.
+
+let create cpu = { cpu; switches = 0 }
 
 let slot sched = { sched; state = Fresh }
 
@@ -33,7 +35,7 @@ let wake s =
   | Fresh ->
       s.sched.switches <- s.sched.switches + 1;
       probe_sched s.sched (fun host -> Probe.Sched_run { host });
-      Cpu.work ~priority:`High s.sched.cpu s.sched.cost;
+      Cpu.work ~priority:`High s.sched.cpu switch_cost;
       (* The waiter may have arrived while the wakeup cost was paid. *)
       (match s.state with
       | Fresh -> s.state <- Woken
@@ -45,7 +47,7 @@ let wake s =
       s.sched.switches <- s.sched.switches + 1;
       s.state <- Done;
       probe_sched s.sched (fun host -> Probe.Sched_run { host });
-      Cpu.work ~priority:`High s.sched.cpu s.sched.cost;
+      Cpu.work ~priority:`High s.sched.cpu switch_cost;
       resume ()
 
 let switches t = t.switches

@@ -9,12 +9,10 @@
 
     A wait slot is single-use; create one per blocking occasion. *)
 
-open Engine
-
 type t
 
-val create : Sim.t -> cpu:Cpu.t -> ?switch_cost:Time.span -> unit -> t
-(** Default context-switch / wakeup cost: 1 us. *)
+val create : Cpu.t -> t
+(** Each wakeup charges a 1 us context switch on the waker's CPU. *)
 
 type slot
 

@@ -1,20 +1,16 @@
 open Engine
 
-type t = {
-  cpu : Cpu.t;
-  enter_cost : Time.span;
-  leave_cost : Time.span;
-  mutable calls : int;
-}
+type t = { cpu : Cpu.t; mutable calls : int }
 
-let create ?(enter = Time.us 0.35) ?(leave = Time.us 0.30) cpu =
-  { cpu; enter_cost = enter; leave_cost = leave; calls = 0 }
+let enter_cost = Time.us 0.35
+let leave_cost = Time.us 0.30
+let create cpu = { cpu; calls = 0 }
 
 let enter t =
   t.calls <- t.calls + 1;
-  Cpu.work t.cpu t.enter_cost
+  Cpu.work t.cpu enter_cost
 
-let leave t = Cpu.work t.cpu t.leave_cost
+let leave t = Cpu.work t.cpu leave_cost
 
 let wrap t f =
   enter t;
@@ -26,5 +22,5 @@ let wrap t f =
       leave t;
       raise exn
 
-let round_trip t = t.enter_cost + t.leave_cost
+let round_trip = enter_cost + leave_cost
 let calls t = t.calls

@@ -10,12 +10,12 @@ open Engine
 
 type t
 
-val create : ?enter:Time.span -> ?leave:Time.span -> Cpu.t -> t
-(** Defaults: 0.35 us enter, 0.30 us leave (0.65 us round trip). *)
+val create : Cpu.t -> t
+(** Entry costs 0.35 us and exit 0.30 us (0.65 us round trip). *)
 
 val wrap : t -> (unit -> 'a) -> 'a
 (** [wrap t f] charges the user→kernel entry on the CPU (blocking), runs
     [f], then charges the exit; the exit cost is paid even if [f] raises. *)
 
-val round_trip : t -> Time.span
+val round_trip : Time.span
 val calls : t -> int

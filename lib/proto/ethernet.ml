@@ -52,8 +52,10 @@ let pump t () =
   in
   loop ()
 
-let create env ?(txqueuelen = 100) () =
-  if txqueuelen <= 0 then invalid_arg "Ethernet.create: txqueuelen <= 0";
+(* The device queue bound, in packets. *)
+let txqueuelen = 100
+
+let create env =
   let t =
     {
       env;

@@ -12,9 +12,9 @@ open Hw
 
 type t
 
-val create : Hostenv.t -> ?txqueuelen:int -> unit -> t
-(** Installs itself as the driver's receive upcall.  [txqueuelen] is the
-    device queue bound in packets (default 100). *)
+val create : Hostenv.t -> t
+(** Installs itself as the driver's receive upcall.  The device queue
+    holds 100 packets. *)
 
 val register : t -> ethertype:int -> (Nic.rx_desc -> unit) -> unit
 (** @raise Invalid_argument on a duplicate ethertype. *)

@@ -2,9 +2,10 @@ open Engine
 open Os_model
 open Hw
 
-type params = { tx_cost : Time.span; rx_cost : Time.span }
-
-let default_params = { tx_cost = Time.us 1.5; rx_cost = Time.us 2.0 }
+(* Per packet sent (header build, route lookup) and received
+   (validation, demux). *)
+let tx_cost = Time.us 1.5
+let rx_cost = Time.us 2.0
 
 type reasm = {
   mutable seen : int;
@@ -14,7 +15,6 @@ type reasm = {
 
 type t = {
   eth : Ethernet.t;
-  params : params;
   mutable tcp_handler : (Packet.tcp_segment -> src:int -> unit) option;
   mutable udp_handler : (Packet.udp_datagram -> src:int -> unit) option;
   mutable next_ip_id : int;
@@ -40,7 +40,7 @@ let deliver t (pkt : Packet.ip_packet) =
 let rx t (desc : Nic.rx_desc) =
   match desc.Nic.rx_frame.Eth_frame.payload with
   | Packet.Ip pkt -> (
-      Cpu.work ~priority:`High (cpu t) t.params.rx_cost;
+      Cpu.work ~priority:`High (cpu t) rx_cost;
       match pkt.ip_frag with
       | None -> deliver t pkt
       | Some frag ->
@@ -62,11 +62,10 @@ let rx t (desc : Nic.rx_desc) =
           end)
   | _ -> ()
 
-let create eth ?(params = default_params) () =
+let create eth =
   let t =
     {
       eth;
-      params;
       tcp_handler = None;
       udp_handler = None;
       next_ip_id = 0;
@@ -100,7 +99,7 @@ let send t ~dst ~skb payload =
   let src = env.Hostenv.node in
   let l4_bytes = Packet.ip_payload_wire_bytes payload in
   let max_payload = mtu t - Packet.ip_header_bytes in
-  Cpu.work (cpu t) t.params.tx_cost;
+  Cpu.work (cpu t) tx_cost;
   let emit ?frag bytes skb' =
     let pkt =
       { Packet.ip_src = src; ip_dst = dst; ip_payload = payload;

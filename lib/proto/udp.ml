@@ -1,19 +1,14 @@
 open Engine
 open Os_model
 
-type params = {
-  tx_cost : Time.span;
-  rx_cost : Time.span;
-  checksum_bytes_per_s : float;
-}
-
-let default_params =
-  { tx_cost = Time.us 4.0; rx_cost = Time.us 5.0;
-    checksum_bytes_per_s = 150e6 }
+(* Per datagram sent and received, and the CPU checksum rate on both
+   sides. *)
+let tx_cost = Time.us 4.0
+let rx_cost = Time.us 5.0
+let checksum_bytes_per_s = 150e6
 
 type t = {
   ip : Ip.t;
-  params : params;
   handlers : (int, Packet.udp_datagram -> src:int -> unit) Hashtbl.t;
   mutable sent : int;
   mutable unbound : int;
@@ -22,20 +17,18 @@ type t = {
 let env t = Ethernet.env (Ip.ethernet t.ip)
 let cpu t = (env t).Hostenv.cpu
 
-let checksum_time t bytes =
-  Time.of_bytes_at_rate ~bytes_per_s:t.params.checksum_bytes_per_s bytes
+let checksum_time bytes =
+  Time.of_bytes_at_rate ~bytes_per_s:checksum_bytes_per_s bytes
 
 let rx t (d : Packet.udp_datagram) ~src =
-  Cpu.work ~priority:`High (cpu t) t.params.rx_cost;
-  Cpu.work ~priority:`High (cpu t) (checksum_time t d.Packet.udp_bytes);
+  Cpu.work ~priority:`High (cpu t) rx_cost;
+  Cpu.work ~priority:`High (cpu t) (checksum_time d.Packet.udp_bytes);
   match Hashtbl.find_opt t.handlers d.Packet.udp_dst_port with
   | Some h -> h d ~src
   | None -> t.unbound <- t.unbound + 1
 
-let create ip ?(params = default_params) () =
-  let t =
-    { ip; params; handlers = Hashtbl.create 8; sent = 0; unbound = 0 }
-  in
+let create ip =
+  let t = { ip; handlers = Hashtbl.create 8; sent = 0; unbound = 0 } in
   Ip.register_udp ip (rx t);
   t
 
@@ -48,8 +41,8 @@ let sendto t ~dst ~dst_port ?(src_port = 0) ~bytes ~app ?(zero_copy = false)
     () =
   if bytes < 0 then invalid_arg "Udp.sendto: negative size";
   let e = env t in
-  Cpu.work (cpu t) t.params.tx_cost;
-  Cpu.work (cpu t) (checksum_time t bytes);
+  Cpu.work (cpu t) tx_cost;
+  Cpu.work (cpu t) (checksum_time bytes);
   let skb =
     if zero_copy then Skbuff.of_user ~header_bytes:Packet.udp_header_bytes bytes
     else begin

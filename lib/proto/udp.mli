@@ -3,19 +3,13 @@
     Used by the PVM layer (whose daemons route packets over UDP, one of the
     reasons PVM trails every other curve in the paper's Figure 6) and as a
     light L4 for tests.  Datagrams larger than the MTU rely on IP
-    fragmentation; lost fragments lose the datagram. *)
-
-open Engine
-
-type params = {
-  tx_cost : Time.span;  (** per datagram sent *)
-  rx_cost : Time.span;  (** per datagram received *)
-  checksum_bytes_per_s : float;  (** CPU checksum rate, both sides *)
-}
+    fragmentation; lost fragments lose the datagram.  Each datagram costs
+    4 us of CPU to send and 5 us to receive, plus a checksum at 150 MB/s
+    on both sides. *)
 
 type t
 
-val create : Ip.t -> ?params:params -> unit -> t
+val create : Ip.t -> t
 
 val bind : t -> port:int -> (Packet.udp_datagram -> src:int -> unit) -> unit
 (** Handler runs at interrupt priority, after the receive-side costs have

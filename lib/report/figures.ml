@@ -27,8 +27,8 @@ let config_mtu mtu = { Node.default_config with mtu }
 let config_mtu_clic mtu clic_params =
   { Node.default_config with mtu; clic_params }
 
-let clic_pair_of c = Measure.clic_pair c ~a:0 ~b:1 ()
-let tcp_pair_of c = Measure.tcp_pair c ~a:0 ~b:1 ()
+let clic_pair_of c = Measure.clic_pair c ~a:0 ~b:1
+let tcp_pair_of c = Measure.tcp_pair c ~a:0 ~b:1
 
 (* ------------------------------------------------------------------ *)
 (* Figure 4: CLIC, {MTU 1500, 9000} x {0-copy, 1-copy} *)
@@ -119,7 +119,7 @@ let fig7_once ~driver_params ~irq_dispatch =
       coalesce = Hw.Nic.no_coalesce }
   in
   let c = Net.create ~config ~n:2 () in
-  let pair = Measure.clic_pair c ~a:0 ~b:1 () in
+  let pair = Measure.clic_pair c ~a:0 ~b:1 in
   let tapped = ref [] in
   let restore =
     Probe.tap (fun ev -> tapped := (Sim.now c.Net.sim, ev) :: !tapped)
@@ -201,7 +201,7 @@ type scalar = { name : string; paper : float; measured : float }
 
 let latency_us ~config =
   let c = Net.create ~config ~n:2 () in
-  let pair = Measure.clic_pair c ~a:0 ~b:1 () in
+  let pair = Measure.clic_pair c ~a:0 ~b:1 in
   let r = Measure.pingpong c pair ~size:0 () in
   Time.to_us r.Measure.one_way
 
@@ -334,7 +334,7 @@ let fig1 ?(quick = false) fmt =
 
 let stream_stats ~config ~size ~messages =
   let c = Net.create ~config ~n:2 () in
-  let pair = Measure.clic_pair c ~a:0 ~b:1 () in
+  let pair = Measure.clic_pair c ~a:0 ~b:1 in
   Measure.stream c pair ~a:0 ~b:1 ~size ~messages
 
 let sec2 fmt =
@@ -385,18 +385,15 @@ let sec2 fmt =
 let ext1 fmt =
   let variants =
     [
-      ("off: CLIC fragments to MTU", false, Clic.Params.default);
-      ( "on: NIC fragments 32KB super-packets",
-        true,
-        { Clic.Params.default with use_nic_fragmentation = true } );
+      ("off: CLIC fragments to MTU", false);
+      ("on: NIC fragments 32KB super-packets", true);
     ]
   in
   let rows =
     List.map
-      (fun (name, nic_frag, clic_params) ->
+      (fun (name, nic_frag) ->
         let config =
-          { Node.default_config with mtu = 1500;
-            nic_fragmentation = nic_frag; clic_params }
+          { Node.default_config with mtu = 1500; nic_fragmentation = nic_frag }
         in
         let messages = 300 in
         let r = stream_stats ~config ~size:32768 ~messages in
@@ -481,7 +478,6 @@ let ext3 ?(nodes = 8) fmt =
       let mpi =
         Mpi_layer.Mpi.create node.Node.env ~rank
           (Mpi_layer.Mpi_tcp.transport reg node.Node.tcp ~rank)
-          ()
       in
       Node.spawn node (fun () ->
           Mpi_layer.Collectives.mpi_bcast mpi ~rank ~root:0 ~size:nodes size;
@@ -557,7 +553,7 @@ let gamma_pair c ~a ~b =
 let via_pair c ~a ~b =
   let mk i =
     let node = Net.node c i in
-    Rivals.Via.create node.Node.env (List.hd node.Node.eths) ()
+    Rivals.Via.create node.Node.env (List.hd node.Node.eths)
   in
   let va = mk a and vb = mk b in
   (* VIA completes one entry per MTU descriptor: consume until the whole
@@ -619,7 +615,7 @@ let sec3 fmt =
   let rows =
     [
       row "CLIC (OS path, unmodified driver)" (config_mtu 9000)
-        (fun c ~a ~b -> Measure.clic_pair c ~a ~b ());
+        Measure.clic_pair;
       row "GAMMA-like (own driver, active ports)" gamma_config gamma_pair;
       row "VIA-like (user level, polling)" via_config via_pair;
     ]
@@ -672,7 +668,7 @@ let ext4 fmt =
             Proto.Tcp.send conn 65536
           done)
     end;
-    let pair = Measure.clic_pair c ~a:0 ~b:1 () in
+    let pair = Measure.clic_pair c ~a:0 ~b:1 in
     (* the table shows the pings that complete in the first 200 ms *)
     let samples = ref [] in
     let sim = c.Net.sim in
@@ -797,11 +793,11 @@ let chaos_profiles () =
     ( "1% bursty (GE, ~20-frame bursts)",
       seeded 104 (fun rng ->
           Hw.Fault.gilbert_elliott ~rng ~p_good_to_bad:0.001
-            ~p_bad_to_good:0.05 ~loss_bad:0.5 ()) );
+            ~p_bad_to_good:0.05 ~loss_bad:0.5) );
     ( "3% bursty (GE, ~20-frame bursts)",
       seeded 105 (fun rng ->
           Hw.Fault.gilbert_elliott ~rng ~p_good_to_bad:0.003
-            ~p_bad_to_good:0.05 ~loss_bad:0.5 ()) );
+            ~p_bad_to_good:0.05 ~loss_bad:0.5) );
     ( "1% loss + 1% dup + 50us jitter",
       seeded 106 (fun rng ->
           Hw.Fault.compose
@@ -825,12 +821,12 @@ let chaos ?(quick = false) fmt =
     let config = { Node.default_config with mtu = 9000; link_fault } in
     let latency_us =
       let c = Net.create ~config ~n:2 () in
-      let pair = Measure.clic_pair c ~a:0 ~b:1 () in
+      let pair = Measure.clic_pair c ~a:0 ~b:1 in
       let r = Measure.pingpong c pair ~size:1024 ~reps ~warmup:1 () in
       Time.to_us r.Measure.one_way
     in
     let c = Net.create ~config ~n:2 () in
-    let pair = Measure.clic_pair c ~a:0 ~b:1 () in
+    let pair = Measure.clic_pair c ~a:0 ~b:1 in
     let r = Measure.stream c pair ~a:0 ~b:1 ~size ~messages in
     let rto_mean, rto_max =
       match
@@ -921,6 +917,24 @@ let topo_name = function `Incast -> "incast" | `Cross_rack -> "cross-rack"
 
 let scheme_name = function `Go_back_n -> "gbn" | `Sack -> "sack"
 
+(* Incast tuning: a tighter transmit window slows the N→1 overload rate,
+   and snappier timeouts recover quickly from the drops a congested switch
+   still inflicts.  [rto_max] must leave the exponential backoff real room:
+   with a low cap every loser's timer saturates at the same value and the
+   N retry storms phase-lock, so one sender can meet a full egress queue on
+   every single attempt until it declares the peer dead. *)
+let congestion_params =
+  {
+    Clic.Params.default with
+    tx_window = 16;
+    retransmit_timeout = Time.ms 2.;
+    rto_min = Time.us 500.;
+    rto_max = Time.ms 10.;
+  }
+
+(* The per-egress marking watermark of the ECN fabric's switches. *)
+let ecn_threshold = 32 * 1024
+
 (* Server-class hosts on a Gigabit fabric: a 64-bit PCI bus DMAs frames
    at ~240 MB/s, twice wire speed, so a blind-dumping NIC really can
    overrun the bounded 6-frame switch uplink FIFO during a window burst.
@@ -937,7 +951,7 @@ let scheme_name = function `Go_back_n -> "gbn" | `Sack -> "sack"
 let congestion_config ~regime ~scheme =
   let clic_params =
     {
-      Clic.Params.congestion with
+      congestion_params with
       retx_scheme = scheme;
       dctcp = (match regime with `Ecn -> true | `Tail_drop | `Pause -> false);
     }
@@ -962,7 +976,7 @@ let congestion_config ~regime ~scheme =
       {
         base with
         switch_buffer = Some { Hw.Switch.default_buffer with pause = true };
-        nic_pause = Some Hw.Nic.pause_802_3x;
+        nic_pause = true;
       }
   | `Ecn ->
       {
@@ -972,9 +986,9 @@ let congestion_config ~regime ~scheme =
             {
               Hw.Switch.default_buffer with
               pause = false;
-              ecn_threshold = clic_params.Clic.Params.ecn_threshold;
+              ecn_threshold;
             };
-        nic_pause = Some Hw.Nic.pause_802_3x;
+        nic_pause = true;
       }
 
 type run = { sent : int; delivered : int; elapsed_ms : float; tally : Tally.t }
@@ -1060,7 +1074,6 @@ let incast ?(quick = false) fmt =
       let mpi =
         Mpi_layer.Mpi.create node.Node.env ~rank
           (Mpi_layer.Mpi_clic.transport reg node.Node.clic ~rank)
-          ()
       in
       Node.spawn node (fun () ->
           Mpi_layer.Collectives.gather mpi ~rank ~root:0 ~size:n gather_bytes;
@@ -1298,19 +1311,19 @@ let congestion_cell ~quick ~regime ~topo ~scheme =
    the only difference between the two runs is the retransmit scheme, so
    the retx-bytes column is the scheme's wire bill for identical weather. *)
 let bursty_run ~quick ~scheme =
-  let clic_params = { Clic.Params.congestion with retx_scheme = scheme } in
+  let clic_params = { congestion_params with retx_scheme = scheme } in
   let root = Rng.create ~seed:909 in
   let link_fault =
     Some
       (fun () ->
         Hw.Fault.gilbert_elliott ~rng:(Rng.split root) ~p_good_to_bad:0.01
-          ~p_bad_to_good:0.05 ~loss_bad:0.5 ())
+          ~p_bad_to_good:0.05 ~loss_bad:0.5)
   in
   let config = { Node.default_config with clic_params; link_fault } in
   let c = Net.create ~config ~n:2 () in
   let messages = if quick then 40 else 150 in
   let size = 8192 in
-  let pair = Measure.clic_pair c ~a:0 ~b:1 () in
+  let pair = Measure.clic_pair c ~a:0 ~b:1 in
   let r = Measure.stream c pair ~a:0 ~b:1 ~size ~messages in
   {
     bu_scheme = scheme;
@@ -1364,7 +1377,7 @@ let congestion_matrix ?(quick = false) fmt =
     "the ECN rows keep the switch lossless without a single PAUSE frame: \
      CE marks above the %dKB egress threshold feed DCTCP back-off at the \
      senders.@."
-    (Clic.Params.congestion.Clic.Params.ecn_threshold / 1024);
+    (ecn_threshold / 1024);
   let bursty =
     [ bursty_run ~quick ~scheme:`Go_back_n; bursty_run ~quick ~scheme:`Sack ]
   in
@@ -1443,7 +1456,7 @@ let slo_fault_until ~quick = if quick then Time.ms 3. else Time.ms 8.
 let slo_config ~quick ~condition =
   let brownout () =
     Hw.Fault.brownout ~fraction:0.125 ~from_:slo_fault_from
-      ~until_:(slo_fault_until ~quick) ()
+      ~until_:(slo_fault_until ~quick)
   in
   match condition with
   | `Healthy -> Node.default_config

@@ -4,7 +4,6 @@ let mpi_pair label transport_of c ~a ~b =
   let mk id =
     let node = Net.node c id in
     Mpi_layer.Mpi.create node.Node.env ~rank:id (transport_of node ~rank:id)
-      ()
   in
   let ma = mk a and mb = mk b in
   let send m ~dst n = Mpi_layer.Mpi.send m ~dst ~tag:1 n in
@@ -35,7 +34,7 @@ let mpi_tcp c ~a ~b =
 let pvm c ~a ~b =
   let mk id =
     let node = Net.node c id in
-    Mpi_layer.Pvm.create node.Node.env node.Node.udp ()
+    Mpi_layer.Pvm.create node.Node.env node.Node.udp
   in
   let pa = mk a and pb = mk b in
   {
@@ -50,8 +49,8 @@ let pvm c ~a ~b =
 
 let of_name name c ~a ~b =
   match name with
-  | "clic" -> Measure.clic_pair c ~a ~b ()
-  | "tcp" -> Measure.tcp_pair c ~a ~b ()
+  | "clic" -> Measure.clic_pair c ~a ~b
+  | "tcp" -> Measure.tcp_pair c ~a ~b
   | "mpi-clic" -> mpi_clic c ~a ~b
   | "mpi-tcp" -> mpi_tcp c ~a ~b
   | "pvm" -> pvm c ~a ~b

@@ -7,6 +7,7 @@ let ethertype = 0x8876
 let descriptor_cost = Time.us 0.3
 let doorbell_bytes = 8
 let poll_cost = Time.us 0.4
+let poll_interval = Time.us 0.1
 let completion_write = Time.us 0.3
 let header_bytes = 4
 
@@ -29,7 +30,6 @@ type t = {
   env : Hostenv.t;
   eth : Ethernet.t;
   completions : completion Queue.t;
-  poll_interval : Time.span;
   mutable polls : int;
 }
 
@@ -45,16 +45,8 @@ let rx t (desc : Nic.rx_desc) =
       Queue.add { vi_src = v_src; vi_bytes = v_bytes } t.completions
   | _ -> ()
 
-let create env eth ?(poll_interval = Time.us 0.1) () =
-  let t =
-    {
-      env;
-      eth;
-      completions = Queue.create ();
-      poll_interval;
-      polls = 0;
-    }
-  in
+let create env eth =
+  let t = { env; eth; completions = Queue.create (); polls = 0 } in
   Ethernet.register eth ~ethertype (rx t);
   t
 
@@ -90,7 +82,7 @@ let recv t =
     match Queue.take_opt t.completions with
     | Some c -> c
     | None ->
-        Process.delay t.poll_interval;
+        Process.delay poll_interval;
         poll ()
   in
   poll ()

@@ -18,7 +18,6 @@
     waiting receiver occupies its whole CPU, where CLIC's blocked
     receiver costs nothing. *)
 
-open Engine
 open Proto
 
 type t
@@ -30,10 +29,10 @@ val driver_params : Os_model.Driver.params
     completion entries into user memory; no ISR work is charged beyond
     the entry write. *)
 
-val create : Hostenv.t -> Ethernet.t -> ?poll_interval:Time.span -> unit -> t
-(** [poll_interval] is the receive-poll period (default 0.1 us: a tight
-    user-space spin on the completion queue; each probe costs 0.4 us of
-    CPU, so a waiting receiver runs at ~80% utilization). *)
+val create : Hostenv.t -> Ethernet.t -> t
+(** The receiver polls every 0.1 us (a tight user-space spin on the
+    completion queue); each probe costs 0.4 us of CPU, so a waiting
+    receiver runs at ~80% utilization. *)
 
 val send : t -> dst:int -> int -> unit
 (** Post send descriptors (one per MTU of data) and ring the doorbell for

@@ -55,6 +55,8 @@ done <<'CASES'
 124 chaos --jitter-us inf
 124 chaos --jitter-us=nan
 124 chaos --jitter-us=-5
+124 chaos --jitter-us 0.0001
+124 chaos --jitter-us 1e300
 124 chaos --burst 0
 124 chaos --messages 0 --loss 0.44 --burst 2
 124 chaos --loss 1 --burst 2
@@ -70,5 +72,6 @@ done <<'CASES'
 0 chaos --messages 0
 0 chaos --messages 0 --loss 1 --dup 1 --burst 1 --jitter-us 0
 0 chaos --messages 0 --loss 0.3 --burst 2
+0 chaos --messages 1 --jitter-us 0.001
 0 metrics fig7 --bucket-us 0.001 -o /dev/null
 CASES

@@ -26,7 +26,7 @@ let test_bonded_cluster_has_parallel_switches () =
 let test_determinism_same_run_same_numbers () =
   let measure () =
     let c = Net.create ~n:2 () in
-    let pair = Measure.clic_pair c ~a:0 ~b:1 () in
+    let pair = Measure.clic_pair c ~a:0 ~b:1 in
     let r = Measure.pingpong c pair ~size:4096 ~reps:5 ~warmup:1 () in
     r.Measure.one_way
   in
@@ -35,7 +35,7 @@ let test_determinism_same_run_same_numbers () =
 
 let test_stream_conserves_messages () =
   let c = Net.create ~n:2 () in
-  let pair = Measure.clic_pair c ~a:0 ~b:1 () in
+  let pair = Measure.clic_pair c ~a:0 ~b:1 in
   let r = Measure.stream c pair ~a:0 ~b:1 ~size:2000 ~messages:50 in
   check_bool "positive bandwidth" true (r.Measure.st_bandwidth_mbps > 0.);
   let kb = Clic.Api.kernel (Net.node c 1).Node.clic in
@@ -45,7 +45,7 @@ let test_stream_conserves_messages () =
 let test_pingpong_latency_increases_with_size () =
   let lat size =
     let c = Net.create ~n:2 () in
-    let pair = Measure.clic_pair c ~a:0 ~b:1 () in
+    let pair = Measure.clic_pair c ~a:0 ~b:1 in
     (Measure.pingpong c pair ~size ~reps:3 ~warmup:1 ()).Measure.one_way
   in
   let l0 = lat 0 and l64k = lat 65536 in
@@ -561,7 +561,7 @@ let test_net_fail_switch_reroutes () =
     "failure recorded once" [ "spine0." ] (Net.failed_switches c);
   check_bool "switch powered down" true
     (Hw.Switch.is_down (Net.switch c "spine0."));
-  let pair = Measure.clic_pair c ~a:0 ~b:1 () in
+  let pair = Measure.clic_pair c ~a:0 ~b:1 in
   let r = Measure.pingpong c pair ~size:1024 ~reps:2 ~warmup:1 () in
   check_bool "traffic survives on the remaining spine" true
     (r.Measure.one_way > 0);
@@ -746,7 +746,7 @@ let test_gray_failures_degrade_tail_with_evidence () =
           (fun () ->
             let f =
               Hw.Fault.brownout ~fraction:0.125 ~from_:(Time.us 100.)
-                ~until_:(Time.ms 2.) ()
+                ~until_:(Time.ms 2.)
             in
             faults := f :: !faults;
             f)

@@ -103,7 +103,7 @@ let test_fault_duplicate_copies () =
 let test_fault_gilbert_elliott_bursts () =
   let fault =
     Fault.gilbert_elliott ~rng:(Rng.create ~seed:42) ~p_good_to_bad:0.05
-      ~p_bad_to_good:0.2 ~loss_bad:1. ()
+      ~p_bad_to_good:0.2 ~loss_bad:1.
   in
   let n = 2000 in
   let pattern = List.init n (fun _ -> Fault.frame fault ~now:0 ~ser:0 = []) in
@@ -257,7 +257,7 @@ let test_switch_duplicate_port () =
 
 let test_pci_peak () =
   Alcotest.(check (float 1.)) "33MHz x 4B" 132e6
-    (Pci.peak_bytes_per_s ~clock_mhz:33. ~width_bytes:4)
+    (Pci.peak_bytes_per_s ~width_bytes:4)
 
 let test_dma_occupies_both_buses () =
   let sim = Sim.create () in
@@ -705,8 +705,6 @@ let shared_buffer ?(total = 256 * 1024) ?(reserve = 0) ?(high = 16 * 1024)
     ingress_high_bytes = high;
     ingress_low_bytes = low;
     pause;
-    pause_quanta = Hw.Mac_control.max_quanta;
-    max_frame_bytes = 1518;
     ecn_threshold = 0;
   }
 
@@ -878,7 +876,7 @@ let nic_pause_rig () =
   let pci = Pci.create sim () in
   let membus = Membus.create sim () in
   let mk name =
-    Nic.create sim ~name ~mtu:1500 ~pci ~membus ~pause:Nic.pause_802_3x ()
+    Nic.create sim ~name ~mtu:1500 ~pci ~membus ~pause:true ()
   in
   let a = mk "nicA" and b = mk "nicB" in
   let ab = Link.create sim ~name:"a->b" ~bits_per_s:1e9 () in
@@ -1265,7 +1263,7 @@ let test_switch_flood_skips_ingress_only () =
 
 let test_fault_brownout_slows_without_dropping () =
   let fault =
-    Fault.brownout ~fraction:0.5 ~from_:(Time.us 10.) ~until_:(Time.us 20.) ()
+    Fault.brownout ~fraction:0.5 ~from_:(Time.us 10.) ~until_:(Time.us 20.)
   in
   (* outside the window: untouched *)
   (match Fault.frame fault ~now:0 ~ser:1000 with
@@ -1291,15 +1289,14 @@ let test_fault_brownout_slows_without_dropping () =
 let test_fault_brownout_validation () =
   Alcotest.check_raises "fraction zero"
     (Invalid_argument "Fault.brownout: fraction outside (0,1]") (fun () ->
-      ignore (Fault.brownout ~fraction:0. ~from_:0 ~until_:(Time.us 1.) ()));
+      ignore (Fault.brownout ~fraction:0. ~from_:0 ~until_:(Time.us 1.)));
   Alcotest.check_raises "fraction above one"
     (Invalid_argument "Fault.brownout: fraction outside (0,1]") (fun () ->
-      ignore (Fault.brownout ~fraction:1.5 ~from_:0 ~until_:(Time.us 1.) ()));
+      ignore (Fault.brownout ~fraction:1.5 ~from_:0 ~until_:(Time.us 1.)));
   Alcotest.check_raises "empty window"
     (Invalid_argument "Fault.brownout: empty or negative window") (fun () ->
       ignore
-        (Fault.brownout ~fraction:0.5 ~from_:(Time.us 2.) ~until_:(Time.us 2.)
-           ()))
+        (Fault.brownout ~fraction:0.5 ~from_:(Time.us 2.) ~until_:(Time.us 2.)))
 
 let test_nic_slow_factor_inflates_service () =
   let sim, a, b = nic_rig ~coalesce:Nic.no_coalesce () in

@@ -23,7 +23,7 @@ let bandwidth ~mtu ?clic_params ~pair_name size =
 
 let test_zero_byte_latency_near_paper () =
   let c = Net.create ~n:2 () in
-  let pair = Measure.clic_pair c ~a:0 ~b:1 () in
+  let pair = Measure.clic_pair c ~a:0 ~b:1 in
   let lat = Time.to_us (Measure.pingpong c pair ~size:0 ()).Measure.one_way in
   check_bool
     (Printf.sprintf "36us +-20%% (got %.1f)" lat)
@@ -120,7 +120,7 @@ let test_coalescing_reduces_interrupt_rate () =
   let irqs_per_packet coalesce =
     let config = { Node.default_config with mtu = 1500; coalesce } in
     let c = Net.create ~config ~n:2 () in
-    let pair = Measure.clic_pair c ~a:0 ~b:1 () in
+    let pair = Measure.clic_pair c ~a:0 ~b:1 in
     let r = Measure.stream c pair ~a:0 ~b:1 ~size:1488 ~messages:400 in
     float_of_int r.Measure.receiver_interrupts /. 400.
   in
@@ -140,7 +140,7 @@ let test_interrupt_interval_matches_section2 () =
     { Node.default_config with mtu = 1500; coalesce = Hw.Nic.no_coalesce }
   in
   let c = Net.create ~config ~n:2 () in
-  let pair = Measure.clic_pair c ~a:0 ~b:1 () in
+  let pair = Measure.clic_pair c ~a:0 ~b:1 in
   let r = Measure.stream c pair ~a:0 ~b:1 ~size:1488 ~messages:500 in
   let us_per_packet = Time.to_us r.Measure.elapsed /. 500. in
   (* our pipeline is PCI/CPU-bound above the 12us wire minimum *)

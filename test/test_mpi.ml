@@ -14,8 +14,7 @@ let clic_world c ranks =
     (fun rank ->
       let node = Net.node c rank in
       Mpi.create node.Node.env ~rank
-        (Mpi_clic.transport reg node.Node.clic ~rank)
-        ())
+        (Mpi_clic.transport reg node.Node.clic ~rank))
     ranks
 
 let tcp_world c ranks =
@@ -24,8 +23,7 @@ let tcp_world c ranks =
     (fun rank ->
       let node = Net.node c rank in
       Mpi.create node.Node.env ~rank
-        (Mpi_tcp.transport reg node.Node.tcp ~rank)
-        ())
+        (Mpi_tcp.transport reg node.Node.tcp ~rank))
     ranks
 
 let both_transports = [ ("clic", clic_world); ("tcp", tcp_world) ]
@@ -130,7 +128,7 @@ let pvm_pair () =
   let c = Net.create ~n:2 () in
   let mk i =
     let node = Net.node c i in
-    Pvm.create node.Node.env node.Node.udp ()
+    Pvm.create node.Node.env node.Node.udp
   in
   (c, mk 0, mk 1)
 

@@ -63,7 +63,7 @@ let test_syscall_costs () =
       finished := Sim.now sim);
   Sim.run sim;
   check_int "0.35 + 1 + 0.30 us" (Time.ns 1650) !finished;
-  check_int "round trip" (Time.ns 650) (Syscall.round_trip sc);
+  check_int "round trip" (Time.ns 650) Syscall.round_trip;
   check_int "counted" 1 (Syscall.calls sc)
 
 let test_syscall_exit_paid_on_raise () =
@@ -127,7 +127,7 @@ let test_bottom_half_batches_fifo () =
 
 let test_sched_wait_then_wake () =
   let sim, cpu = rig () in
-  let sched = Sched.create sim ~cpu ~switch_cost:(Time.us 1.) () in
+  let sched = Sched.create cpu in
   let slot = Sched.slot sched in
   let resumed_at = ref 0 in
   Process.spawn sim (fun () ->
@@ -140,7 +140,7 @@ let test_sched_wait_then_wake () =
 
 let test_sched_wake_before_wait () =
   let sim, cpu = rig () in
-  let sched = Sched.create sim ~cpu () in
+  let sched = Sched.create cpu in
   let slot = Sched.slot sched in
   let resumed = ref false in
   Process.spawn sim (fun () -> Sched.wake slot);
@@ -152,7 +152,7 @@ let test_sched_wake_before_wait () =
 
 let test_sched_double_wake_noop () =
   let sim, cpu = rig () in
-  let sched = Sched.create sim ~cpu () in
+  let sched = Sched.create cpu in
   let slot = Sched.slot sched in
   Process.spawn sim (fun () ->
       Sched.wake slot;

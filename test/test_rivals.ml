@@ -30,7 +30,7 @@ let via_cluster () =
   let c = Net.create ~config ~n:2 () in
   let mk i =
     let node = Net.node c i in
-    Rivals.Via.create node.Node.env (List.hd node.Node.eths) ()
+    Rivals.Via.create node.Node.env (List.hd node.Node.eths)
   in
   (c, mk 0, mk 1)
 
@@ -84,7 +84,7 @@ let test_gamma_faster_than_clic () =
   in
   let lat_clic =
     let c = Net.create ~n:2 () in
-    let pair = Measure.clic_pair c ~a:0 ~b:1 () in
+    let pair = Measure.clic_pair c ~a:0 ~b:1 in
     (Measure.pingpong c pair ~size:0 ()).Measure.one_way
   in
   check_bool
