@@ -7,6 +7,16 @@ module Log = (val Logs.src_log log_src : Logs.LOG)
 
 exception Dead of int
 
+(* The channel's float state, in a record of floats only, which OCaml
+   stores unboxed: as fields of the mixed record below, every update
+   would box a fresh float. *)
+type estimates = {
+  mutable srtt : float;  (* smoothed RTT, ns (Jacobson/Karels) *)
+  mutable rttvar : float;
+  mutable cwnd : float;  (* congestion window, packets (DCTCP) *)
+  mutable dctcp_alpha : float;  (* EWMA fraction of CE-marked acks *)
+}
+
 type t = {
   sim : Sim.t;
   uid : int;  (* process-unique: Gamma and CLIC channels share node ids *)
@@ -35,12 +45,10 @@ type t = {
   mutable retransmissions : int;
   mutable retries : int;  (* consecutive timeouts without progress *)
   mutable dead : bool;
-  (* adaptive RTO state (Jacobson/Karels, in float nanoseconds) *)
-  mutable srtt : float option;
-  mutable rttvar : float;
+  est : estimates;  (* SRTT, RTTVAR, cwnd and DCTCP's alpha *)
   mutable rto : Time.span;  (* base RTO before backoff *)
   mutable backoff : int;  (* consecutive-timeout exponent *)
-  mutable rtt_samples : int;
+  mutable rtt_samples : int;  (* [est.srtt] is set once this is positive *)
   mutable timeouts : int;
   (* fast retransmit *)
   mutable dup_acks : int;
@@ -58,8 +66,6 @@ type t = {
       (* wire bytes an RTO did not resend because the peer held them *)
   (* DCTCP congestion control (params.dctcp) *)
   mutable advertised : int;  (* peer's latest advertised window *)
-  mutable cwnd : float;  (* congestion window, packets *)
-  mutable dctcp_alpha : float;  (* EWMA fraction of CE-marked acks *)
   mutable ce_echoes : int;  (* acks received with the CE-echo bit *)
   mutable acks_seen : int;  (* acks in the current observation window *)
   mutable ce_acked : int;  (* CE-echo acks in the current window *)
@@ -103,8 +109,13 @@ let create sim ~self ~peer ?(epoch = 0) ~params ~transmit ~deliver ~send_ack
     retransmissions = 0;
     retries = 0;
     dead = false;
-    srtt = None;
-    rttvar = 0.;
+    est =
+      {
+        srtt = 0.;
+        rttvar = 0.;
+        cwnd = float_of_int params.Params.tx_window;
+        dctcp_alpha = 0.;
+      };
     rto = params.Params.retransmit_timeout;
     backoff = 0;
     rtt_samples = 0;
@@ -119,8 +130,6 @@ let create sim ~self ~peer ?(epoch = 0) ~params ~transmit ~deliver ~send_ack
     retx_bytes = 0;
     retx_bytes_saved = 0;
     advertised = params.Params.tx_window;
-    cwnd = float_of_int params.Params.tx_window;
-    dctcp_alpha = 0.;
     ce_echoes = 0;
     acks_seen = 0;
     ce_acked = 0;
@@ -171,16 +180,16 @@ let effective_rto t =
    RTO decays back toward the smoothed RTT as fresh samples arrive. *)
 let note_rtt t sample =
   t.rtt_samples <- t.rtt_samples + 1;
-  let s = float_of_int sample in
-  (match t.srtt with
-  | None ->
-      t.srtt <- Some s;
-      t.rttvar <- s /. 2.
-  | Some srtt ->
-      t.rttvar <- ((1. -. rtt_beta) *. t.rttvar) +. (rtt_beta *. Float.abs (srtt -. s));
-      t.srtt <- Some (((1. -. rtt_alpha) *. srtt) +. (rtt_alpha *. s)));
-  let srtt = match t.srtt with Some v -> v | None -> s in
-  let raw = int_of_float (srtt +. (4. *. t.rttvar)) in
+  let s = float_of_int sample and e = t.est in
+  if t.rtt_samples = 1 then begin
+    e.srtt <- s;
+    e.rttvar <- s /. 2.
+  end
+  else begin
+    e.rttvar <- ((1. -. rtt_beta) *. e.rttvar) +. (rtt_beta *. Float.abs (e.srtt -. s));
+    e.srtt <- ((1. -. rtt_alpha) *. e.srtt) +. (rtt_alpha *. s)
+  end;
+  let raw = int_of_float (e.srtt +. (4. *. e.rttvar)) in
   t.rto <- max t.params.Params.rto_min (min raw t.params.Params.rto_max)
 
 (* ---------------- transmit side ---------------- *)
@@ -344,7 +353,7 @@ let fast_retransmit t =
 let effective_limit t =
   let adv = max 1 (min t.advertised t.params.Params.tx_window) in
   let cw =
-    if t.params.Params.dctcp then max 1 (int_of_float t.cwnd)
+    if t.params.Params.dctcp then max 1 (int_of_float t.est.cwnd)
     else t.params.Params.tx_window
   in
   min adv cw
@@ -374,17 +383,18 @@ let dctcp_on_ack t ~ce_echo ~progressed cum_seq =
       t.ce_acked <- t.ce_acked + 1;
       t.ce_echoes <- t.ce_echoes + 1
     end;
+    let e = t.est in
     if progressed && not ce_echo then
-      t.cwnd <-
+      e.cwnd <-
         min
           (float_of_int t.params.Params.tx_window)
-          (t.cwnd +. (1. /. Float.max 1. t.cwnd));
+          (e.cwnd +. (1. /. Float.max 1. e.cwnd));
     if cum_seq > t.alpha_update_seq then begin
       let g = t.params.Params.dctcp_g in
       let f = float_of_int t.ce_acked /. float_of_int t.acks_seen in
-      t.dctcp_alpha <- ((1. -. g) *. t.dctcp_alpha) +. (g *. f);
+      e.dctcp_alpha <- ((1. -. g) *. e.dctcp_alpha) +. (g *. f);
       if t.ce_acked > 0 then
-        t.cwnd <- Float.max 1. (t.cwnd *. (1. -. (t.dctcp_alpha /. 2.)));
+        e.cwnd <- Float.max 1. (e.cwnd *. (1. -. (e.dctcp_alpha /. 2.)));
       t.acks_seen <- 0;
       t.ce_acked <- 0;
       t.alpha_update_seq <- t.snd_nxt
@@ -611,13 +621,14 @@ let retx_bytes t = t.retx_bytes
 let retx_bytes_saved t = t.retx_bytes_saved
 let ce_echoes t = t.ce_echoes
 let ce_marks_rx t = t.ce_marks_rx
-let dctcp_alpha t = t.dctcp_alpha
+let dctcp_alpha t = t.est.dctcp_alpha
 let cwnd t = effective_limit t
 let acks_deferred t = t.acks_deferred
 let retransmissions t = t.retransmissions
 let duplicates_dropped t = t.duplicates
 let delivered t = t.delivered
-let srtt t = Option.map (fun s -> int_of_float s) t.srtt
+let srtt t =
+  if t.rtt_samples = 0 then None else Some (int_of_float t.est.srtt)
 let rto t = effective_rto t
 let rtt_samples t = t.rtt_samples
 let timeouts t = t.timeouts

@@ -1,15 +1,15 @@
 (* A receiver blocks only on an empty [items], and a send to a mailbox
    with blocked receivers wakes the first at once, so [items] is empty
    whenever [blocked] is not. *)
-type 'a t = { items : 'a Queue.t; blocked : (unit -> unit) Queue.t }
+type 'a t = { items : 'a Queue.t; blocked : Sim.waiter Ring.t }
 
-let create () = { items = Queue.create (); blocked = Queue.create () }
+let create () = { items = Queue.create (); blocked = Ring.empty () }
 
 (* The woken receiver resumes inside this call and takes [v], the only
    item, before anything else can. *)
 let send t v =
   Queue.add v t.items;
-  if not (Queue.is_empty t.blocked) then Queue.take t.blocked ()
+  if not (Ring.is_empty t.blocked) then Process.wake t.blocked
 
 let try_recv t = Queue.take_opt t.items
 
@@ -18,4 +18,4 @@ let recv t =
   Queue.take t.items
 
 let length t = Queue.length t.items
-let waiters t = Queue.length t.blocked
+let waiters t = Ring.length t.blocked

@@ -16,16 +16,25 @@
 
 val spawn : Sim.t -> ?delay:Time.span -> (unit -> unit) -> unit
 (** [spawn sim f] schedules process [f] to start [delay] (default 0) from
-    now.  Exceptions escaping [f] propagate out of {!Sim.run}. *)
+    now: the event is [f] itself ({!Sim.start}).  Exceptions escaping [f]
+    propagate out of {!Sim.run}. *)
 
 val delay : Time.span -> unit
-(** Suspends the calling process for the given simulated duration. *)
+(** Suspends the calling process for the given simulated duration.  Its
+    continuation waits in the simulator's event arena, so a delay
+    allocates only the continuation. *)
 
-val wait_in : (unit -> unit) Queue.t -> unit
-(** [wait_in q] suspends the caller and appends a thunk that resumes it
-    to [q], for FIFO wait queues.  Whoever takes the thunk from [q] calls
-    it once, at a later event; the caller then resumes inside that
-    call. *)
+val wait_in : Sim.waiter Ring.t -> unit
+(** [wait_in ring] suspends the caller and pushes its continuation onto
+    [ring], a FIFO of waiting processes (make one with {!Ring.empty}).
+    Whoever takes it resumes it once, with {!wake}, at a later event; the
+    caller then resumes inside that call.  The wait allocates only the
+    continuation. *)
+
+val wake : Sim.waiter Ring.t -> unit
+(** Pops the first waiting process off the ring and resumes it; it runs
+    until it next suspends or ends, then [wake] returns.
+    @raise Invalid_argument when the ring is empty. *)
 
 val await : (('a -> unit) -> unit) -> 'a
 (** [await register] suspends the caller; [register] receives a [resume]

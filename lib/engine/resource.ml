@@ -4,8 +4,8 @@ type t = {
   sim : Sim.t;
   name : string;
   mutable busy : bool;
-  high : (unit -> unit) Queue.t;
-  low : (unit -> unit) Queue.t;
+  high : Sim.waiter Ring.t;
+  low : Sim.waiter Ring.t;
   mutable busy_time : Time.span;
   mutable grants : int;
 }
@@ -15,8 +15,8 @@ let create sim ~name =
     sim;
     name;
     busy = false;
-    high = Queue.create ();
-    low = Queue.create ();
+    high = Ring.empty ();
+    low = Ring.empty ();
     busy_time = 0;
     grants = 0;
   }
@@ -26,8 +26,8 @@ let is_busy t = t.busy
 (* A release hands the resource straight to the next waiter, which
    resumes inside this call; [busy] stays set across the handoff. *)
 let release t =
-  if not (Queue.is_empty t.high) then Queue.take t.high ()
-  else if not (Queue.is_empty t.low) then Queue.take t.low ()
+  if not (Ring.is_empty t.high) then Process.wake t.high
+  else if not (Ring.is_empty t.low) then Process.wake t.low
   else t.busy <- false
 
 let acquire ?(priority = `Low) t =

@@ -3,13 +3,19 @@
    The representation is built so the steady state allocates nothing per
    event and keeps the OCaml write barrier off the hot path:
 
-   - Events live in a slot arena of parallel arrays (thunk, seq, tie,
-     state, generation), not in per-event records.  A free-slot stack
+   - Events live in a slot arena of parallel arrays (thunk,
+     continuation, seq, tie, state, generation), not in per-event
+     records.  An event is one of three kinds, kept in its state: a
+     thunk to call, a process body to start under [handler], or a
+     suspended process (a continuation) to resume.  A free-slot stack
      recycles drained and cancelled slots, so a steady stream of
-     {!post}s allocates nothing; the only pointer write per event is
-     storing the thunk into its slot (a free slot keeps its fired
-     closure until reuse overwrites it — the run entry points sweep the
-     leftovers when they return, so nothing is retained past a drain).
+     {!post}s, delays and spawns allocates nothing here; the only
+     pointer write per event is storing the thunk or continuation into
+     its slot (a free slot keeps its fired closure until reuse
+     overwrites it — the run entry points sweep the leftovers when they
+     return, so nothing is retained past a drain; a resumed
+     continuation holds no stack, so one left in a free slot retains
+     nothing).
 
    - The queue is a 4-ary min-heap over three unboxed [int array]s: the
      sort key ([at]), a first-level tie-break ([aux]: the unique seq in
@@ -34,6 +40,10 @@
      fills with dead timers that every sift must step over until their
      old deadline. *)
 
+(* A suspended process: resuming it runs the process until it next
+   suspends or ends. *)
+type waiter = (unit, unit) Effect.Deep.continuation
+
 type t = {
   mutable clock : Time.t;
   (* Queue: 4-ary min-heap, positions 0..hsize-1 of three parallel int
@@ -43,10 +53,11 @@ type t = {
   mutable hidx : int array; (* heap position -> arena slot *)
   mutable hsize : int;
   (* Slot arena: one queued event per slot, parallel arrays. *)
-  mutable s_thunk : (unit -> unit) array;
+  mutable s_thunk : (unit -> unit) array; (* thunk or process body *)
+  mutable s_cont : waiter array; (* grown only by [park]; see there *)
   mutable s_seq : int array; (* monotone; FIFO tie-break *)
   mutable s_tie : int array; (* seeded permutation key; unused in FIFO *)
-  mutable s_state : int array; (* st_scheduled / st_cancelled *)
+  mutable s_state : int array; (* the event's kind, or st_cancelled *)
   mutable s_gen : int array; (* bumped on free; validates handles *)
   mutable free : int array; (* free-slot stack *)
   mutable free_n : int;
@@ -68,8 +79,12 @@ type handle = {
 }
 
 let ignore_thunk () = ()
-let st_scheduled = 0
+
+(* Slot states: the three kinds of queued event, and a cancelled thunk. *)
+let st_thunk = 0
 let st_cancelled = 1
+let st_start = 2
+let st_resume = 3
 
 (* Last-resort ordering when key and aux both compare equal: impossible
    in FIFO mode (aux is the unique seq); in rng mode two events drew the
@@ -214,7 +229,7 @@ let[@inline never] grow sim =
   sim.s_thunk <- g ignore_thunk sim.s_thunk;
   sim.s_seq <- g 0 sim.s_seq;
   sim.s_tie <- g 0 sim.s_tie;
-  sim.s_state <- g st_scheduled sim.s_state;
+  sim.s_state <- g st_thunk sim.s_state;
   sim.s_gen <- g 0 sim.s_gen;
   sim.free <- g 0 sim.free
 
@@ -266,6 +281,7 @@ let empty tie_rng =
     hidx = [||];
     hsize = 0;
     s_thunk = [||];
+    s_cont = [||];
     s_seq = [||];
     s_tie = [||];
     s_state = [||];
@@ -308,16 +324,16 @@ let[@inline never] past_error at now =
   invalid_arg
     (Printf.sprintf "Sim.schedule_at: %d is in the past (now=%d)" at now)
 
-(* Shared enqueue: claims a slot, fills it, pushes it on the heap.
-   Returns the slot for {!schedule_at} to wrap in a handle. *)
-let[@inline] [@clic.hot] enqueue sim ~at thunk =
+(* Shared enqueue: claims a slot for an event of kind [state], pushes it
+   on the heap and returns it, for the caller to store the event's thunk
+   or continuation in. *)
+let[@inline] [@clic.hot] enqueue sim ~at state =
   if at < sim.clock then past_error at sim.clock;
   if at = max_int then invalid_arg "Sim.schedule_at: at = max_int is reserved";
   let seq = sim.next_seq in
   let s = alloc_slot sim in
-  Array.unsafe_set sim.s_thunk s thunk;
   Array.unsafe_set sim.s_seq s seq;
-  Array.unsafe_set sim.s_state s st_scheduled;
+  Array.unsafe_set sim.s_state s state;
   (* First-level tie-break carried beside the key: the unique seq in
      FIFO mode (sifts then never touch the slot arrays), the seeded tie
      key under the determinism checker's permuted ordering. *)
@@ -340,7 +356,8 @@ let[@inline] [@clic.hot] enqueue sim ~at thunk =
   s
 
 let schedule_at sim ~at thunk =
-  let s = enqueue sim ~at thunk in
+  let s = enqueue sim ~at st_thunk in
+  Array.unsafe_set sim.s_thunk s thunk;
   { owner = sim; slot = s; gen = Array.unsafe_get sim.s_gen s;
     hcancelled = false }
 
@@ -348,11 +365,33 @@ let schedule sim ~after thunk =
   if after < 0 then invalid_arg "Sim.schedule: negative delay";
   schedule_at sim ~at:(Time.add sim.clock after) thunk
 
-let[@clic.hot] post_at sim ~at thunk = ignore (enqueue sim ~at thunk : int)
+let[@clic.hot] post_at sim ~at thunk =
+  let s = enqueue sim ~at st_thunk in
+  Array.unsafe_set sim.s_thunk s thunk
 
 let[@clic.hot] post sim ~after thunk =
   if after < 0 then invalid_arg "Sim.post: negative delay";
   post_at sim ~at:(Time.add sim.clock after) thunk
+
+let start sim ~after body =
+  if after < 0 then invalid_arg "Sim.post: negative delay";
+  let s = enqueue sim ~at:(Time.add sim.clock after) st_start in
+  Array.unsafe_set sim.s_thunk s body
+
+(* The continuation array has no fill value of its own until a process
+   first parks, so it grows here, filled with the continuation in hand:
+   that one is resumed when its event fires, and a resumed continuation
+   keeps nothing alive. *)
+let[@inline never] grow_conts sim k =
+  let conts = Array.make (Array.length sim.free) k in
+  Array.blit sim.s_cont 0 conts 0 (Array.length sim.s_cont);
+  sim.s_cont <- conts
+
+let[@clic.hot] park sim ~after k =
+  if after < 0 then invalid_arg "Sim.post: negative delay";
+  let s = enqueue sim ~at:(Time.add sim.clock after) st_resume in
+  if s >= Array.length sim.s_cont then grow_conts sim k;
+  Array.unsafe_set sim.s_cont s k
 
 (* Drops every cancelled entry from the heap, frees its slot (the
    generation bump keeps stale handles inert) and rebuilds the heap in
@@ -385,7 +424,7 @@ let cancel h =
   if not h.hcancelled then begin
     let sim = h.owner in
     if
-      sim.s_gen.(h.slot) = h.gen && sim.s_state.(h.slot) = st_scheduled
+      sim.s_gen.(h.slot) = h.gen && sim.s_state.(h.slot) = st_thunk
     then begin
       sim.s_state.(h.slot) <- st_cancelled;
       sim.s_thunk.(h.slot) <- ignore_thunk;
@@ -420,13 +459,75 @@ let[@inline] [@clic.hot] pop_root sim =
 let total_executed = ref 0
 let global_events_executed () = !total_executed
 
+(* ------------------------------------------------------------------ *)
+(* Processes.  Every process runs its whole body under [handler], the one
+   handler value they all share (a deep handler, so effects performed
+   after any number of suspensions are still handled), and starting one
+   allocates no handler record.  A delayed process is its continuation,
+   parked in the arena of the simulator dispatching it; a waiting one is
+   its continuation in a wait ring.  Continuations are one-shot: a second
+   [continue] of the same one raises
+   [Effect.Continuation_already_resumed], and [await]'s resume adds its
+   own [Invalid_argument] guard. *)
+
+type _ Effect.t +=
+  | Delay : unit Effect.t
+  | Wait : unit Effect.t
+  | Await : (('a -> unit) -> unit) -> 'a Effect.t
+
+(* The operands of [Delay] and [Wait].  Each is written just before its
+   perform and read by the handler before anything else runs: perform
+   hands control to the handler synchronously, so no other process can
+   overwrite it in between, and one slot of each serves every process of
+   the (single-domain) program.  Neither effect then carries a payload,
+   and the handler for each is one preallocated [Some]. *)
+let delay_span = ref 0
+let wait_ring : waiter Ring.t ref = ref (Ring.empty ())
+
+let delay d =
+  delay_span := d;
+  Effect.perform Delay
+
+let wait_in ring =
+  wait_ring := ring;
+  Effect.perform Wait
+
+let await register = Effect.perform (Await register)
+let on_delay = Some (fun k -> park (running ()) ~after:!delay_span k)
+let on_wait = Some (fun k -> Ring.push !wait_ring k)
+
+let handler =
+  {
+    Effect.Deep.retc = (fun () -> ());
+    exnc =
+      (fun exn ->
+        Printexc.raise_with_backtrace exn (Printexc.get_raw_backtrace ()));
+    effc =
+      (fun (type a) (eff : a Effect.t) :
+           ((a, unit) Effect.Deep.continuation -> unit) option ->
+        match eff with
+        | Delay -> on_delay
+        | Wait -> on_wait
+        | Await register ->
+            Some
+              (fun k ->
+                let fired = ref false in
+                register (fun v ->
+                    if !fired then
+                      invalid_arg "Process.await: resume called twice";
+                    fired := true;
+                    Effect.Deep.continue k v))
+        | _ -> None);
+  }
+
 let[@clic.hot] rec step sim =
   if sim.hsize = 0 then false
   else begin
     let at = Array.unsafe_get sim.keys 0 in
     let s = Array.unsafe_get sim.hidx 0 in
     pop_root sim;
-    if Array.unsafe_get sim.s_state s = st_cancelled then begin
+    let state = Array.unsafe_get sim.s_state s in
+    if state = st_cancelled then begin
       (* [cancel] already removed it from the live count. *)
       free_slot sim s;
       step sim
@@ -436,11 +537,14 @@ let[@clic.hot] rec step sim =
       sim.live <- sim.live - 1;
       sim.executed <- sim.executed + 1;
       incr total_executed;
-      let thunk = Array.unsafe_get sim.s_thunk s in
-      (* Free before dispatch so the thunk's own posts reuse the slot. *)
-      free_slot sim s;
       if !Probe.on then Probe.emit (Probe.Clock { now = at });
-      thunk ();
+      (* Free before dispatch so the event's own posts reuse the slot;
+         nothing runs between the free and the read. *)
+      free_slot sim s;
+      if state = st_thunk then (Array.unsafe_get sim.s_thunk s) ()
+      else if state = st_resume then
+        Effect.Deep.continue (Array.unsafe_get sim.s_cont s) ()
+      else Effect.Deep.match_with (Array.unsafe_get sim.s_thunk s) () handler;
       true
     end
   end

@@ -15,7 +15,14 @@
     Higher-level blocking-style code is built on top of this in
     {!Process}.  Processes run only inside their simulator's run loop
     ({!run}, {!run_n}, {!run_until}): that loop is what they post their
-    wakeups to, through {!running}. *)
+    wakeups to, through {!running}.
+
+    The arena holds three kinds of event, each with its time, sequence
+    number and tie key: a thunk ({!post}, {!schedule}), a process body
+    waiting to start ({!start}), and a suspended process, its
+    continuation, parked by {!delay}.  The loop calls the thunk, starts
+    the body under the one effect handler every process shares, or
+    resumes the continuation. *)
 
 type t
 
@@ -101,3 +108,31 @@ val global_events_executed : unit -> int
 (** Process-wide total of events fired across {e all} simulators ever
     created.  Scenario benchmarks use the delta across a run to compute
     events/sec, since scenarios construct their simulators internally. *)
+
+(** {1 Processes}
+
+    The primitives {!Process} is built from.  Processes suspend by
+    performing effects that only the shared handler handles, so each of
+    these must run inside a process. *)
+
+type waiter = (unit, unit) Effect.Deep.continuation
+(** A suspended process: [Effect.Deep.continue w ()] runs it until it
+    next suspends or ends.  Once resumed, it holds no stack. *)
+
+val start : t -> after:Time.span -> (unit -> unit) -> unit
+(** [start sim ~after body] enqueues [body] as an event of its own kind:
+    [after] nanoseconds from now the loop runs it under the shared
+    handler, with no closure around it.
+    @raise Invalid_argument on a negative delay. *)
+
+val delay : Time.span -> unit
+(** Parks the calling process's continuation in {!running}'s arena, as
+    an event that resumes it the given span from now. *)
+
+val wait_in : waiter Ring.t -> unit
+(** Pushes the calling process's continuation onto the ring; whoever
+    pops it resumes it. *)
+
+val await : (('a -> unit) -> unit) -> 'a
+(** Suspends the caller and passes [register] a resume function, which
+    raises [Invalid_argument] when called a second time. *)

@@ -1,6 +1,8 @@
 module Summary = struct
+  (* Floats only, so OCaml stores the fields unboxed and [add] allocates
+     nothing; the count is a float too, exact below 2^53. *)
   type t = {
-    mutable n : int;
+    mutable n : float;
     mutable mean : float;
     mutable m2 : float;
     mutable min_v : float;
@@ -8,24 +10,21 @@ module Summary = struct
   }
 
   let create () =
-    { n = 0; mean = 0.; m2 = 0.; min_v = infinity; max_v = neg_infinity }
+    { n = 0.; mean = 0.; m2 = 0.; min_v = infinity; max_v = neg_infinity }
 
   let add t x =
-    t.n <- t.n + 1;
+    t.n <- t.n +. 1.;
     let delta = x -. t.mean in
-    t.mean <- t.mean +. (delta /. float_of_int t.n);
+    t.mean <- t.mean +. (delta /. t.n);
     t.m2 <- t.m2 +. (delta *. (x -. t.mean));
     if x < t.min_v then t.min_v <- x;
     if x > t.max_v then t.max_v <- x
 
-  let count t = t.n
-  let mean t = if t.n = 0 then 0. else t.mean
-
-  let stddev t =
-    if t.n < 2 then 0. else sqrt (t.m2 /. float_of_int (t.n - 1))
-
-  let min t = if t.n = 0 then 0. else t.min_v
-  let max t = if t.n = 0 then 0. else t.max_v
+  let count t = int_of_float t.n
+  let mean t = if t.n = 0. then 0. else t.mean
+  let stddev t = if t.n < 2. then 0. else sqrt (t.m2 /. (t.n -. 1.))
+  let min t = if t.n = 0. then 0. else t.min_v
+  let max t = if t.n = 0. then 0. else t.max_v
 end
 
 module Series = struct

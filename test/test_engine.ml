@@ -394,11 +394,12 @@ let within what ~budget f =
     Alcotest.failf "%s: %.2f minor words per op, budget %g" what
       (words /. float_of_int budget_ops) budget
 
-(* A simulator whose slot arena has already grown to its first size
-   (256 slots), so no measurement pays for the arena. *)
+(* A simulator whose slot arena, its continuation array included, has
+   already grown to its first size (256 slots), so no measurement pays
+   for the arena. *)
 let warm_sim () =
   let sim = Sim.create () in
-  Sim.post sim ~after:0 ignore;
+  Process.spawn sim (fun () -> Process.delay 0);
   Sim.run sim;
   sim
 
@@ -415,7 +416,7 @@ let test_engine_allocation_budget () =
       Sim.run sim);
   check_int "the chain ran" 0 !left;
   let sim = warm_sim () in
-  within "Process.delay" ~budget:8. (fun () ->
+  within "Process.delay" ~budget:2. (fun () ->
       Process.spawn sim (fun () ->
           for _ = 1 to budget_ops do
             Process.delay 1
@@ -423,7 +424,7 @@ let test_engine_allocation_budget () =
       Sim.run sim);
   let sim = warm_sim () in
   let r = Resource.create sim ~name:"r" in
-  within "Resource.use, uncontended" ~budget:8. (fun () ->
+  within "Resource.use, uncontended" ~budget:2. (fun () ->
       Process.spawn sim (fun () ->
           for _ = 1 to budget_ops do
             Resource.use r 1
@@ -437,7 +438,7 @@ let test_engine_allocation_budget () =
       Resource.use r 1
     done
   in
-  within "Resource.use, two contenders" ~budget:28. (fun () ->
+  within "Resource.use, two contenders" ~budget:4. (fun () ->
       Process.spawn sim contender;
       Process.spawn sim contender;
       Sim.run sim);
@@ -462,16 +463,17 @@ let test_engine_allocation_budget () =
   check_int "every spawned process started" budget_ops !started;
   let per_op w = w /. float_of_int budget_ops in
   (* Each pair of readings boxes two floats: 4 words per batch. *)
-  if per_op !call_words > 4. +. 0.04 then
-    Alcotest.failf "Process.spawn call: %.2f minor words per op, budget 4"
+  if per_op !call_words > 0. +. 0.04 then
+    Alcotest.failf "Process.spawn call: %.2f minor words per op, budget 0"
       (per_op !call_words);
-  if per_op !start_words > 8. +. 0.04 then
-    Alcotest.failf "Process.spawn start: %.2f minor words per op, budget 8"
+  if per_op !start_words > 5. +. 0.04 then
+    Alcotest.failf "Process.spawn start: %.2f minor words per op, budget 5"
       (per_op !start_words);
   let sim = warm_sim () in
   let forked = ref 0 in
   let child () = incr forked in
-  within "Process.fork" ~budget:12. (fun () ->
+  (* 5 words a fork, and one delay's 2 for every 100 forks. *)
+  within "Process.fork" ~budget:5.02 (fun () ->
       Process.spawn sim (fun () ->
           for _ = 1 to budget_ops / 100 do
             for _ = 1 to 100 do
@@ -480,7 +482,115 @@ let test_engine_allocation_budget () =
             Process.delay 1
           done);
       Sim.run sim);
-  check_int "every forked process ran" budget_ops !forked
+  check_int "every forked process ran" budget_ops !forked;
+  (* The receiver is blocked whenever a message arrives: each message
+     costs its [items] cell and the two processes' continuations. *)
+  let sim = warm_sim () in
+  let mb = Mailbox.create () and got = ref 0 in
+  within "Mailbox ping, receiver blocked" ~budget:7. (fun () ->
+      Process.spawn sim (fun () ->
+          for _ = 1 to budget_ops do
+            got := !got + Mailbox.recv mb
+          done);
+      Process.spawn sim (fun () ->
+          for _ = 1 to budget_ops do
+            Mailbox.send mb 1;
+            Process.delay 1
+          done);
+      Sim.run sim);
+  check_int "every message received" budget_ops !got
+
+(* Starts processes that capture a block only [seen] points to and park
+   in every place a process can wait: a start event, a delay, a
+   resource's and a mailbox's wait rings. *)
+let[@inline never] spawn_holders sim r mb seen =
+  let block = Bytes.make 64 'x' in
+  Weak.set seen 0 (Some block);
+  let hold () = ignore (Sys.opaque_identity block) in
+  Process.spawn sim (fun () ->
+      Resource.use r 5;
+      hold ());
+  Process.spawn sim (fun () ->
+      Resource.use r 1;
+      ignore (Mailbox.recv mb : int);
+      hold ());
+  Process.spawn sim ~delay:2 (fun () ->
+      Process.delay 10;
+      Mailbox.send mb 1;
+      Process.fork hold)
+
+let test_finished_processes_release () =
+  let sim = Sim.create () and seen = Weak.create 1 in
+  let r = Resource.create sim ~name:"r" and mb = Mailbox.create () in
+  spawn_holders sim r mb seen;
+  Sim.run sim;
+  Gc.full_major ();
+  check_bool "the simulator no longer holds the processes' block" false
+    (Weak.check seen 0);
+  check_int "both processes used the resource" 2 (Resource.grants r);
+  check_int "the mailbox is drained" 0
+    (Mailbox.length mb + Mailbox.waiters mb);
+  check_int "the run ended at the last delay" 12 (Sim.now sim)
+
+(* ------------------------------------------------------------------ *)
+(* Ring: the fabric's FIFO and the processes' wait queues *)
+
+(* Pushes and pops against [Stdlib.Queue]; pushes outnumber pops, so a run
+   grows the ring several times and wraps it around in between.  Each run
+   drives a ring with a given fill and one that takes its first element
+   as the fill. *)
+let prop_ring_is_a_fifo =
+  QCheck.Test.make ~count:300 ~name:"ring: FIFO like Stdlib.Queue"
+    (QCheck.make
+       QCheck.Gen.(
+         list_size (int_range 0 600)
+           (frequency [ (3, map Option.some nat); (2, return None) ])))
+    (fun ops ->
+      List.for_all
+        (fun ring ->
+          let queue = Queue.create () in
+          List.for_all
+            (fun op ->
+              let same_pop =
+                match op with
+                | Some x ->
+                    Ring.push ring x;
+                    Queue.add x queue;
+                    true
+                | None when Queue.is_empty queue -> true
+                | None -> Ring.pop ring = Queue.take queue
+              in
+              same_pop
+              && Ring.length ring = Queue.length queue
+              && Ring.is_empty ring = Queue.is_empty queue)
+            ops)
+        [ Ring.create (-1); Ring.empty () ])
+
+let test_ring_pop_empty () =
+  let ring = Ring.create 0 in
+  Alcotest.check_raises "a fresh ring"
+    (Invalid_argument "Ring.pop: empty ring") (fun () ->
+      ignore (Ring.pop ring));
+  Ring.push ring 1;
+  check_int "the one element" 1 (Ring.pop ring);
+  Alcotest.check_raises "a drained ring"
+    (Invalid_argument "Ring.pop: empty ring") (fun () ->
+      ignore (Ring.pop ring))
+
+(* Pushes a block only [seen] points to, then pops and drops it. *)
+let[@inline never] push_then_drop ring seen =
+  let block = Bytes.make 64 'x' in
+  Weak.set seen 0 (Some block);
+  Ring.push ring block;
+  ignore (Sys.opaque_identity (Ring.pop ring))
+
+let test_ring_pop_releases () =
+  let ring = Ring.create Bytes.empty and seen = Weak.create 1 in
+  push_then_drop ring seen;
+  Gc.full_major ();
+  check_bool "the ring no longer holds the popped block" false
+    (Weak.check seen 0);
+  check_bool "the ring is still in use" true (Ring.is_empty ring)
 
 (* ------------------------------------------------------------------ *)
 (* Ivar / Mailbox / Semaphore *)
@@ -875,7 +985,7 @@ let prop_semaphore_never_negative =
       Semaphore.available sem = permits)
 
 let qprops = List.map QCheck_alcotest.to_alcotest
-    [ prop_sim_arena_model; prop_rng_int_in_bounds;
+    [ prop_sim_arena_model; prop_ring_is_a_fifo; prop_rng_int_in_bounds;
       prop_rng_exponential_positive; prop_rng_pareto_support;
       prop_arrival_streams_seed_deterministic;
       prop_semaphore_never_negative ]
@@ -907,6 +1017,10 @@ let suite =
     ("nested run keeps the outer process", `Quick,
      test_nested_run_keeps_outer_process);
     ("engine allocation budget", `Quick, test_engine_allocation_budget);
+    ("finished processes leave nothing behind", `Quick,
+     test_finished_processes_release);
+    ("ring pop on empty", `Quick, test_ring_pop_empty);
+    ("ring pop releases its cell", `Quick, test_ring_pop_releases);
     ("ivar blocking", `Quick, test_ivar_blocks_until_filled);
     ("ivar instant read", `Quick, test_ivar_read_after_fill);
     ("mailbox fifo", `Quick, test_mailbox_fifo);

@@ -1344,61 +1344,6 @@ let test_switch_egress_stall_delays_pump () =
       Switch.inject_stall sw ~node:9 ~span:(Time.us 1.))
 
 (* ------------------------------------------------------------------ *)
-(* Ring: the fabric's FIFO *)
-
-(* Pushes and pops against [Stdlib.Queue]; pushes outnumber pops, so a run
-   grows the ring several times and wraps it around in between. *)
-let prop_ring_is_a_fifo =
-  QCheck.Test.make ~count:300 ~name:"ring: FIFO like Stdlib.Queue"
-    (QCheck.make
-       QCheck.Gen.(
-         list_size (int_range 0 600)
-           (frequency [ (3, map Option.some nat); (2, return None) ])))
-    (fun ops ->
-      let ring = Ring.create (-1) and queue = Queue.create () in
-      List.for_all
-        (fun op ->
-          let same_pop =
-            match op with
-            | Some x ->
-                Ring.push ring x;
-                Queue.add x queue;
-                true
-            | None when Queue.is_empty queue -> true
-            | None -> Ring.pop ring = Queue.take queue
-          in
-          same_pop
-          && Ring.length ring = Queue.length queue
-          && Ring.is_empty ring = Queue.is_empty queue)
-        ops)
-
-let test_ring_pop_empty () =
-  let ring = Ring.create 0 in
-  Alcotest.check_raises "a fresh ring"
-    (Invalid_argument "Ring.pop: empty ring") (fun () ->
-      ignore (Ring.pop ring));
-  Ring.push ring 1;
-  check_int "the one element" 1 (Ring.pop ring);
-  Alcotest.check_raises "a drained ring"
-    (Invalid_argument "Ring.pop: empty ring") (fun () ->
-      ignore (Ring.pop ring))
-
-(* Pushes a block only [seen] points to, then pops and drops it. *)
-let[@inline never] push_then_drop ring seen =
-  let block = Bytes.make 64 'x' in
-  Weak.set seen 0 (Some block);
-  Ring.push ring block;
-  ignore (Sys.opaque_identity (Ring.pop ring))
-
-let test_ring_pop_releases () =
-  let ring = Ring.create Bytes.empty and seen = Weak.create 1 in
-  push_then_drop ring seen;
-  Gc.full_major ();
-  check_bool "the ring no longer holds the popped block" false
-    (Weak.check seen 0);
-  check_bool "the ring is still in use" true (Ring.is_empty ring)
-
-(* ------------------------------------------------------------------ *)
 (* Fabric allocation budget: exact [Gc.minor_words] over 10^5 frames built
    before the count starts.  The link and the switch allocate nothing per
    frame; with a sink installed, a frame pays for the probe events it
@@ -1465,7 +1410,7 @@ let test_fabric_allocation_budget () =
 
 let qprops =
   List.map QCheck_alcotest.to_alcotest
-    [ prop_fragmentation_counts; prop_ring_is_a_fifo ]
+    [ prop_fragmentation_counts ]
 
 let suite =
   [
@@ -1539,8 +1484,6 @@ let suite =
     ("fault brownout validation", `Quick, test_fault_brownout_validation);
     ("nic slow factor", `Quick, test_nic_slow_factor_inflates_service);
     ("switch egress stall", `Quick, test_switch_egress_stall_delays_pump);
-    ("ring pop on empty", `Quick, test_ring_pop_empty);
-    ("ring pop releases its cell", `Quick, test_ring_pop_releases);
     ("fabric allocation budget", `Quick, test_fabric_allocation_budget);
   ]
   @ qprops
